@@ -27,7 +27,8 @@ class BackendError(Exception):
 @runtime_checkable
 class LlmBackend(Protocol):
     name: str
-    supports_temperature: bool
+    # True when calls should be spaced out (RepairConfig.min_request_interval)
+    rate_limited: bool
 
     def complete(self, prompt: str, max_output_tokens: int = 512,
                  temperature: float = 0.0) -> str:
@@ -55,7 +56,7 @@ class MockBackend:
     """
 
     name = "mock"
-    supports_temperature = False
+    rate_limited = False
 
     def __init__(self, transcript: list[tuple[str, str]] | None = None):
         self.transcript = [(re.compile(p, re.DOTALL), r)
@@ -85,7 +86,7 @@ class MockBackend:
 class HttpBackend:
     """Minimal chat-completion client (OpenAI-style request/response shape)."""
 
-    supports_temperature = True
+    rate_limited = True
 
     def __init__(self, endpoint: str, model: str, timeout_seconds: float = 60.0,
                  name: str = "http"):

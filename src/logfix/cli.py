@@ -48,7 +48,7 @@ from .model import (
 )
 from .parser import ParserConfig, extract_file
 from .repair import RepairConfig, run_pipeline_batch
-from .retrieval import DEFAULT_B, DEFAULT_K1
+from .retrieval import DEFAULT_B, DEFAULT_K1, build_pool
 from .synthesis import (
     load_antonym_table,
     load_typo_lexicon,
@@ -288,19 +288,26 @@ def cmd_train(args, config: ToolConfig) -> int:
     return EXIT_OK
 
 
+def _detect_one(ctx, stmt, model, head,
+                max_tokens: int) -> tuple[DefectLabel, float]:
+    """The predicted label of one statement and its probability."""
+    label, probs = predict(ctx, stmt, model, head, max_tokens)
+    return label, float(probs[LABEL_INDEX[label]])
+
+
 def cmd_detect(args, config: ToolConfig) -> int:
     model, head, train_config = load_checkpoint(args.model)
     records = []
     for d in read_jsonl(args.in_path):
         ctx, statements = method_record_from_dict(d)
         for stmt in statements:
-            label, probs = predict(ctx, stmt, model, head,
-                                   train_config.max_tokens)
+            label, confidence = _detect_one(ctx, stmt, model, head,
+                                            train_config.max_tokens)
             records.append({
                 "method": context_to_dict(ctx),
                 "statement": statement_to_dict(stmt),
                 "predicted_label": label.value,
-                "confidence": float(probs[LABEL_INDEX[label]]),
+                "confidence": confidence,
             })
     write_jsonl(args.out, records)
     defects = sum(1 for r in records
@@ -311,23 +318,37 @@ def cmd_detect(args, config: ToolConfig) -> int:
 
 
 def _read_statement_items(path: str):
-    """Accept detection records ({method, statement}) or extract records
-    ({method, statements})."""
+    """(context, statement, detection) items from detection records
+    ({method, statement, predicted_label, confidence}) or extract records
+    ({method, statements}). An item's detection is (label, confidence), or
+    None when its record carries no label."""
     items = []
     for d in read_jsonl(path):
         if "statements" in d:
             ctx, statements = method_record_from_dict(d)
-            items.extend((ctx, stmt) for stmt in statements)
+            items.extend((ctx, stmt, None) for stmt in statements)
         else:
+            detection = None
+            if "predicted_label" in d:
+                detection = (DefectLabel(d["predicted_label"]),
+                             float(d["confidence"]))
             items.append((context_from_dict(d["method"]),
-                          statement_from_dict(d["statement"])))
+                          statement_from_dict(d["statement"]), detection))
     return items
 
 
 def cmd_fix(args, config: ToolConfig) -> int:
-    model, head, _ = load_checkpoint(args.model)
     items = _read_statement_items(args.in_path)
+    if any(detection is None for _, _, detection in items):
+        if args.model is None:
+            raise DataError("records without predicted labels need --model")
+        model, head, train_config = load_checkpoint(args.model)
+        max_tokens = train_config.max_tokens
+        items = [(ctx, stmt,
+                  detection or _detect_one(ctx, stmt, model, head, max_tokens))
+                 for ctx, stmt, detection in items]
     lccs = read_changes(args.lcc) if args.lcc else []
+    pool = build_pool(lccs, config.retrieval.k1, config.retrieval.b)
     backend = make_backend(config.backend, args.backend)
     repair_config = RepairConfig(
         exemplar_count=args.exemplars if args.exemplars is not None
@@ -335,8 +356,7 @@ def cmd_fix(args, config: ToolConfig) -> int:
         workers=args.jobs if args.jobs is not None else 4,
         parser_config=config.parser,
     )
-    results = run_pipeline_batch(items, (model, head), lccs, backend,
-                                 repair_config)
+    results = run_pipeline_batch(items, pool, backend, repair_config)
     write_jsonl(args.out, (result_to_dict(r) for r in results))
     updated = sum(1 for r in results if r.updated_statement is not None)
     failed = sum(1 for r in results
@@ -460,9 +480,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fix", parents=[common],
                        help="confirm and rewrite detected defects")
     p.add_argument("--in", dest="in_path", required=True,
-                   help="detections JSONL from detect")
+                   help="detections JSONL from detect (or methods JSONL "
+                        "from extract, with --model)")
     p.add_argument("--lcc", help="log-centric changes JSONL for exemplars")
-    p.add_argument("--model", required=True, help="checkpoint file to read")
+    p.add_argument("--model",
+                   help="checkpoint that labels records without a "
+                        "predicted label (extract records)")
     p.add_argument("--backend", choices=["mock", "http"],
                    help="completion backend (default: from config)")
     p.add_argument("--exemplars", type=int, metavar="K",

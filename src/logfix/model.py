@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterable, Iterator, TextIO
 
 
@@ -165,7 +166,7 @@ class LogCentricChange:
     context: MethodContext
     inferred_label: DefectLabel | None = None
 
-    @property
+    @cached_property
     def change_id(self) -> str:
         return content_hash(self.project_id, self.commit_id, self.before.id, self.after.id)
 

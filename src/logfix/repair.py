@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .backends import BackendError, LlmBackend, MockBackend
-from .detector import ClassifierHead, EncoderModel, predict
+from .backends import BackendError, LlmBackend
 from .model import (
-    LABEL_INDEX,
     DefectLabel,
     LabeledSample,
     LogCentricChange,
@@ -29,7 +27,7 @@ from .model import (
     statement_id,
 )
 from .parser import ParserConfig, parse_statement_text
-from .retrieval import EmptyPool, select_exemplars
+from .retrieval import EmptyPool, ExemplarPool, select_exemplars
 
 
 class MalformedReply(ValueError):
@@ -245,8 +243,8 @@ class RepairConfig:
     max_output_tokens: int = 512
     temperature: float = 0.0
     workers: int = 4
-    # Minimum spacing between calls to a rate-limited (HTTP) backend; the
-    # in-process mock is never throttled.
+    # Minimum spacing between calls to a backend whose `rate_limited` is
+    # true; the others are never throttled.
     min_request_interval: float = 0.5
     checker_template: PromptTemplate | None = None
     updater_template: PromptTemplate | None = None
@@ -276,31 +274,29 @@ class _NullLimiter:
 
 
 def _limiter_for(backend: LlmBackend, config: RepairConfig):
-    if isinstance(backend, MockBackend):
-        return _NullLimiter()
-    return _RateLimiter(config.min_request_interval)
+    if backend.rate_limited:
+        return _RateLimiter(config.min_request_interval)
+    return _NullLimiter()
 
 
 def run_pipeline(
     context: MethodContext,
     stmt: LoggingStatement,
-    detector: tuple[EncoderModel, ClassifierHead],
-    lccs: list[LogCentricChange],
+    detection: tuple[DefectLabel, float],
+    pool: ExemplarPool,
     backend: LlmBackend,
     config: RepairConfig | None = None,
     _limiter=None,
 ) -> UpdateResult:
-    """Detect, confirm, and rewrite one statement. Never raises: backend
-    and format failures become diagnostics on the result."""
+    """Confirm and rewrite one statement whose detected (label, confidence)
+    is `detection`. Never raises: backend and format failures become
+    diagnostics on the result."""
     config = config or RepairConfig()
     limiter = _limiter if _limiter is not None else _limiter_for(backend, config)
-    model, head = detector
+    predicted, confidence = detection
     diagnostics: list[str] = []
     calls = 0
 
-    predicted, probs = predict(context, stmt, model, head,
-                               model.vocabulary.max_tokens)
-    confidence = float(probs[LABEL_INDEX[predicted]])
     sample = LabeledSample(
         context=context, target=stmt, label=predicted,
         provenance=Provenance(kind=ProvenanceKind.MINED))
@@ -353,7 +349,7 @@ def run_pipeline(
 
     try:
         exemplars = select_exemplars(
-            stmt, predicted, lccs, config.exemplar_count,
+            stmt, predicted, pool, config.exemplar_count,
             project_id=context.project_id)
     except EmptyPool:
         exemplars = []
@@ -387,24 +383,25 @@ def run_pipeline(
 
 
 def run_pipeline_batch(
-    items: list[tuple[MethodContext, LoggingStatement]],
-    detector: tuple[EncoderModel, ClassifierHead],
-    lccs: list[LogCentricChange],
+    items: list[tuple[MethodContext, LoggingStatement,
+                      tuple[DefectLabel, float]]],
+    pool: ExemplarPool,
     backend: LlmBackend,
     config: RepairConfig | None = None,
 ) -> list[UpdateResult]:
-    """Run the pipeline over many statements with a bounded worker pool;
-    backend calls share one rate limiter. Output order matches input."""
+    """Run the pipeline over many (context, statement, detection) items
+    with a bounded worker pool; backend calls share one rate limiter and
+    exemplar selection shares `pool`. Output order matches input."""
     config = config or RepairConfig()
     limiter = _limiter_for(backend, config)
     if config.workers <= 1 or len(items) <= 1:
-        return [run_pipeline(ctx, stmt, detector, lccs, backend, config,
+        return [run_pipeline(ctx, stmt, detection, pool, backend, config,
                              _limiter=limiter)
-                for ctx, stmt in items]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                for ctx, stmt, detection in items]
+    with ThreadPoolExecutor(max_workers=config.workers) as executor:
         futures = [
-            pool.submit(run_pipeline, ctx, stmt, detector, lccs, backend,
-                        config, _limiter=limiter)
-            for ctx, stmt in items
+            executor.submit(run_pipeline, ctx, stmt, detection, pool,
+                            backend, config, _limiter=limiter)
+            for ctx, stmt, detection in items
         ]
         return [f.result() for f in futures]

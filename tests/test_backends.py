@@ -21,7 +21,7 @@ class TestMockBackend:
     def test_satisfies_the_backend_protocol(self):
         assert isinstance(MockBackend(), LlmBackend)
         assert MockBackend().name == "mock"
-        assert MockBackend().supports_temperature is False
+        assert MockBackend().rate_limited is False
 
     def test_updater_prompts_echo_the_target_line(self):
         backend = MockBackend()
@@ -170,4 +170,4 @@ class TestHttpBackend:
     def test_protocol_conformance(self):
         backend = HttpBackend(endpoint="https://example.invalid", model="m")
         assert isinstance(backend, LlmBackend)
-        assert backend.supports_temperature is True
+        assert backend.rate_limited is True

@@ -5,16 +5,26 @@ import json
 
 import pytest
 
-from conftest import E2E_SRC_DIR, HISTORY_DIR, load_clean_samples, single_method
+from conftest import (
+    E2E_SRC_DIR,
+    HISTORY_DIR,
+    load_clean_samples,
+    make_change,
+    single_method,
+)
+from logfix import cli, retrieval
 from logfix.backends import TOKEN_ENV_VAR
 from logfix.cli import main
 from logfix.detector import TrainConfig, init_head, init_model, save_checkpoint
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
+    context_to_dict,
     method_record_to_dict,
     read_jsonl,
     read_samples,
+    statement_to_dict,
+    write_changes,
     write_jsonl,
     write_samples,
 )
@@ -329,6 +339,112 @@ class TestFix:
         rows = list(read_jsonl(str(out)))
         assert all(row["checker_confirmed"] is False for row in rows)
         assert all(row["updated_statement"] is None for row in rows)
+
+    def test_detection_records_never_load_the_checkpoint(
+            self, ws, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"fix loaded the checkpoint {path}")
+
+        monkeypatch.setattr(cli, "load_checkpoint", refuse)
+        out = tmp_path / "results.jsonl"
+        # The rigged checkpoint would label every statement STATEMENT_CODE;
+        # the detection records' own labels and confidences are used.
+        assert main(["fix", "--in", ws["detections"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(out)]) == 0
+        detections = list(read_jsonl(ws["detections"]))
+        rows = list(read_jsonl(str(out)))
+        assert ([(r["predicted_label"], r["confidence"]) for r in rows]
+                == [(d["predicted_label"], d["confidence"])
+                    for d in detections])
+
+    def test_extract_records_need_a_model(self, ws, tmp_path):
+        assert main(["fix", "--in", ws["methods"], "--lcc", ws["lcc"],
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.mark.parametrize("model", ["model", "rigged"])
+    def test_results_do_not_depend_on_record_kind_or_jobs(
+            self, ws, tmp_path, model):
+        detections = tmp_path / "detections.jsonl"
+        assert main(["detect", "--in", ws["methods"], "--model", ws[model],
+                     "--out", str(detections)]) == 0
+        outputs = []
+        for records in (str(detections), ws["methods"]):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"results-{len(outputs)}.jsonl"
+                assert main(["fix", "--in", records, "--model", ws[model],
+                             "--lcc", ws["lcc"], "--jobs", jobs,
+                             "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == 20
+        assert all(output == outputs[0] for output in outputs[1:])
+
+    def test_each_retrieval_scope_is_indexed_once_per_run(
+            self, ws, tmp_path, monkeypatch):
+        detections = tmp_path / "detections.jsonl"
+        assert main(["detect", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--out", str(detections)]) == 0
+        built = []
+        real = retrieval.build_index
+
+        def counting(lccs, *args, **kwargs):
+            built.append(len(lccs))
+            return real(lccs, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "build_index", counting)
+        out = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", str(detections), "--lcc", ws["lcc"],
+                     "--jobs", "2", "--out", str(out)]) == 0
+        rows = list(read_jsonl(str(out)))
+        assert sum(r["predicted_label"] != "NON_DEFECT" for r in rows) == 20
+        # the mined changes all come from one project: one index over all
+        # projects and one over "e2e"
+        changes = len(list(read_jsonl(ws["lcc"])))
+        assert built == [changes, changes]
+
+    def test_retrieval_parameters_out_of_range_are_data_errors(
+            self, ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval": {"b": 1.5}}),
+                          encoding="utf-8")
+        assert main(["fix", "--in", ws["detections"], "--lcc", ws["lcc"],
+                     "--config", str(config),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    def test_retrieval_b_from_config_reaches_the_ranking(self, ws, tmp_path):
+        # With b = 0 document length is ignored and the long change, which
+        # holds "worker" twice, ranks first; the default b = 0.75 favours
+        # the short one.
+        changes = tmp_path / "changes.jsonl"
+        write_changes(str(changes), [
+            make_change("e2e", "c-short", 'log.info("worker");',
+                        'log.info("worker up");'),
+            make_change("e2e", "c-long",
+                        'log.info("worker drained every pending job before '
+                        'the worker shutdown");',
+                        'log.info("worker shut down");'),
+        ])
+        ctx, stmts = single_method(
+            "class Pool {\n    void stop() {\n"
+            '        log.info("worker worker");\n    }\n}\n',
+            project="e2e")
+        detections = tmp_path / "detections.jsonl"
+        write_jsonl(str(detections), [{
+            "method": context_to_dict(ctx),
+            "statement": statement_to_dict(stmts[0]),
+            "predicted_label": "STATEMENT_CODE",
+            "confidence": 0.9,
+        }])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval": {"b": 0.0}}),
+                          encoding="utf-8")
+        firsts = {}
+        for name, extra in (("default", []), ("b=0", ["--config", str(config)])):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["fix", "--in", str(detections), "--lcc",
+                         str(changes), "--out", str(out), *extra]) == 0
+            [row] = read_jsonl(str(out))
+            firsts[name] = row["exemplars"][0]["commit_id"]
+        assert firsts == {"default": "c-short", "b=0": "c-long"}
 
 
 class TestEvaluate:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import make_change, single_method, statement_of
+from logfix import model as model_module
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
@@ -148,6 +149,22 @@ class TestChangeSerialization:
         restored = change_from_dict(json.loads(json.dumps(d)))
         assert restored == change
         assert restored.change_id == change.change_id
+
+    def test_change_id_is_hashed_once_per_object(self, monkeypatch):
+        change = make_change("proj", "c1", 'log.info("a");', 'log.info("b");')
+        before = json.dumps(change_to_dict(change))
+        calls = []
+        real = model_module.content_hash
+        monkeypatch.setattr(model_module, "content_hash",
+                            lambda *parts: calls.append(parts) or real(*parts))
+        first = change.change_id
+        assert change.change_id == first
+        assert len(calls) == 1
+        # The cached id is no field: it is neither serialized nor carried
+        # over to a modified copy.
+        assert json.dumps(change_to_dict(change)) == before
+        assert dataclasses.replace(change, commit_id="c2").change_id != first
+        assert len(calls) == 2
 
     def test_inferred_label_round_trip(self):
         change = dataclasses.replace(

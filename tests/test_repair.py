@@ -7,11 +7,9 @@ import time
 import pytest
 
 from conftest import make_change, single_method
-from logfix.backends import BackendError, MockBackend
-from logfix.detector import init_head, init_model
+from logfix.backends import BackendError, HttpBackend, MockBackend
 from logfix.model import (
     DefectLabel,
-    LABEL_INDEX,
     result_to_dict,
     statement_id,
 )
@@ -36,7 +34,7 @@ from logfix.repair import (
     run_pipeline,
     run_pipeline_batch,
 )
-from logfix.tokenization import build_vocabulary
+from logfix.retrieval import build_pool
 
 CHANNEL_SOURCE = """\
 class Net {
@@ -62,18 +60,13 @@ YES_REPLY = (
 )
 
 
-def rigged_detector(label: DefectLabel, dim: int = 8):
-    """A detector whose prediction is forced to `label` by a bias spike,
+def detected(label: DefectLabel, confidence: float = 0.9):
+    """The (label, confidence) that detect reports for a statement,
     making pipeline behavior independent of the input text."""
-    vocab = build_vocabulary(["log info channel closed"], max_size=64)
-    model = init_model(vocab, dim)
-    head = init_head(dim)
-    if label is not DefectLabel.NON_DEFECT:
-        head.bias[LABEL_INDEX[label]] = 5.0
-    return model, head
+    return label, confidence
 
 
-def make_pool(project: str = "proj", n: int = 4):
+def make_changes(project: str = "proj", n: int = 4):
     return [
         make_change(project, f"c{i}",
                     f'log.info("before {i}");', f'log.info("after {i}");')
@@ -81,11 +74,15 @@ def make_pool(project: str = "proj", n: int = 4):
     ]
 
 
+def make_pool(project: str = "proj", n: int = 4):
+    return build_pool(make_changes(project, n))
+
+
 class QueueBackend:
     """Replays a fixed list of replies; an Exception entry is raised."""
 
     name = "queue"
-    supports_temperature = False
+    rate_limited = True
 
     def __init__(self, replies):
         self.replies = list(replies)
@@ -198,10 +195,10 @@ class TestUpdaterPrompt:
     def test_contains_exemplars_and_target(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         verdict = CheckerVerdict(True, "r", "closes a channel")
-        pool = make_pool(n=2)
+        exemplars = make_changes(n=2)
         prompt = build_updater_prompt(stmts[0], ctx,
                                       DefectLabel.STATEMENT_CODE,
-                                      verdict, pool)
+                                      verdict, exemplars)
         assert "Example 1 (before -> after):" in prompt
         assert 'Before: log.info("before 0");' in prompt
         assert 'After:  log.info("after 0");' in prompt
@@ -264,7 +261,7 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend()
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.NON_DEFECT),
+                              detected(DefectLabel.NON_DEFECT),
                               make_pool(), backend)
         assert result.predicted_label is DefectLabel.NON_DEFECT
         assert result.checker_confirmed is False
@@ -277,10 +274,10 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend()
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend)
         assert result.predicted_label is DefectLabel.STATEMENT_CODE
-        assert 0.5 < result.confidence <= 1.0
+        assert result.confidence == 0.9
         assert result.checker_confirmed is True
         assert result.checker_rationale
         assert result.checker_semantics
@@ -299,7 +296,7 @@ class TestRunPipeline:
             "SEMANTICS: channel teardown\n",
         )])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend)
         assert result.checker_confirmed is False
         assert result.checker_rationale == "message matches the code"
@@ -312,7 +309,7 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend(transcript=[("VERDICT", "gibberish")])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.READABILITY),
+                              detected(DefectLabel.READABILITY),
                               make_pool(), backend)
         malformed = [d for d in result.diagnostics
                      if d.startswith("checker-malformed:")]
@@ -329,7 +326,7 @@ class TestRunPipeline:
             '<UPDATED>LOG.debug("channel {} opened", remoteAddr);</UPDATED>',
         ])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend, FAST)
         assert result.checker_confirmed is True
         assert result.updated_statement is not None
@@ -344,7 +341,7 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = QueueBackend([BackendError("boom")])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend, FAST)
         assert result.checker_confirmed is False
         assert result.updated_statement is None
@@ -355,7 +352,7 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = QueueBackend([YES_REPLY, BackendError("boom")])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend, FAST)
         assert result.checker_confirmed is True
         assert result.checker_semantics
@@ -370,7 +367,7 @@ class TestRunPipeline:
             "<UPDATED>", "<UPDATED>this is prose, not code</UPDATED>",
         )])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend)
         assert result.checker_confirmed is True
         assert result.updated_statement is None
@@ -382,7 +379,7 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend(transcript=[("<UPDATED>", "no sentinels here")])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend)
         assert result.updated_statement is None
         assert sum(d.startswith("updater-malformed:")
@@ -397,7 +394,7 @@ class TestRunPipeline:
             "</UPDATED>",
         )])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend)
         assert result.updated_statement is not None
         assert result.updated_statement.arity_mismatch is True
@@ -408,8 +405,8 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend()
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.TEMPORAL),
-                              [], backend)
+                              detected(DefectLabel.TEMPORAL),
+                              build_pool([]), backend)
         assert "empty-exemplar-pool" in result.diagnostics
         assert result.exemplars == ()
         assert result.updated_statement is not None
@@ -418,9 +415,10 @@ class TestRunPipeline:
 
     def test_project_scoped_label_uses_own_project_only(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)  # project "proj"
-        pool = make_pool(project="proj", n=2) + make_pool(project="other", n=5)
+        pool = build_pool(make_changes(project="proj", n=2)
+                          + make_changes(project="other", n=5))
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.READABILITY),
+                              detected(DefectLabel.READABILITY),
                               pool, MockBackend())
         assert result.exemplars
         assert all(e.project_id == "proj" for e in result.exemplars)
@@ -429,7 +427,7 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = QueueBackend([YES_REPLY, "", "", ""])
         result = run_pipeline(ctx, stmts[0],
-                              rigged_detector(DefectLabel.STATEMENT_CODE),
+                              detected(DefectLabel.STATEMENT_CODE),
                               make_pool(), backend, FAST)
         assert result.updated_statement is None
         assert result.diagnostics[-1].startswith("backend-calls:")
@@ -448,26 +446,23 @@ class TestRunPipelineBatch:
         items = []
         for i, source in enumerate(sources):
             ctx, stmts = single_method(source, path=f"S{i}.java")
-            items.append((ctx, stmts[0]))
+            items.append((ctx, stmts[0],
+                          detected(DefectLabel.STATEMENT_CODE)))
         return items
 
     def test_order_matches_input(self):
         items = self.make_items()
-        results = run_pipeline_batch(
-            items, rigged_detector(DefectLabel.STATEMENT_CODE),
-            make_pool(), MockBackend(),
-        )
+        results = run_pipeline_batch(items, make_pool(), MockBackend())
         assert [r.sample.target.id for r in results] == [
-            stmt.id for _, stmt in items
+            stmt.id for _, stmt, _ in items
         ]
 
     def test_parallel_equals_serial(self):
         items = self.make_items()
-        detector = rigged_detector(DefectLabel.STATEMENT_CODE)
         pool = make_pool()
-        serial = run_pipeline_batch(items, detector, pool, MockBackend(),
+        serial = run_pipeline_batch(items, pool, MockBackend(),
                                     RepairConfig(workers=1))
-        parallel = run_pipeline_batch(items, detector, pool, MockBackend(),
+        parallel = run_pipeline_batch(items, pool, MockBackend(),
                                       RepairConfig(workers=4))
         assert ([result_to_dict(r) for r in serial]
                 == [result_to_dict(r) for r in parallel])
@@ -476,10 +471,8 @@ class TestRunPipelineBatch:
         items = self.make_items()
         config = RepairConfig(min_request_interval=30.0)
         started = time.perf_counter()
-        results = run_pipeline_batch(
-            items, rigged_detector(DefectLabel.STATEMENT_CODE),
-            make_pool(), MockBackend(), config,
-        )
+        results = run_pipeline_batch(items, make_pool(), MockBackend(),
+                                     config)
         assert len(results) == 3
         assert time.perf_counter() - started < 5.0
 
@@ -501,7 +494,15 @@ class TestRateLimiter:
         assert time.perf_counter() - started < 0.5
 
     def test_selection_by_backend_kind(self):
+        class UnlimitedQueue(QueueBackend):
+            rate_limited = False
+
         config = RepairConfig()
         assert isinstance(_limiter_for(MockBackend(), config), _NullLimiter)
+        assert isinstance(_limiter_for(HttpBackend("http://localhost", "m"),
+                                       config), _RateLimiter)
         assert isinstance(_limiter_for(QueueBackend([]), config),
                           _RateLimiter)
+        # The class attribute decides, not the backend's type.
+        assert isinstance(_limiter_for(UnlimitedQueue([]), config),
+                          _NullLimiter)

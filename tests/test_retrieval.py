@@ -1,7 +1,9 @@
 """Tests for BM25 indexing, scoring, and type-aware exemplar selection."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from logfix.retrieval import (
     UnknownDocument,
     bm25_score,
     build_index,
+    build_pool,
     query_tokens,
     select_exemplars,
 )
@@ -193,3 +196,153 @@ class TestSelectExemplars:
         target = statement_of('log.info("x");')
         with pytest.raises(EmptyPool):
             select_exemplars(target, DefectLabel.STATEMENT_CODE, [], k=3)
+
+    def test_bm25_parameters_outside_their_range_are_rejected(self):
+        with pytest.raises(ValueError):
+            build_index(make_pool(), k1=-0.1)
+        for b in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                build_pool(make_pool(), b=b)
+
+
+# ---------------------------------------------------------------------------
+# Reference: BM25 and exemplar selection as they were before postings and
+# build_pool, rebuilding the scoped index for every query and scoring every
+# document of the scope from its raw term counts.
+# ---------------------------------------------------------------------------
+@dataclasses.dataclass
+class ReferenceIndex:
+    k1: float
+    b: float
+    doc_ids: list = dataclasses.field(default_factory=list)
+    doc_tokens: list = dataclasses.field(default_factory=list)
+    doc_lengths: list = dataclasses.field(default_factory=list)
+    doc_freq: dict = dataclasses.field(default_factory=dict)
+    avg_length: float = 0.0
+    position: dict = dataclasses.field(default_factory=dict)
+
+    @property
+    def size(self) -> int:
+        return len(self.doc_ids)
+
+    def idf(self, token: str) -> float:
+        df = self.doc_freq.get(token, 0)
+        return math.log((self.size - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def reference_build_index(lccs, k1, b) -> ReferenceIndex:
+    index = ReferenceIndex(k1=k1, b=b)
+    total = 0
+    for change in lccs:
+        tokens = query_tokens(change.before.raw_text)
+        counts = Counter(tokens)
+        doc_id = change.change_id
+        index.position[doc_id] = len(index.doc_ids)
+        index.doc_ids.append(doc_id)
+        index.doc_tokens.append(counts)
+        index.doc_lengths.append(len(tokens))
+        total += len(tokens)
+        for token in counts:
+            index.doc_freq[token] = index.doc_freq.get(token, 0) + 1
+    index.avg_length = total / len(index.doc_ids) if index.doc_ids else 0.0
+    return index
+
+
+def reference_bm25_score(tokens, doc_id, index: ReferenceIndex) -> float:
+    position = index.position[doc_id]
+    counts = index.doc_tokens[position]
+    length = index.doc_lengths[position]
+    avg = index.avg_length or 1.0
+    norm = index.k1 * (1.0 - index.b + index.b * length / avg)
+    score = 0.0
+    for token in tokens:
+        tf = counts.get(token, 0)
+        if tf == 0:
+            continue
+        score += index.idf(token) * tf * (index.k1 + 1.0) / (tf + norm)
+    return score
+
+
+def reference_select_exemplars(target, label, lccs, k, *, project_id,
+                               k1, b):
+    if label in SAME_PROJECT_LABELS:
+        pool = [c for c in lccs if c.project_id == project_id]
+    else:
+        pool = list(lccs)
+    if not pool:
+        raise EmptyPool(label.value)
+    index = reference_build_index(pool, k1, b)
+    tokens = query_tokens(target.raw_text)
+    scored = [
+        (reference_bm25_score(tokens, change.change_id, index), change)
+        for change in pool
+    ]
+    scored.sort(key=lambda pair: (-pair[0], pair[1].commit_id,
+                                  pair[1].change_id))
+    return [change for _, change in scored[:k]]
+
+
+WORDS = ("worker", "started", "stopped", "cache", "miss", "retrying",
+         "fetch", "channel", "closed", "queue", "depth", "flushed")
+
+
+def seeded_changes(seed: int) -> list:
+    """Two projects of random statements. Some before-texts repeat (score
+    ties, within and across projects), and some changes are exact copies
+    (equal change ids)."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(24):
+        words = " ".join(rng.choice(WORDS) for _ in range(rng.randint(1, 6)))
+        args = ", id" * rng.randint(0, 2)
+        texts.append(f'log.{rng.choice(["info", "warn", "debug"])}'
+                     f'("{words}"{args});')
+    changes = []
+    for i in range(60):
+        project = rng.choice(["alpha", "beta"])
+        text = rng.choice(texts[:8]) if i % 4 == 0 else rng.choice(texts)
+        changes.append(make_change(project, f"c{rng.randint(0, 30):02d}",
+                                   text, 'log.info("fixed");'))
+    changes += [changes[3], changes[10]]
+    rng.shuffle(changes)
+    return changes
+
+
+@pytest.mark.parametrize("k1,b", [(DEFAULT_K1, DEFAULT_B), (2.0, 0.0),
+                                  (0.0, 1.0)])
+def test_pool_selection_equals_the_per_query_rebuild(k1, b):
+    changes = seeded_changes(20241017)
+    pool = build_pool(changes, k1=k1, b=b)
+    scope_sizes = Counter(c.project_id for c in changes)
+    assert set(scope_sizes) == {"alpha", "beta"}
+    queries = [c.before for c in changes[:20]]
+    queries.append(statement_of('log.info("worker {} cache", id);'))
+    # no token in common with any indexed statement
+    queries.append(dataclasses.replace(queries[0], raw_text="zqx vbn"))
+    labels = sorted(set(DefectLabel) - {DefectLabel.NON_DEFECT},
+                    key=lambda label: label.value)
+    assert len(labels) == 4
+    for target in queries:
+        for label in labels:
+            for project in ("alpha", "beta"):
+                ranking = reference_select_exemplars(
+                    target, label, changes, len(changes), project_id=project,
+                    k1=k1, b=b)
+                for k in (1, 3, scope_sizes[project] + 5, len(changes) + 5):
+                    got = select_exemplars(target, label, pool, k,
+                                           project_id=project)
+                    want = ranking[:k]
+                    assert len(got) == len(want)
+                    assert all(g is w for g, w in zip(got, want))
+
+
+def test_stored_weights_sum_to_the_reference_score_exactly():
+    changes = seeded_changes(7)
+    index = build_index(changes)
+    reference = reference_build_index(changes, DEFAULT_K1, DEFAULT_B)
+    for query in [c.before.raw_text for c in changes[:10]] + ["zqx vbn"]:
+        tokens = query_tokens(query)
+        for change in changes:
+            assert (bm25_score(tokens, change.change_id, index)
+                    == reference_bm25_score(tokens, change.change_id,
+                                            reference))
