@@ -338,6 +338,9 @@ def _read_statement_items(path: str):
 
 
 def cmd_fix(args, config: ToolConfig) -> int:
+    k = args.exemplars if args.exemplars is not None else config.retrieval.k
+    if k < 1:
+        raise DataError(f"exemplars per prompt must be >= 1, got {k}")
     items = _read_statement_items(args.in_path)
     if any(detection is None for _, _, detection in items):
         if args.model is None:
@@ -350,12 +353,8 @@ def cmd_fix(args, config: ToolConfig) -> int:
     lccs = read_changes(args.lcc) if args.lcc else []
     pool = build_pool(lccs, config.retrieval.k1, config.retrieval.b)
     backend = make_backend(config.backend, args.backend)
-    repair_config = RepairConfig(
-        exemplar_count=args.exemplars if args.exemplars is not None
-        else config.retrieval.k,
-        workers=args.jobs if args.jobs is not None else 4,
-        parser_config=config.parser,
-    )
+    repair_config = RepairConfig(exemplar_count=k, workers=args.jobs,
+                                 parser_config=config.parser)
     results = run_pipeline_batch(items, pool, backend, repair_config)
     write_jsonl(args.out, (result_to_dict(r) for r in results))
     updated = sum(1 for r in results if r.updated_statement is not None)
@@ -422,10 +421,9 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="JSON configuration file (strict schema)")
-    common.add_argument("--seed", type=int,
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int,
                         help="override the configured random seed")
-    common.add_argument("--jobs", type=int, metavar="N",
-                        help="cap worker counts for parallel stages")
 
     parser = _Parser(prog="logfix",
                      description="Detect and repair factual defects in "
@@ -451,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="changes JSONL to write")
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("synthesize", parents=[common],
+    p = sub.add_parser("synthesize", parents=[common, seeded],
                        help="mutate clean statements into a defect corpus")
     p.add_argument("--in", dest="in_path", required=True,
                    help="clean-sample JSONL")
@@ -463,7 +461,7 @@ def build_parser() -> _Parser:
                    help="backend for semantic mutations (default: rules only)")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, seeded],
                        help="train the defect classifier")
     p.add_argument("--corpus", required=True, help="labeled-sample JSONL")
     p.add_argument("--model", required=True, help="checkpoint file to write")
@@ -489,7 +487,12 @@ def build_parser() -> _Parser:
     p.add_argument("--backend", choices=["mock", "http"],
                    help="completion backend (default: from config)")
     p.add_argument("--exemplars", type=int, metavar="K",
-                   help="exemplars per prompt (default: from config)")
+                   help="exemplars per prompt, at least 1 "
+                        "(default: from config)")
+    p.add_argument("--jobs", type=int, metavar="N",
+                   default=RepairConfig.workers,
+                   help="worker threads for backend calls "
+                        "(default: %(default)s)")
     p.add_argument("--out", required=True, help="results JSONL to write")
     p.set_defaults(func=cmd_fix)
 

@@ -9,6 +9,13 @@ LogCentricChange carrying the after-version method context.
 Two history providers feed the extractor: a git adapter that shells out to
 the git CLI, and a fixture provider reading a directory layout of full
 snapshots (history/<seq>_<commitid>/<files...>), which is what tests use.
+
+The paper mines established, active, popular repositories: 1,000 to 100,000
+commits, more than 1,000 stars, created by 2019-12-31, committed to since
+2023-01-01, and not forks. Company-initiated repositories with an issue
+tracker and a license count as well maintained, and their logging
+statements are trusted as clean (NON_DEFECT) corpus material. Choosing the
+repositories happens before mining; nothing here filters them.
 """
 
 from __future__ import annotations
@@ -18,9 +25,8 @@ import logging
 import os
 import subprocess
 from dataclasses import dataclass
-from datetime import date
 from enum import Enum
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from logfix.model import LogCentricChange, MethodContext
 from logfix.parser import ParserConfig, extract_file
@@ -28,64 +34,6 @@ from logfix.parser import ParserConfig, extract_file
 log = logging.getLogger(__name__)
 
 SOURCE_SUFFIXES = (".java",)
-
-
-# ---------------------------------------------------------------------------
-# Repository selection
-# ---------------------------------------------------------------------------
-
-class RepoInitiator(Enum):
-    COMPANY = "COMPANY"
-    PERSONAL = "PERSONAL"
-
-
-@dataclass(frozen=True)
-class RepoMetadata:
-    name: str
-    stars: int
-    commit_count: int
-    created_at: date
-    last_commit_at: date
-    is_fork: bool
-    initiator: RepoInitiator
-    issues_enabled: bool
-    has_license: bool
-
-
-TARGET_MIN_COMMITS = 1_000
-TARGET_MAX_COMMITS = 100_000
-TARGET_MIN_STARS = 1_000          # strictly greater than
-TARGET_CREATED_BY = date(2019, 12, 31)
-TARGET_ACTIVE_SINCE = date(2023, 1, 1)
-
-
-def is_target_repository(repo: RepoMetadata) -> bool:
-    return (
-        TARGET_MIN_COMMITS <= repo.commit_count <= TARGET_MAX_COMMITS
-        and repo.stars > TARGET_MIN_STARS
-        and repo.created_at <= TARGET_CREATED_BY
-        and repo.last_commit_at >= TARGET_ACTIVE_SINCE
-        and not repo.is_fork
-    )
-
-
-def filter_target_repositories(repos: Iterable[RepoMetadata]) -> list[RepoMetadata]:
-    """Established, active, popular, non-fork repositories worth mining."""
-    return [r for r in repos if is_target_repository(r)]
-
-
-def is_well_maintained(repo: RepoMetadata) -> bool:
-    """Company-initiated with an issue tracker and a license.
-
-    Logging statements from these repositories are trusted as clean
-    (NON_DEFECT) corpus material.
-    """
-    return (repo.initiator is RepoInitiator.COMPANY
-            and repo.issues_enabled and repo.has_license)
-
-
-def filter_well_maintained(repos: Iterable[RepoMetadata]) -> list[RepoMetadata]:
-    return [r for r in repos if is_well_maintained(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +94,28 @@ class CommitSnapshotPair:
     changed_files: tuple[ChangedFile, ...]
 
 
-class HistoryProvider(Protocol):
-    def commit_pairs(self) -> list[CommitSnapshotPair]:
-        ...
-
-
 class GitHistoryProvider:
-    """Walks the first-parent chain of a local git repository via the git CLI."""
+    """Walks the first-parent chain of a local git repository via the git CLI.
 
-    def __init__(self, repo_path: str, since: str | None = None,
-                 suffixes: tuple[str, ...] = SOURCE_SUFFIXES):
+    Output is decoded as UTF-8 with newlines translated. A commit with a
+    changed file that is not UTF-8 text is left out of the pairs, with a
+    warning that names the commit and the path.
+    """
+
+    def __init__(self, repo_path: str, since: str | None = None):
         self.repo_path = repo_path
         self.since = since
-        self.suffixes = suffixes
 
     def _git(self, *args: str) -> str:
         proc = subprocess.run(
             ["git", "-C", self.repo_path, *args],
-            capture_output=True, text=True, check=True)
+            capture_output=True, encoding="utf-8", check=True)
         return proc.stdout
 
     def _show(self, commit: str, path: str) -> str:
         proc = subprocess.run(
             ["git", "-C", self.repo_path, "show", f"{commit}:{path}"],
-            capture_output=True, text=True)
+            capture_output=True, encoding="utf-8")
         return proc.stdout if proc.returncode == 0 else ""
 
     def commit_pairs(self) -> list[CommitSnapshotPair]:
@@ -187,10 +133,16 @@ class GitHistoryProvider:
                 if len(parts) < 2:
                     continue
                 status, path = parts[0], parts[-1]
-                before = self._show(parent, path) if status != "A" else ""
-                after = self._show(child, path) if status != "D" else ""
+                try:
+                    before = self._show(parent, path) if status != "A" else ""
+                    after = self._show(child, path) if status != "D" else ""
+                except UnicodeDecodeError:
+                    log.warning("commit %s: %s is not UTF-8 text, commit "
+                                "skipped", child, path)
+                    break
                 files.append((path, before, after))
-            pairs.append(CommitSnapshotPair(child, parent, tuple(files)))
+            else:
+                pairs.append(CommitSnapshotPair(child, parent, tuple(files)))
         return pairs
 
 
@@ -202,10 +154,8 @@ class FixtureHistoryProvider:
     id.
     """
 
-    def __init__(self, history_dir: str,
-                 suffixes: tuple[str, ...] = SOURCE_SUFFIXES):
+    def __init__(self, history_dir: str):
         self.history_dir = history_dir
-        self.suffixes = suffixes
 
     def _snapshot(self, dirname: str) -> dict[str, str]:
         root = os.path.join(self.history_dir, dirname)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator
 
 
 class UnknownLevel(ValueError):
@@ -164,7 +164,6 @@ class LogCentricChange:
     before: LoggingStatement
     after: LoggingStatement
     context: MethodContext
-    inferred_label: DefectLabel | None = None
 
     @cached_property
     def change_id(self) -> str:
@@ -196,7 +195,6 @@ class UpdateResult:
     checker_semantics: str
     exemplars: tuple[LogCentricChange, ...]
     updated_statement: LoggingStatement | None
-    metrics: tuple[EvaluationRecord, ...] = ()
     diagnostics: tuple[str, ...] = ()
 
 
@@ -330,33 +328,17 @@ def change_to_dict(c: LogCentricChange) -> dict[str, Any]:
         "before": statement_to_dict(c.before),
         "after": statement_to_dict(c.after),
         "context": context_to_dict(c.context),
-        "inferred_label": c.inferred_label.value if c.inferred_label else None,
     }
 
 
 def change_from_dict(d: dict[str, Any]) -> LogCentricChange:
-    lab = d.get("inferred_label")
     return LogCentricChange(
         project_id=d["project_id"],
         commit_id=d["commit_id"],
         before=statement_from_dict(d["before"]),
         after=statement_from_dict(d["after"]),
         context=context_from_dict(d["context"]),
-        inferred_label=DefectLabel(lab) if lab else None,
     )
-
-
-def record_to_dict(r: EvaluationRecord) -> dict[str, Any]:
-    return {
-        "metric_name": r.metric_name,
-        "m_origin": r.m_origin,
-        "m_updated": r.m_updated,
-        "ic": r.ic,
-    }
-
-
-def record_from_dict(d: dict[str, Any]) -> EvaluationRecord:
-    return EvaluationRecord(d["metric_name"], d["m_origin"], d["m_updated"], d.get("ic"))
 
 
 def result_to_dict(r: UpdateResult) -> dict[str, Any]:
@@ -369,7 +351,6 @@ def result_to_dict(r: UpdateResult) -> dict[str, Any]:
         "checker_semantics": r.checker_semantics,
         "exemplars": [change_to_dict(e) for e in r.exemplars],
         "updated_statement": statement_to_dict(r.updated_statement) if r.updated_statement else None,
-        "metrics": [record_to_dict(m) for m in r.metrics],
         "diagnostics": list(r.diagnostics),
     }
 
@@ -385,7 +366,6 @@ def result_from_dict(d: dict[str, Any]) -> UpdateResult:
         checker_semantics=d["checker_semantics"],
         exemplars=tuple(change_from_dict(e) for e in d.get("exemplars", [])),
         updated_statement=statement_from_dict(upd) if upd else None,
-        metrics=tuple(record_from_dict(m) for m in d.get("metrics", [])),
         diagnostics=tuple(d.get("diagnostics", [])),
     )
 

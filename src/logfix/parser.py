@@ -283,52 +283,6 @@ def _split_format_expr(expr: str) -> list[_Fragment] | None:
     return frags
 
 
-def decompose_message(format_expr: str, args: list[str]) -> tuple[
-        str, tuple[Placeholder, ...], tuple[str, ...]]:
-    """Decompose a format expression plus trailing arguments.
-
-    `format_expr` is the argument's source text: a string literal, a
-    concatenation chain, or (tolerated) bare literal content with no quotes.
-    Returns (static_text, placeholders, variables). Concatenated non-literal
-    fragments become CONCAT placeholders whose expression joins `variables`
-    at the placeholder's position; {} and %-markers consume `args` in order;
-    unconsumed args are appended (an arity mismatch, recorded by the caller).
-    """
-    if '"' not in format_expr:
-        frags: list[_Fragment] | None = [
-            _Fragment(True, format_expr, (0, len(format_expr)))]
-    else:
-        frags = _split_format_expr(format_expr)
-    if frags is None:
-        return "", (), tuple(args)
-
-    static_parts: list[str] = []
-    placeholders: list[Placeholder] = []
-    concat_exprs: list[tuple[int, str]] = []  # (position in placeholders, expr)
-    offset = 0
-    for frag in frags:
-        if frag.is_literal:
-            placeholders.extend(_scan_markers(frag.text, offset))
-            static_parts.append(frag.text)
-            offset += len(frag.text)
-        else:
-            concat_exprs.append((len(placeholders), frag.text))
-            placeholders.append(Placeholder(PlaceholderKind.CONCAT, offset, ""))
-
-    variables: list[str] = []
-    arg_iter = iter(args)
-    concat_map = dict(concat_exprs)
-    for idx, ph in enumerate(placeholders):
-        if ph.kind is PlaceholderKind.CONCAT:
-            variables.append(concat_map[idx])
-        else:
-            nxt = next(arg_iter, None)
-            if nxt is not None:
-                variables.append(nxt)
-    variables.extend(arg_iter)
-    return "".join(static_parts), tuple(placeholders), tuple(variables)
-
-
 # ---------------------------------------------------------------------------
 # Statement scanning
 # ---------------------------------------------------------------------------
@@ -419,8 +373,7 @@ def _trimmed(span: tuple[int, int], text: str) -> tuple[int, int]:
 
 
 def _build_statement(original: str, stripped: str, call: _Call, path: str,
-                     base_line: int, starts: list[int],
-                     method_id: str) -> ParsedStatement:
+                     starts: list[int], method_id: str) -> ParsedStatement:
     """Decompose one scanned call.
 
     Argument analysis runs on the comment-stripped text so comments inside
@@ -429,8 +382,8 @@ def _build_statement(original: str, stripped: str, call: _Call, path: str,
     lengths).
     """
     raw_text = original[call.start:call.end]
-    start_line = base_line + _line_of(starts, call.start) - 1
-    end_line = base_line + _line_of(starts, max(call.start, call.end - 1)) - 1
+    start_line = _line_of(starts, call.start)
+    end_line = _line_of(starts, max(call.start, call.end - 1))
     loc = SourceLocation(path, start_line, end_line)
     sid = statement_id(path, start_line, end_line, raw_text)
 
@@ -606,7 +559,7 @@ class ExtractionResult:
 
 
 def extract_file(source: str, path: str, config: ParserConfig | None = None,
-                 project_id: str = "", base_line: int = 1) -> ExtractionResult:
+                 project_id: str = "") -> ExtractionResult:
     """Extract every method that contains at least one logging statement.
 
     Statements attribute to the innermost enclosing named method; methods
@@ -638,8 +591,8 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     records: list[tuple[MethodContext, list[ParsedStatement]]] = []
     for i in sorted(grouped):
         ms = method_spans[i]
-        start_line = base_line + _line_of(starts, ms.header_start) - 1
-        end_line = base_line + _line_of(starts, ms.close_brace) - 1
+        start_line = _line_of(starts, ms.header_start)
+        end_line = _line_of(starts, ms.close_brace)
         if end_line - start_line + 1 > config.max_method_lines:
             errors.append(UnbalancedBraces(
                 path, start_line, f"method {ms.name} exceeds line cap, skipped"))
@@ -652,7 +605,7 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
         parsed: list[ParsedStatement] = []
         for call in sorted(grouped[i], key=lambda c: c.start):
             parsed.append(_build_statement(
-                source, stripped, call, path, base_line, starts, method_id))
+                source, stripped, call, path, starts, method_id))
         context = MethodContext(
             method_id=method_id,
             project_id=project_id,
@@ -671,34 +624,8 @@ def extract_methods(source: str, path: str,
     return extract_file(source, path, config, project_id).methods
 
 
-def find_logging_statements(method: MethodContext,
-                            config: ParserConfig | None = None) -> list[LoggingStatement]:
-    """Re-derive the method's own statements from its source text.
-
-    Produces the same ids extract_file assigned: the method source starts at
-    the header's line start, so line numbers line up with file coordinates.
-    Statements inside nested named methods are excluded here too.
-    """
-    result = extract_file(method.source_text, method.location.path, config,
-                          method.project_id, base_line=method.location.start_line)
-    if not result.records:
-        return []
-    # the outermost span in the isolated text is the method itself
-    ctx, parsed = result.records[0]
-    return [
-        LoggingStatement(
-            id=p.statement.id, level=p.statement.level,
-            static_text=p.statement.static_text,
-            placeholders=p.statement.placeholders,
-            variables=p.statement.variables, raw_text=p.statement.raw_text,
-            location=p.statement.location, method_id=method.method_id,
-            parse_degraded=p.statement.parse_degraded)
-        for p in parsed
-    ]
-
-
-def parse_statement_text(raw: str, config: ParserConfig | None = None,
-                         path: str = "<text>", base_line: int = 1) -> ParsedStatement | None:
+def parse_statement_text(raw: str,
+                         config: ParserConfig | None = None) -> ParsedStatement | None:
     """Parse one statement from bare text (no enclosing method required).
 
     Returns None when the text contains no recognizable logger call.
@@ -711,7 +638,7 @@ def parse_statement_text(raw: str, config: ParserConfig | None = None,
     calls = _scan_calls(stripped, mask, config)
     if not calls:
         return None
-    return _build_statement(text, stripped, calls[0], path, base_line, starts,
+    return _build_statement(text, stripped, calls[0], "<text>", starts,
                             method_id="")
 
 

@@ -11,7 +11,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 
 from .backends import BackendError, LlmBackend
@@ -55,14 +54,8 @@ class CheckerVerdict:
 # ---------------------------------------------------------------------------
 # Prompt templates
 # ---------------------------------------------------------------------------
-class PromptRole(Enum):
-    CHECKER = "CHECKER"
-    UPDATER = "UPDATER"
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
-    role: PromptRole
     text: str
 
     def slots(self) -> set[str]:
@@ -92,7 +85,6 @@ UPDATER_FORMAT_INSTRUCTIONS = (
 )
 
 DEFAULT_CHECKER_TEMPLATE = PromptTemplate(
-    role=PromptRole.CHECKER,
     text=(
         "You review one logging statement inside its enclosing method for a "
         "specific defect type.\n\n"
@@ -105,7 +97,6 @@ DEFAULT_CHECKER_TEMPLATE = PromptTemplate(
 )
 
 DEFAULT_UPDATER_TEMPLATE = PromptTemplate(
-    role=PromptRole.UPDATER,
     text=(
         "You fix one defective logging statement.\n\n"
         "Defect type: {defect_type}\n"
@@ -131,12 +122,10 @@ def build_checker_prompt(
     stmt: LoggingStatement,
     context: MethodContext,
     label: DefectLabel,
-    template: PromptTemplate | None = None,
 ) -> str:
     if label is DefectLabel.NON_DEFECT:
         raise ValueError("checker prompts are only built for defect labels")
-    template = template or DEFAULT_CHECKER_TEMPLATE
-    return template.render(
+    return DEFAULT_CHECKER_TEMPLATE.render(
         statement=stmt.raw_text,
         context=context.source_text,
         defect_type=label.value,
@@ -188,12 +177,10 @@ def build_updater_prompt(
     label: DefectLabel,
     verdict: CheckerVerdict,
     exemplars: list[LogCentricChange] | tuple = (),
-    template: PromptTemplate | None = None,
 ) -> str:
     if not verdict.confirmed:
         raise ValueError("updater prompts require a confirmed verdict")
-    template = template or DEFAULT_UPDATER_TEMPLATE
-    return template.render(
+    return DEFAULT_UPDATER_TEMPLATE.render(
         statement=stmt.raw_text,
         context=context.source_text,
         defect_type=label.value,
@@ -240,14 +227,10 @@ def parse_updater_reply(
 @dataclass(frozen=True)
 class RepairConfig:
     exemplar_count: int = 3
-    max_output_tokens: int = 512
-    temperature: float = 0.0
     workers: int = 4
     # Minimum spacing between calls to a backend whose `rate_limited` is
     # true; the others are never throttled.
     min_request_interval: float = 0.5
-    checker_template: PromptTemplate | None = None
-    updater_template: PromptTemplate | None = None
     parser_config: ParserConfig | None = None
 
 
@@ -268,15 +251,9 @@ class _RateLimiter:
             time.sleep(delay)
 
 
-class _NullLimiter:
-    def wait(self) -> None:
-        return
-
-
-def _limiter_for(backend: LlmBackend, config: RepairConfig):
-    if backend.rate_limited:
-        return _RateLimiter(config.min_request_interval)
-    return _NullLimiter()
+def _limiter_for(backend: LlmBackend, config: RepairConfig) -> _RateLimiter:
+    return _RateLimiter(
+        config.min_request_interval if backend.rate_limited else 0.0)
 
 
 def run_pipeline(
@@ -323,14 +300,9 @@ def run_pipeline(
         nonlocal calls
         limiter.wait()
         calls += 1
-        return backend.complete(
-            prompt,
-            max_output_tokens=config.max_output_tokens,
-            temperature=config.temperature,
-        )
+        return backend.complete(prompt)
 
-    checker_prompt = build_checker_prompt(stmt, context, predicted,
-                                          config.checker_template)
+    checker_prompt = build_checker_prompt(stmt, context, predicted)
     verdict = None
     for attempt in range(2):
         try:
@@ -356,8 +328,7 @@ def run_pipeline(
         diagnostics.append("empty-exemplar-pool")
 
     updater_prompt = build_updater_prompt(
-        stmt, context, predicted, verdict, exemplars,
-        config.updater_template)
+        stmt, context, predicted, verdict, exemplars)
     updated = None
     for attempt in range(2):
         try:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import subprocess
 
 import pytest
 
@@ -103,6 +105,33 @@ class TestUsageErrors:
         assert main(["extract", "--help"]) == 0
         capsys.readouterr()
 
+    REQUIRED = {
+        "extract": ["--root", "r", "--out", "o"],
+        "mine": ["--repo", "r", "--out", "o"],
+        "synthesize": ["--in", "i", "--out", "o", "--per-type", "1"],
+        "train": ["--corpus", "c", "--model", "m"],
+        "detect": ["--in", "i", "--model", "m", "--out", "o"],
+        "fix": ["--in", "i", "--out", "o"],
+        "evaluate": ["--results", "r", "--truth", "t", "--out", "o"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        *((c, "--seed") for c in ("extract", "mine", "detect", "fix",
+                                  "evaluate")),
+        *((c, "--jobs") for c in ("extract", "mine", "synthesize", "train",
+                                  "detect", "evaluate")),
+    ])
+    def test_flags_are_rejected_where_unused(self, command, flag, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *self.REQUIRED[command]]
+        # Complete otherwise: without the flag the command runs and fails
+        # on its missing input files, a data error.
+        assert main(argv) == 2
+        capsys.readouterr()
+        assert main([*argv, flag, "1"]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def run_with_config(self, tmp_path, payload) -> int:
@@ -201,6 +230,46 @@ class TestMine:
         assert main(["mine", "--repo", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
 
+    def test_non_utf8_commit_is_skipped_with_a_warning(self, tmp_path,
+                                                       caplog):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args: str) -> str:
+            return subprocess.run(
+                ["git", "-C", str(repo), "-c", "user.name=t",
+                 "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+                 *args],
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        def commit(message: str) -> str:
+            git("add", "-A")
+            git("commit", "-q", "-m", message)
+            return git("rev-parse", "HEAD")
+
+        service = repo / "Service.java"
+        git("init", "-q")
+        service.write_text("class Service {\n    void act() {\n"
+                           '        log.info("starting worker");\n'
+                           "    }\n}\n", encoding="utf-8")
+        commit("base")
+        (repo / "Legacy.java").write_bytes(
+            "class Legacy {\n    // Gr\u00f6\u00dfe\n}\n".encode("latin-1"))
+        latin = commit("latin-1 file")
+        service.write_text(service.read_text(encoding="utf-8").replace(
+            "starting worker", "started worker"), encoding="utf-8")
+        log_only = commit("log-only")
+
+        out = tmp_path / "changes.jsonl"
+        with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+            assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 0
+        [record] = read_jsonl(str(out))
+        assert record["commit_id"] == log_only
+        assert record["after"]["raw_text"] == 'log.info("started worker");'
+        [warning] = caplog.records
+        assert latin in warning.getMessage()
+        assert "Legacy.java" in warning.getMessage()
+
 
 class TestSynthesize:
     def test_writes_clean_plus_mutants(self, ws, tmp_path):
@@ -294,6 +363,30 @@ class TestFix:
                      "--out", str(out)]) == 0
         rows = list(read_jsonl(str(out)))
         assert all(len(row["exemplars"]) == 1 for row in rows)
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_exemplar_budget_below_one_is_a_data_error(
+            self, ws, tmp_path, monkeypatch, where):
+        backends = []
+        real = cli.make_backend
+
+        def recording(*args):
+            backends.append(real(*args))
+            return backends[-1]
+
+        monkeypatch.setattr(cli, "make_backend", recording)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval": {"k": 0}}),
+                          encoding="utf-8")
+        extra = (["--exemplars", "0"] if where == "flag"
+                 else ["--config", str(config)])
+        out = tmp_path / "o.jsonl"
+        # The rigged checkpoint flags every statement, so each would reach
+        # the backend.
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(out), *extra]) == 2
+        assert sum(len(b.calls) for b in backends) == 0
+        assert not out.exists()
 
     def test_http_backend_needs_endpoint_config(self, ws, tmp_path):
         assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],

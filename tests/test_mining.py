@@ -1,65 +1,15 @@
-"""Repository filtering, line diffing, history providers, and the extraction
-of pure logging-text changes from commit history."""
-
-from datetime import date
+"""Line diffing, history providers, and the extraction of pure
+logging-text changes from commit history."""
 
 from logfix.mining import (
     ChangeKind,
     CommitSnapshotPair,
     FixtureHistoryProvider,
-    RepoInitiator,
-    RepoMetadata,
     diff_lines,
     extract_lccs,
-    filter_target_repositories,
-    filter_well_maintained,
-    is_target_repository,
-    is_well_maintained,
 )
 
 from conftest import HISTORY_DIR
-
-
-# ---------------------------------------------------------------------------
-# Repository filters
-# ---------------------------------------------------------------------------
-def repo(**overrides) -> RepoMetadata:
-    base = dict(
-        name="demo", stars=4000, commit_count=5000,
-        created_at=date(2015, 3, 1), last_commit_at=date(2024, 6, 1),
-        is_fork=False, initiator=RepoInitiator.COMPANY,
-        issues_enabled=True, has_license=True,
-    )
-    base.update(overrides)
-    return RepoMetadata(**base)
-
-
-def test_target_repository_thresholds():
-    assert is_target_repository(repo())
-    assert not is_target_repository(repo(is_fork=True))
-    assert not is_target_repository(repo(stars=1000))       # strictly greater
-    assert is_target_repository(repo(stars=1001))
-    assert not is_target_repository(repo(commit_count=999))
-    assert not is_target_repository(repo(commit_count=100_001))
-    assert is_target_repository(repo(commit_count=1000))
-    assert not is_target_repository(repo(created_at=date(2020, 1, 1)))
-    assert is_target_repository(repo(created_at=date(2019, 12, 31)))
-    assert not is_target_repository(repo(last_commit_at=date(2022, 12, 31)))
-    assert is_target_repository(repo(last_commit_at=date(2023, 1, 1)))
-
-
-def test_target_repository_filter_list():
-    good, fork = repo(), repo(is_fork=True)
-    assert filter_target_repositories([good, fork]) == [good]
-
-
-def test_well_maintained_needs_company_issues_and_license():
-    assert is_well_maintained(repo())
-    assert not is_well_maintained(repo(initiator=RepoInitiator.PERSONAL))
-    assert not is_well_maintained(repo(issues_enabled=False))
-    assert not is_well_maintained(repo(has_license=False))
-    assert filter_well_maintained(
-        [repo(), repo(has_license=False)]) == [repo()]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +80,6 @@ def test_extract_lccs_accepts_pure_log_text_change():
     assert change.after.raw_text == 'log.info("started worker");'
     # the stored context is the after-version method
     assert 'log.info("started worker");' in change.context.source_text
-    assert change.inferred_label is None
 
 
 def test_extract_lccs_rejects_non_source_files():

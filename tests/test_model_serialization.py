@@ -20,7 +20,6 @@ from logfix.model import (
     SourceLocation,
     UnknownLevel,
     UpdateResult,
-    EvaluationRecord,
     change_from_dict,
     change_to_dict,
     content_hash,
@@ -166,13 +165,6 @@ class TestChangeSerialization:
         assert dataclasses.replace(change, commit_id="c2").change_id != first
         assert len(calls) == 2
 
-    def test_inferred_label_round_trip(self):
-        change = dataclasses.replace(
-            make_change("p", "c", 'log.info("a");', 'log.info("b");'),
-            inferred_label=DefectLabel.TEMPORAL,
-        )
-        assert change_from_dict(change_to_dict(change)) == change
-
 
 class TestResultSerialization:
     def test_round_trip(self):
@@ -187,12 +179,24 @@ class TestResultSerialization:
             checker_semantics="cache eviction event",
             exemplars=(change,),
             updated_statement=statement_of('log.info("fixed");'),
-            metrics=(EvaluationRecord("bleu-1", 0.5, 0.9, 0.8),
-                     EvaluationRecord("rouge-l", 1.0, 1.0, None)),
             diagnostics=("backend-calls:2",),
         )
         d = result_to_dict(result)
         assert result_from_dict(json.loads(json.dumps(d))) == result
+        # Older files carry per-result metrics, which nothing reads, and an
+        # inferred label on each exemplar; both still load and are dropped.
+        old = json.loads(json.dumps({
+            **d,
+            "exemplars": [{**e, "inferred_label": "TEMPORAL"}
+                          for e in d["exemplars"]],
+            "metrics": [{"metric_name": "bleu-1", "m_origin": 0.5,
+                         "m_updated": 0.9, "ic": 0.8}],
+        }))
+        restored = result_from_dict(old)
+        assert restored == result
+        assert result_to_dict(restored) == d
+        assert "metrics" not in d
+        assert "inferred_label" not in d["exemplars"][0]
 
     def test_none_updated_statement(self):
         result = UpdateResult(
@@ -302,7 +306,17 @@ class TestJsonl:
         path = tmp_path / "changes.jsonl"
         changes = [make_change("p", "c", 'log.info("a");', 'log.info("b");')]
         assert write_changes(str(path), changes) == 1
+        written = path.read_bytes()
         assert read_changes(str(path)) == changes
+        # An older file with an inferred label, which nothing reads, still
+        # loads, and writing it back drops the key.
+        write_jsonl(str(path), [{**change_to_dict(c),
+                                 "inferred_label": "TEMPORAL"}
+                                for c in changes])
+        assert read_changes(str(path)) == changes
+        assert write_changes(str(path), read_changes(str(path))) == 1
+        assert path.read_bytes() == written
+        assert b"inferred_label" not in written
 
 
 class TestMethodRecord:

@@ -12,7 +12,6 @@ from logfix.parser import (
     collect_scope_identifiers,
     extract_file,
     extract_methods,
-    find_logging_statements,
     parse_statement_text,
     render_statement,
     strip_comments,
@@ -184,14 +183,6 @@ def test_extract_file_statement_lines_match_source():
 def test_extract_methods_wrapper():
     methods = extract_methods(SOURCE, "Worker.java", None, "demo")
     assert [m.qualified_name for m in methods] == ["Worker.run"]
-
-
-def test_find_logging_statements_rederives_ids():
-    result = extract_file(SOURCE, "Worker.java", None, "demo")
-    ctx, parsed = result.records[0]
-    rederived = find_logging_statements(ctx)
-    assert [s.id for s in rederived] == [p.statement.id for p in parsed]
-    assert all(s.method_id == ctx.method_id for s in rederived)
 
 
 def test_nested_class_qualified_name():

@@ -21,9 +21,7 @@ from logfix.repair import (
     MalformedReply,
     NotALoggingStatement,
     PromptTemplate,
-    PromptRole,
     RepairConfig,
-    _NullLimiter,
     _RateLimiter,
     _limiter_for,
     build_checker_prompt,
@@ -112,17 +110,16 @@ class TestPromptTemplate:
         }
 
     def test_render_fills_slots(self):
-        template = PromptTemplate(role=PromptRole.CHECKER,
-                                  text="a={a} b={b}")
+        template = PromptTemplate(text="a={a} b={b}")
         assert template.render(a="1", b="2") == "a=1 b=2"
 
     def test_render_rejects_missing_slots(self):
-        template = PromptTemplate(role=PromptRole.CHECKER, text="{a} {b}")
+        template = PromptTemplate(text="{a} {b}")
         with pytest.raises(ValueError, match="b"):
             template.render(a="1")
 
     def test_render_ignores_extra_values(self):
-        template = PromptTemplate(role=PromptRole.UPDATER, text="{a}")
+        template = PromptTemplate(text="{a}")
         assert template.render(a="x", unrelated="y") == "x"
 
 
@@ -497,12 +494,10 @@ class TestRateLimiter:
         class UnlimitedQueue(QueueBackend):
             rate_limited = False
 
-        config = RepairConfig()
-        assert isinstance(_limiter_for(MockBackend(), config), _NullLimiter)
-        assert isinstance(_limiter_for(HttpBackend("http://localhost", "m"),
-                                       config), _RateLimiter)
-        assert isinstance(_limiter_for(QueueBackend([]), config),
-                          _RateLimiter)
+        config = RepairConfig(min_request_interval=0.25)
+        assert _limiter_for(MockBackend(), config).interval == 0.0
+        assert _limiter_for(HttpBackend("http://localhost", "m"),
+                            config).interval == 0.25
+        assert _limiter_for(QueueBackend([]), config).interval == 0.25
         # The class attribute decides, not the backend's type.
-        assert isinstance(_limiter_for(UnlimitedQueue([]), config),
-                          _NullLimiter)
+        assert _limiter_for(UnlimitedQueue([]), config).interval == 0.0
