@@ -14,7 +14,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .backends import (
     BackendError,
@@ -115,37 +115,48 @@ class ToolConfig:
     paths: LexiconPaths
 
 
+# JSON types accepted for a field whose default has the given type
+_SCALAR_KINDS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+}
+
+
+def _config_value(value, default, where: str):
+    """`value` from the JSON file, checked against the type of the field's
+    default and converted to it (lists to frozensets, level names to
+    levels)."""
+    if isinstance(default, frozenset):
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return frozenset(value)
+        expected = "a list of strings"
+    elif isinstance(default, dict):
+        if (isinstance(value, dict)
+                and all(isinstance(v, str) for v in value.values())):
+            return {key: parse_level(v) for key, v in value.items()}
+        expected = "an object of level names"
+    else:
+        kinds, expected = _SCALAR_KINDS[type(default)]
+        if isinstance(value, kinds) and not isinstance(value, bool):
+            return value
+    raise DataError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
 def _strict_section(raw: object, name: str, cls):
     if not isinstance(raw, dict):
         raise DataError(f"config section {name!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - known)
+    defaults = vars(cls())
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise DataError(f"config section {name!r}: unknown keys {unknown}")
     try:
-        return cls(**raw)
+        return cls(**{
+            key: _config_value(value, defaults[key],
+                               f"config section {name!r}: {key!r}")
+            for key, value in raw.items()})
     except (TypeError, ValueError) as exc:
         raise DataError(f"config section {name!r}: {exc}") from exc
-
-
-def _parser_section(raw: object) -> ParserConfig:
-    if not isinstance(raw, dict):
-        raise DataError("config section 'parser' must be an object")
-    known = {"logger_receivers", "level_methods", "max_method_lines"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise DataError(f"config section 'parser': unknown keys {unknown}")
-    kwargs = {}
-    if "logger_receivers" in raw:
-        kwargs["logger_receivers"] = frozenset(raw["logger_receivers"])
-    if "level_methods" in raw:
-        kwargs["level_methods"] = {
-            method: parse_level(level)
-            for method, level in raw["level_methods"].items()
-        }
-    if "max_method_lines" in raw:
-        kwargs["max_method_lines"] = int(raw["max_method_lines"])
-    return ParserConfig(**kwargs)
 
 
 def load_config(path: str | None) -> ToolConfig:
@@ -170,7 +181,7 @@ def load_config(path: str | None) -> ToolConfig:
     if unknown:
         raise DataError(f"config: unknown top-level keys {unknown}")
     return ToolConfig(
-        parser=_parser_section(raw.get("parser", {})),
+        parser=_strict_section(raw.get("parser", {}), "parser", ParserConfig),
         train=_strict_section(raw.get("train", {}), "train", TrainConfig),
         retrieval=_strict_section(raw.get("retrieval", {}), "retrieval",
                                   RetrievalSettings),
@@ -341,6 +352,8 @@ def cmd_fix(args, config: ToolConfig) -> int:
     k = args.exemplars if args.exemplars is not None else config.retrieval.k
     if k < 1:
         raise DataError(f"exemplars per prompt must be >= 1, got {k}")
+    if args.jobs < 1:
+        raise DataError(f"--jobs must be >= 1, got {args.jobs}")
     items = _read_statement_items(args.in_path)
     if any(detection is None for _, _, detection in items):
         if args.model is None:
@@ -491,7 +504,7 @@ def build_parser() -> _Parser:
                         "(default: from config)")
     p.add_argument("--jobs", type=int, metavar="N",
                    default=RepairConfig.workers,
-                   help="worker threads for backend calls "
+                   help="worker threads for backend calls, at least 1 "
                         "(default: %(default)s)")
     p.add_argument("--out", required=True, help="results JSONL to write")
     p.set_defaults(func=cmd_fix)

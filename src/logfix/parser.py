@@ -2,9 +2,10 @@
 
 This is not a grammar: methods are located by a signature pattern followed by
 a balanced brace block, and logger calls by receiver/method-name pattern.
-Comments are stripped (replaced by spaces, so offsets and line numbers stay
-valid) before any scanning, and string literals are honored everywhere so
-quotes, braces, and commas inside them never confuse the scanners.
+Each text is lexed once (`lex`): comments are replaced by spaces, so offsets
+and line numbers stay valid, string and char literals are masked, and every
+bracket outside them is matched. The scanners read only that result, so
+quotes, braces, and commas inside literals never confuse them.
 Malformed input degrades: regions that cannot be matched are skipped and
 reported, never raised out of extraction.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from logfix.model import (
     LoggingStatement,
@@ -64,138 +65,91 @@ class UnbalancedBraces(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Low-level scanning
+# Lexing
 # ---------------------------------------------------------------------------
 
-def strip_comments(source: str) -> str:
-    """Replace // and /* */ comments with spaces, preserving all offsets."""
-    out = list(source)
-    i, n = 0, len(source)
-    CODE, LINE, BLOCK, STR, CHR = range(5)
-    state = CODE
-    while i < n:
-        c = source[i]
-        if state == CODE:
-            if c == "/" and i + 1 < n and source[i + 1] == "/":
-                out[i] = out[i + 1] = " "
-                i += 2
-                state = LINE
-            elif c == "/" and i + 1 < n and source[i + 1] == "*":
-                out[i] = out[i + 1] = " "
-                i += 2
-                state = BLOCK
-            elif c == '"':
-                i += 1
-                state = STR
-            elif c == "'":
-                i += 1
-                state = CHR
-            else:
-                i += 1
-        elif state == LINE:
-            if c == "\n":
-                state = CODE
-            else:
-                out[i] = " "
+# what ends a stretch of code: a comment opener, a quote, or a bracket
+_CODE_STOP_RE = re.compile(r"//|/\*|[\"'(){}]")
+# the rest of a literal after its opening quote: a backslash escapes the next
+# character, even a newline; an unescaped newline ends the literal without
+# belonging to it (Java literals cannot span lines)
+_LITERAL_REST_RE = {
+    q: re.compile(rf"[^{q}\\\n]*(?:\\[\s\S]?[^{q}\\\n]*)*{q}?")
+    for q in "\"'"
+}
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+@dataclass(frozen=True)
+class Lexed:
+    """One lexical pass over a text.
+
+    `stripped` is the text with // and /* */ comments replaced by spaces
+    (newlines kept), so offsets and line numbers stay valid in both.
+    mask[i] == 1 when stripped[i] sits inside a string/char literal, quotes
+    included. `closes` maps each matched '(' and '{' outside literals to its
+    closing bracket; each kind is matched on its own, ignoring the other.
+    """
+
+    stripped: str
+    mask: bytearray
+    starts: list[int]
+    closes: dict[int, int]
+
+    def close(self, open_idx: int) -> int:
+        """Index of the bracket closing the one at open_idx, or -1."""
+        return self.closes.get(open_idx, -1)
+
+    def line_of(self, offset: int) -> int:
+        return bisect_right(self.starts, offset)
+
+
+def lex(source: str) -> Lexed:
+    """Strip comments, mask literals and match brackets in one scan."""
+    n = len(source)
+    pieces: list[str] = []
+    mask = bytearray(n)
+    closes: dict[int, int] = {}
+    parens: list[int] = []
+    braces: list[int] = []
+    stack_of = {"(": parens, ")": parens, "{": braces, "}": braces}
+    pos = 0  # source[pos:] is not yet copied into pieces
+    i = 0
+    while True:
+        m = _CODE_STOP_RE.search(source, i)
+        if m is None:
+            break
+        i = m.start()
+        token = m.group()
+        if token in "({":
+            stack_of[token].append(i)
             i += 1
-        elif state == BLOCK:
-            if c == "*" and i + 1 < n and source[i + 1] == "/":
-                out[i] = out[i + 1] = " "
-                i += 2
-                state = CODE
-            else:
-                if c != "\n":
-                    out[i] = " "
-                i += 1
-        elif state == STR:
-            if c == "\\" and i + 1 < n:
-                i += 2
-            elif c == '"' or c == "\n":
-                # a raw newline ends the literal defensively; Java literals
-                # cannot span lines anyway
-                i += 1
-                state = CODE
-            else:
-                i += 1
-        else:  # CHR
-            if c == "\\" and i + 1 < n:
-                i += 2
-            elif c == "'" or c == "\n":
-                i += 1
-                state = CODE
-            else:
-                i += 1
-    return "".join(out)
-
-
-def _literal_mask(text: str) -> bytearray:
-    """mask[i] == 1 when text[i] sits inside a string/char literal (quotes included)."""
-    mask = bytearray(len(text))
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"' or c == "'":
-            quote = c
-            mask[i] = 1
+        elif token in ")}":
+            stack = stack_of[token]
+            if stack:
+                closes[stack.pop()] = i
             i += 1
-            while i < n:
-                d = text[i]
-                mask[i] = 1
-                if d == "\\" and i + 1 < n:
-                    mask[i + 1] = 1
-                    i += 2
-                    continue
-                i += 1
-                if d == quote or d == "\n":
-                    if d == "\n":
-                        mask[i - 1] = 0
-                    break
-        else:
-            i += 1
-    return mask
-
-
-def _match_paren(text: str, mask: bytearray, open_idx: int) -> int:
-    """Index of the ')' matching text[open_idx] == '(', or -1."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if mask[i]:
-            continue
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def _match_brace(text: str, mask: bytearray, open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if mask[i]:
-            continue
-        c = text[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def _line_starts(text: str) -> list[int]:
+        elif token == "//":
+            end = source.find("\n", i)
+            end = n if end < 0 else end
+            pieces.append(source[pos:i])
+            pieces.append(" " * (end - i))
+            pos = i = end
+        elif token == "/*":
+            end = source.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            pieces.append(source[pos:i])
+            pieces.append(_NOT_NEWLINE_RE.sub(" ", source[i:end]))
+            pos = i = end
+        else:  # a quote opens a literal
+            end = _LITERAL_REST_RE[token].match(source, i + 1).end()
+            mask[i:end] = b"\x01" * (end - i)
+            i = end
+    pieces.append(source[pos:])
+    stripped = "".join(pieces)
     starts = [0]
-    for i, c in enumerate(text):
-        if c == "\n":
-            starts.append(i + 1)
-    return starts
-
-
-def _line_of(starts: list[int], offset: int) -> int:
-    return bisect_right(starts, offset)
+    starts.extend(m.end() for m in re.finditer("\n", stripped))
+    return Lexed(stripped, mask, starts, closes)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +192,12 @@ class _Fragment:
     span: tuple[int, int]  # span of `text` within the format expression
 
 
-def _split_format_expr(expr: str) -> list[_Fragment] | None:
+def _split_format_expr(expr: str, mask: bytearray) -> list[_Fragment] | None:
     """Split a concatenation chain into literal/expression fragments.
 
-    Returns None when the expression holds no top-level string literal.
+    `mask` is the literal mask of `expr`. Returns None when the expression
+    holds no top-level string literal.
     """
-    mask = _literal_mask(expr)
     # cut points: top-level '+' outside literals and parens
     cuts = []
     depth = 0
@@ -305,7 +259,6 @@ class _Call:
     end: int            # one past ';' (or ')' when no semicolon follows)
     level: LogLevel
     arg_spans: tuple[tuple[int, int], ...]
-    degraded: bool
 
 
 def _build_call_re(config: ParserConfig) -> re.Pattern[str]:
@@ -313,7 +266,8 @@ def _build_call_re(config: ParserConfig) -> re.Pattern[str]:
     return re.compile(rf"(?<![\w$])(?:{recv})\s*\.\s*([A-Za-z_$][\w$]*)\s*\(")
 
 
-def _scan_calls(stripped: str, mask: bytearray, config: ParserConfig) -> list[_Call]:
+def _scan_calls(lexed: Lexed, config: ParserConfig) -> list[_Call]:
+    stripped, mask = lexed.stripped, lexed.mask
     calls: list[_Call] = []
     call_re = _build_call_re(config)
     pos = 0
@@ -330,12 +284,12 @@ def _scan_calls(stripped: str, mask: bytearray, config: ParserConfig) -> list[_C
             pos = m.end()
             continue
         open_idx = m.end() - 1
-        close = _match_paren(stripped, mask, open_idx)
+        close = lexed.close(open_idx)
         if close < 0:
             # unterminated argument list: degrade to end of line
             eol = stripped.find("\n", open_idx)
             end = eol if eol >= 0 else n
-            calls.append(_Call(m.start(), end, level, (), True))
+            calls.append(_Call(m.start(), end, level, ()))
             pos = end
             continue
         # split top-level commas
@@ -358,7 +312,7 @@ def _scan_calls(stripped: str, mask: bytearray, config: ParserConfig) -> list[_C
         end = close + 1
         if end < n and stripped[end] == ";":
             end += 1
-        calls.append(_Call(m.start(), end, level, tuple(spans), False))
+        calls.append(_Call(m.start(), end, level, tuple(spans)))
         pos = end
     return calls
 
@@ -372,8 +326,8 @@ def _trimmed(span: tuple[int, int], text: str) -> tuple[int, int]:
     return a, b
 
 
-def _build_statement(original: str, stripped: str, call: _Call, path: str,
-                     starts: list[int], method_id: str) -> ParsedStatement:
+def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
+                     method_id: str) -> ParsedStatement:
     """Decompose one scanned call.
 
     Argument analysis runs on the comment-stripped text so comments inside
@@ -382,28 +336,23 @@ def _build_statement(original: str, stripped: str, call: _Call, path: str,
     lengths).
     """
     raw_text = original[call.start:call.end]
-    start_line = _line_of(starts, call.start)
-    end_line = _line_of(starts, max(call.start, call.end - 1))
+    start_line = lexed.line_of(call.start)
+    end_line = lexed.line_of(max(call.start, call.end - 1))
     loc = SourceLocation(path, start_line, end_line)
     sid = statement_id(path, start_line, end_line, raw_text)
 
-    if call.degraded or not call.arg_spans:
-        stmt = LoggingStatement(
-            id=sid, level=call.level, static_text="", placeholders=(),
-            variables=(), raw_text=raw_text, location=loc,
-            method_id=method_id, parse_degraded=True)
-        return ParsedStatement(stmt, (), ())
-
-    # the format is the first argument containing a top-level string literal
+    # the format is the first argument containing a top-level string
+    # literal; a call without one (or without a closed argument list, which
+    # leaves no argument spans) is degraded
     arg_texts = []
     for span in call.arg_spans:
-        a, b = _trimmed(span, stripped)
-        arg_texts.append((a, b, stripped[a:b]))
+        a, b = _trimmed(span, lexed.stripped)
+        arg_texts.append((a, b, lexed.stripped[a:b]))
     fmt_idx = None
     frags = None
-    for i, (_, _, arg) in enumerate(arg_texts):
+    for i, (a, b, arg) in enumerate(arg_texts):
         if '"' in arg:
-            split = _split_format_expr(arg)
+            split = _split_format_expr(arg, lexed.mask[a:b])
             if split is not None:
                 fmt_idx = i
                 frags = split
@@ -491,9 +440,9 @@ class _MethodSpan:
     close_brace: int
 
 
-def _scan_method_spans(stripped: str, mask: bytearray, path: str,
-                       starts: list[int],
+def _scan_method_spans(lexed: Lexed, path: str,
                        errors: list[UnbalancedBraces]) -> list[_MethodSpan]:
+    stripped, mask = lexed.stripped, lexed.mask
     spans: list[_MethodSpan] = []
     for m in _IDENT_PAREN_RE.finditer(stripped):
         if mask[m.start()]:
@@ -508,7 +457,7 @@ def _scan_method_spans(stripped: str, mask: bytearray, path: str,
             continue  # method call or annotation
         if _prev_word(stripped, m.start()) in ("new", "record"):
             continue
-        close = _match_paren(stripped, mask, m.end() - 1)
+        close = lexed.close(m.end() - 1)
         if close < 0:
             continue
         after = close + 1
@@ -519,25 +468,26 @@ def _scan_method_spans(stripped: str, mask: bytearray, path: str,
             after += 1
         if after >= len(stripped) or stripped[after] != "{":
             continue
-        body_close = _match_brace(stripped, mask, after)
+        body_close = lexed.close(after)
         if body_close < 0:
             errors.append(UnbalancedBraces(
-                path, _line_of(starts, after), f"method {name}"))
+                path, lexed.line_of(after), f"method {name}"))
             continue
         header_start = stripped.rfind("\n", 0, m.start()) + 1
         spans.append(_MethodSpan(name, header_start, after, body_close))
     return spans
 
 
-def _scan_class_spans(stripped: str, mask: bytearray) -> list[tuple[str, int, int]]:
+def _scan_class_spans(lexed: Lexed) -> list[tuple[str, int, int]]:
+    stripped, mask = lexed.stripped, lexed.mask
     out = []
     for m in _CLASS_RE.finditer(stripped):
         if mask[m.start()]:
             continue
         open_idx = stripped.find("{", m.end())
-        if open_idx < 0:
-            continue
-        close = _match_brace(stripped, mask, open_idx)
+        while open_idx >= 0 and mask[open_idx]:
+            open_idx = stripped.find("{", open_idx + 1)
+        close = lexed.close(open_idx)
         if close < 0:
             continue
         out.append((m.group(1), open_idx, close))
@@ -549,14 +499,6 @@ class ExtractionResult:
     records: list[tuple[MethodContext, list[ParsedStatement]]]
     errors: list[UnbalancedBraces]
 
-    @property
-    def methods(self) -> list[MethodContext]:
-        return [ctx for ctx, _ in self.records]
-
-    @property
-    def statements(self) -> list[LoggingStatement]:
-        return [p.statement for _, parsed in self.records for p in parsed]
-
 
 def extract_file(source: str, path: str, config: ParserConfig | None = None,
                  project_id: str = "") -> ExtractionResult:
@@ -566,14 +508,12 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     without statements are dropped. Never raises on malformed input.
     """
     config = config or ParserConfig()
-    stripped = strip_comments(source)
-    mask = _literal_mask(stripped)
-    starts = _line_starts(stripped)
+    lexed = lex(source)
     errors: list[UnbalancedBraces] = []
 
-    method_spans = _scan_method_spans(stripped, mask, path, starts, errors)
-    class_spans = _scan_class_spans(stripped, mask)
-    calls = _scan_calls(stripped, mask, config)
+    method_spans = _scan_method_spans(lexed, path, errors)
+    class_spans = _scan_class_spans(lexed)
+    calls = _scan_calls(lexed, config)
 
     # innermost-span attribution
     grouped: dict[int, list[_Call]] = {}
@@ -591,8 +531,8 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     records: list[tuple[MethodContext, list[ParsedStatement]]] = []
     for i in sorted(grouped):
         ms = method_spans[i]
-        start_line = _line_of(starts, ms.header_start)
-        end_line = _line_of(starts, ms.close_brace)
+        start_line = lexed.line_of(ms.header_start)
+        end_line = lexed.line_of(ms.close_brace)
         if end_line - start_line + 1 > config.max_method_lines:
             errors.append(UnbalancedBraces(
                 path, start_line, f"method {ms.name} exceeds line cap, skipped"))
@@ -605,7 +545,7 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
         parsed: list[ParsedStatement] = []
         for call in sorted(grouped[i], key=lambda c: c.start):
             parsed.append(_build_statement(
-                source, stripped, call, path, starts, method_id))
+                source, lexed, call, path, method_id))
         context = MethodContext(
             method_id=method_id,
             project_id=project_id,
@@ -618,12 +558,6 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     return ExtractionResult(records, errors)
 
 
-def extract_methods(source: str, path: str,
-                    config: ParserConfig | None = None,
-                    project_id: str = "") -> list[MethodContext]:
-    return extract_file(source, path, config, project_id).methods
-
-
 def parse_statement_text(raw: str,
                          config: ParserConfig | None = None) -> ParsedStatement | None:
     """Parse one statement from bare text (no enclosing method required).
@@ -632,14 +566,27 @@ def parse_statement_text(raw: str,
     """
     config = config or ParserConfig()
     text = raw.strip()
-    stripped = strip_comments(text)
-    mask = _literal_mask(stripped)
-    starts = _line_starts(stripped)
-    calls = _scan_calls(stripped, mask, config)
+    lexed = lex(text)
+    calls = _scan_calls(lexed, config)
     if not calls:
         return None
-    return _build_statement(text, stripped, calls[0], "<text>", starts,
-                            method_id="")
+    return _build_statement(text, lexed, calls[0], "<text>", method_id="")
+
+
+def relocate(statement: LoggingStatement,
+             original: LoggingStatement) -> LoggingStatement:
+    """A re-parsed statement put where `original` sits.
+
+    Location and method come from `original`, the id is derived afresh from
+    them and the new raw text; level, decomposition, raw text and
+    parse_degraded stay those of the new parse.
+    """
+    loc = original.location
+    return replace(
+        statement,
+        id=statement_id(loc.path, loc.start_line, loc.end_line,
+                        statement.raw_text),
+        location=loc, method_id=original.method_id)
 
 
 def render_statement(parsed: ParsedStatement) -> str:
@@ -713,7 +660,7 @@ def _split_params(params: str) -> list[str]:
 
 def collect_scope_identifiers(method_source: str) -> list[str]:
     """Parameter and local-variable names visible inside a method, in order."""
-    stripped = strip_comments(method_source)
+    stripped = lex(method_source).stripped
     open_brace = stripped.find("{")
     header = stripped[:open_brace] if open_brace >= 0 else stripped
     body = stripped[open_brace:] if open_brace >= 0 else ""

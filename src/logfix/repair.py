@@ -23,9 +23,8 @@ from .model import (
     Provenance,
     ProvenanceKind,
     UpdateResult,
-    statement_id,
 )
-from .parser import ParserConfig, parse_statement_text
+from .parser import ParserConfig, parse_statement_text, relocate
 from .retrieval import EmptyPool, ExemplarPool, select_exemplars
 
 
@@ -206,19 +205,7 @@ def parse_updater_reply(
     if parsed is None:
         raise NotALoggingStatement(
             f"updated text is not a logger call: {content!r}")
-    p = parsed.statement
-    loc = original.location
-    return LoggingStatement(
-        id=statement_id(loc.path, loc.start_line, loc.end_line, p.raw_text),
-        level=p.level,
-        static_text=p.static_text,
-        placeholders=p.placeholders,
-        variables=p.variables,
-        raw_text=p.raw_text,
-        location=loc,
-        method_id=original.method_id,
-        parse_degraded=p.parse_degraded,
-    )
+    return relocate(parsed.statement, original)
 
 
 # ---------------------------------------------------------------------------

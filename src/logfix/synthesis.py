@@ -25,13 +25,13 @@ from .model import (
     MethodContext,
     Provenance,
     ProvenanceKind,
-    statement_id,
 )
 from .parser import (
     ParsedStatement,
     ParserConfig,
     collect_scope_identifiers,
     parse_statement_text,
+    relocate,
 )
 from .tokenization import split_subwords
 
@@ -335,19 +335,7 @@ def _rebuild(stmt: LoggingStatement, new_raw: str,
     parsed = parse_statement_text(new_raw, config)
     if parsed is None:
         raise NoCandidate(f"mutated text no longer parses: {new_raw!r}")
-    p = parsed.statement
-    return LoggingStatement(
-        id=statement_id(stmt.location.path, stmt.location.start_line,
-                        stmt.location.end_line, new_raw),
-        level=stmt.level,
-        static_text=p.static_text,
-        placeholders=p.placeholders,
-        variables=p.variables,
-        raw_text=new_raw,
-        location=stmt.location,
-        method_id=stmt.method_id,
-        parse_degraded=stmt.parse_degraded,
-    )
+    return relocate(parsed.statement, stmt)
 
 
 def _match_casing(model: str, word: str) -> str:

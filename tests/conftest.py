@@ -4,7 +4,9 @@ tests (training it once keeps the suite fast)."""
 
 from __future__ import annotations
 
+import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +43,25 @@ PER_TYPE = 500
 TUNED_CONFIG = TrainConfig(learning_rate=3e-3)
 
 
+_FUZZ_FRAGMENTS = ['{', '}', '(', ')', '"', "'", ';', '\\', '\n', '\t',
+                   ' ', '/*', '*/', '//', 'log.info', 'LOG', 'class',
+                   'void', 'try', '{}', 'é', '€', '\x00', 'x']
+
+
+def fuzz_texts(count: int, seed: int = 0) -> Iterator[str]:
+    """Parser fuzz inputs: even trials join Java-ish fragments, odd trials
+    are random bytes read as latin-1."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        if trial % 2 == 0:
+            yield ''.join(rng.choices(_FUZZ_FRAGMENTS,
+                                      k=rng.randrange(0, 60)))
+        else:
+            yield bytes(rng.randrange(256)
+                        for _ in range(rng.randrange(0, 160))
+                        ).decode('latin-1')
+
+
 def load_clean_samples() -> list[LabeledSample]:
     """Every statement of the bundled clean corpus as a NON_DEFECT sample."""
     samples: list[LabeledSample] = []
@@ -74,7 +95,8 @@ def single_method(source: str, path: str = "Test.java",
     """Extract a source snippet that holds exactly one logging method."""
     result = extract_file(source, path, None, project)
     assert not result.errors, result.errors
-    assert len(result.records) == 1, [c.qualified_name for c in result.methods]
+    assert len(result.records) == 1, [c.qualified_name
+                                      for c, _ in result.records]
     ctx, parsed = result.records[0]
     return ctx, [p.statement for p in parsed]
 

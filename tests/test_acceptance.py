@@ -24,6 +24,7 @@ from conftest import (
     E2E_TRUTH,
     HISTORY_DIR,
     JAVA_DIR,
+    fuzz_texts,
     make_change,
 )
 from logfix.cli import main
@@ -50,7 +51,7 @@ from logfix.metrics import (
 )
 from logfix.mining import FixtureHistoryProvider, extract_lccs
 from logfix.model import DefectLabel, read_jsonl
-from logfix.parser import extract_file, extract_methods, render_statement
+from logfix.parser import extract_file, render_statement
 from logfix.retrieval import DEFAULT_B, DEFAULT_K1, bm25_score, build_index, select_exemplars
 from logfix.synthesis import (
     mutate_readability,
@@ -489,19 +490,8 @@ def test_8_cli_pipeline_end_to_end(capfd, trained_state, tmp_path):
 def test_9_parser_survives_fuzz_and_renders_faithfully(capfd):
     with verdict(capfd, 9, "parser never crashes; rendering is lossless"):
         t0 = time.perf_counter()
-        rng = random.Random(0)
-        fragments = ['{', '}', '(', ')', '"', "'", ';', '\\', '\n', '\t',
-                     ' ', '/*', '*/', '//', 'log.info', 'LOG', 'class',
-                     'void', 'try', '{}', 'é', '€', '\x00', 'x']
-        for trial in range(10_000):
-            if trial % 2 == 0:
-                text = ''.join(rng.choices(fragments,
-                                           k=rng.randrange(0, 60)))
-            else:
-                text = bytes(rng.randrange(256)
-                             for _ in range(rng.randrange(0, 160))
-                             ).decode('latin-1')
-            extract_methods(text, "Fuzz.java")
+        for text in fuzz_texts(10_000):
+            extract_file(text, "Fuzz.java")
 
         checked = 0
         for directory in (JAVA_DIR, CLEAN_DIR, E2E_SRC_DIR):

@@ -154,8 +154,17 @@ class TestConfigFile:
         assert self.run_with_config(tmp_path, {"train": {"nope": 1}}) == 2
         assert self.run_with_config(tmp_path, {"parser": {"nope": 1}}) == 2
 
-    def test_invalid_section_value(self, tmp_path):
+    def test_invalid_section_value(self, tmp_path, capsys):
         assert self.run_with_config(tmp_path, {"train": {"epochs": 0}}) == 2
+        # a value of the wrong JSON type is a data error naming its section
+        for section, value in (("parser", {"logger_receivers": 5}),
+                               ("parser", {"level_methods": ["info"]}),
+                               ("retrieval", {"k": "3"})):
+            capsys.readouterr()
+            assert self.run_with_config(tmp_path, {section: value}) == 2
+            assert f"config section {section!r}" in capsys.readouterr().err
+        # an integer is a valid number
+        assert self.run_with_config(tmp_path, {"retrieval": {"k1": 1}}) == 0
 
     def test_malformed_json(self, tmp_path):
         assert self.run_with_config(tmp_path, "not json {") == 2
@@ -385,6 +394,28 @@ class TestFix:
         # the backend.
         assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
                      "--lcc", ws["lcc"], "--out", str(out), *extra]) == 2
+        assert sum(len(b.calls) for b in backends) == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_data_error(self, ws, tmp_path, monkeypatch,
+                                            jobs):
+        backends = []
+        real = cli.make_backend
+
+        def recording(*args):
+            backends.append(real(*args))
+            return backends[-1]
+
+        def no_read(path):
+            raise AssertionError(f"input read: {path}")
+
+        monkeypatch.setattr(cli, "make_backend", recording)
+        monkeypatch.setattr(cli, "read_jsonl", no_read)
+        out = tmp_path / "o.jsonl"
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(out),
+                     "--jobs", jobs]) == 2
         assert sum(len(b.calls) for b in backends) == 0
         assert not out.exists()
 

@@ -4,17 +4,23 @@ import random
 
 import pytest
 
-from conftest import JAVA_DIR, parsed_of, single_method, statement_of
+from conftest import (
+    FIXTURES,
+    JAVA_DIR,
+    fuzz_texts,
+    parsed_of,
+    single_method,
+    statement_of,
+)
 from logfix.model import LogLevel, PlaceholderKind
 from logfix.parser import (
     ParserConfig,
     UnbalancedBraces,
     collect_scope_identifiers,
     extract_file,
-    extract_methods,
+    lex,
     parse_statement_text,
     render_statement,
-    strip_comments,
 )
 
 
@@ -117,12 +123,169 @@ def test_custom_receivers_and_level_methods():
 
 def test_strip_comments_preserves_offsets():
     src = 'a /* gone */ b // tail\nc'
-    out = strip_comments(src)
+    out = lex(src).stripped
     assert len(out) == len(src)
     assert "gone" not in out
     assert "tail" not in out
     assert out.index("b") == src.index("b")
     assert out.index("c") == src.index("c")
+
+
+# ---------------------------------------------------------------------------
+# Lexing: the single pass against the five scanners it replaced, each of
+# which walked the text on its own
+# ---------------------------------------------------------------------------
+def _ref_strip_comments(source: str) -> str:
+    """Replace // and /* */ comments with spaces, preserving all offsets."""
+    out = list(source)
+    i, n = 0, len(source)
+    CODE, LINE, BLOCK, STR, CHR = range(5)
+    state = CODE
+    while i < n:
+        c = source[i]
+        if state == CODE:
+            if c == "/" and i + 1 < n and source[i + 1] == "/":
+                out[i] = out[i + 1] = " "
+                i += 2
+                state = LINE
+            elif c == "/" and i + 1 < n and source[i + 1] == "*":
+                out[i] = out[i + 1] = " "
+                i += 2
+                state = BLOCK
+            elif c == '"':
+                i += 1
+                state = STR
+            elif c == "'":
+                i += 1
+                state = CHR
+            else:
+                i += 1
+        elif state == LINE:
+            if c == "\n":
+                state = CODE
+            else:
+                out[i] = " "
+            i += 1
+        elif state == BLOCK:
+            if c == "*" and i + 1 < n and source[i + 1] == "/":
+                out[i] = out[i + 1] = " "
+                i += 2
+                state = CODE
+            else:
+                if c != "\n":
+                    out[i] = " "
+                i += 1
+        elif state == STR:
+            if c == "\\" and i + 1 < n:
+                i += 2
+            elif c == '"' or c == "\n":
+                # a raw newline ends the literal defensively; Java literals
+                # cannot span lines anyway
+                i += 1
+                state = CODE
+            else:
+                i += 1
+        else:  # CHR
+            if c == "\\" and i + 1 < n:
+                i += 2
+            elif c == "'" or c == "\n":
+                i += 1
+                state = CODE
+            else:
+                i += 1
+    return "".join(out)
+
+
+def _ref_literal_mask(text: str) -> bytearray:
+    """mask[i] == 1 when text[i] sits inside a string/char literal (quotes included)."""
+    mask = bytearray(len(text))
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == '"' or c == "'":
+            quote = c
+            mask[i] = 1
+            i += 1
+            while i < n:
+                d = text[i]
+                mask[i] = 1
+                if d == "\\" and i + 1 < n:
+                    mask[i + 1] = 1
+                    i += 2
+                    continue
+                i += 1
+                if d == quote or d == "\n":
+                    if d == "\n":
+                        mask[i - 1] = 0
+                    break
+        else:
+            i += 1
+    return mask
+
+
+def _ref_match_paren(text: str, mask: bytearray, open_idx: int) -> int:
+    """Index of the ')' matching text[open_idx] == '(', or -1."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if mask[i]:
+            continue
+        c = text[i]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def _ref_match_brace(text: str, mask: bytearray, open_idx: int) -> int:
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if mask[i]:
+            continue
+        c = text[i]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def _ref_line_starts(text: str) -> list[int]:
+    starts = [0]
+    for i, c in enumerate(text):
+        if c == "\n":
+            starts.append(i + 1)
+    return starts
+
+
+def _reference_lex(source: str):
+    stripped = _ref_strip_comments(source)
+    mask = _ref_literal_mask(stripped)
+    closes = {}
+    for i, c in enumerate(stripped):
+        if not mask[i] and c == "(":
+            closes[i] = _ref_match_paren(stripped, mask, i)
+        elif not mask[i] and c == "{":
+            closes[i] = _ref_match_brace(stripped, mask, i)
+    return stripped, mask, _ref_line_starts(stripped), closes
+
+
+def test_lexer_matches_reference_scanners():
+    texts = list(fuzz_texts(10_000))
+    fixtures = sorted(FIXTURES.rglob("*.java"))
+    assert len(fixtures) >= 50
+    texts.extend(path.read_text(encoding="utf-8") for path in fixtures)
+    for text in texts:
+        stripped, mask, starts, closes = _reference_lex(text)
+        lexed = lex(text)
+        assert lexed.stripped == stripped, text
+        assert lexed.mask == mask, text
+        assert lexed.starts == starts, text
+        assert {i: lexed.close(i) for i in closes} == closes, text
 
 
 def test_comment_inside_argument_list_is_ignored():
@@ -160,7 +323,7 @@ public class Worker {
 def test_extract_file_keeps_only_logging_methods():
     result = extract_file(SOURCE, "Worker.java", None, "demo")
     assert not result.errors
-    assert [ctx.qualified_name for ctx in result.methods] == ["Worker.run"]
+    assert [ctx.qualified_name for ctx, _ in result.records] == ["Worker.run"]
     ctx, parsed = result.records[0]
     assert ctx.project_id == "demo"
     assert len(parsed) == 2
@@ -175,14 +338,9 @@ def test_extract_file_keeps_only_logging_methods():
 
 def test_extract_file_statement_lines_match_source():
     result = extract_file(SOURCE, "Worker.java", None, "demo")
-    stmt = result.statements[0]
+    stmt = result.records[0][1][0].statement
     line = SOURCE.splitlines()[stmt.location.start_line - 1]
     assert stmt.raw_text in line
-
-
-def test_extract_methods_wrapper():
-    methods = extract_methods(SOURCE, "Worker.java", None, "demo")
-    assert [m.qualified_name for m in methods] == ["Worker.run"]
 
 
 def test_nested_class_qualified_name():
@@ -245,7 +403,7 @@ def test_render_round_trip_on_bundled_sources():
         source = path.read_text(encoding="utf-8")
         result = extract_file(source, path.name, None, "rt")
         assert not result.errors, (path, result.errors)
-        assert result.statements, path
+        assert any(parsed for _, parsed in result.records), path
         for _, parsed in result.records:
             for p in parsed:
                 assert render_statement(p) == p.statement.raw_text, path
@@ -267,4 +425,4 @@ def test_extraction_survives_random_garbage():
         n = rng.randrange(0, 200)
         data = bytes(rng.randrange(256) for _ in range(n))
         text = data.decode("latin-1")
-        extract_methods(text, "Garbage.java")  # must not raise
+        extract_file(text, "Garbage.java")  # must not raise

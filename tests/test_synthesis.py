@@ -11,6 +11,9 @@ from logfix.backends import MockBackend
 from logfix.parser import extract_file
 from logfix.model import (
     DefectLabel,
+    LabeledSample,
+    LogLevel,
+    Provenance,
     ProvenanceKind,
     validate_sample,
 )
@@ -383,6 +386,28 @@ class TestMutateSemantic:
         assert record.detail == "llm:mock"
         assert record.original == stmts[0].raw_text
         assert len(backend.calls) == 1
+
+    def test_backend_reply_keeps_its_level_and_drops_its_comment(self):
+        ctx, stmts = single_method(CHANNEL_SOURCE)
+        # scripted for the statement-code prompt only; the other kinds
+        # fall back to the rules
+        backend = MockBackend(transcript=[(
+            "contradicts",
+            '<MUTATED>LOG.warn("channel {} opened", remoteAddr); // x'
+            '</MUTATED>',
+        )])
+        clean = [LabeledSample(
+            context=ctx, target=stmts[0], label=DefectLabel.NON_DEFECT,
+            provenance=Provenance(kind=ProvenanceKind.WELL_MAINTAINED))]
+        corpus = synthesize_corpus(clean, 1, backend=backend)
+        [sample] = [s for s in corpus
+                    if s.label is DefectLabel.STATEMENT_CODE]
+        target = sample.target
+        assert target.level is LogLevel.WARN
+        assert target.raw_text == 'LOG.warn("channel {} opened", remoteAddr);'
+        assert (target.location, target.method_id) == (
+            stmts[0].location, stmts[0].method_id)
+        assert target.raw_text in sample.context.source_text
 
     def test_backend_junk_reply_falls_back_to_rules(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
