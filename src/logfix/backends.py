@@ -13,11 +13,14 @@ import json
 import os
 import re
 import threading
+import time
 from typing import Protocol, runtime_checkable
 
 import requests
 
 TOKEN_ENV_VAR = "LOGFIX_LLM_TOKEN"
+# Seconds between the starts of two requests from one HttpBackend.
+MIN_REQUEST_INTERVAL = 0.5
 
 
 class BackendError(Exception):
@@ -27,11 +30,8 @@ class BackendError(Exception):
 @runtime_checkable
 class LlmBackend(Protocol):
     name: str
-    # True when calls should be spaced out (RepairConfig.min_request_interval)
-    rate_limited: bool
 
-    def complete(self, prompt: str, max_output_tokens: int = 512,
-                 temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         ...
 
 
@@ -56,7 +56,6 @@ class MockBackend:
     """
 
     name = "mock"
-    rate_limited = False
 
     def __init__(self, transcript: list[tuple[str, str]] | None = None):
         self.transcript = [(re.compile(p, re.DOTALL), r)
@@ -64,8 +63,7 @@ class MockBackend:
         self.calls: list[str] = []
         self._lock = threading.Lock()
 
-    def complete(self, prompt: str, max_output_tokens: int = 512,
-                 temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         with self._lock:
             self.calls.append(prompt)
         for pattern, reply in self.transcript:
@@ -84,9 +82,11 @@ class MockBackend:
 
 
 class HttpBackend:
-    """Minimal chat-completion client (OpenAI-style request/response shape)."""
+    """Minimal chat-completion client (OpenAI-style request/response shape).
 
-    rate_limited = True
+    Requests start at least MIN_REQUEST_INTERVAL seconds apart, across all
+    threads that share the instance; the first one is not delayed.
+    """
 
     def __init__(self, endpoint: str, model: str, timeout_seconds: float = 60.0,
                  name: str = "http"):
@@ -94,18 +94,30 @@ class HttpBackend:
         self.model = model
         self.timeout_seconds = timeout_seconds
         self.name = name
+        self._pace_lock = threading.Lock()
+        self._next_at = 0.0
 
-    def complete(self, prompt: str, max_output_tokens: int = 512,
-                 temperature: float = 0.0) -> str:
+    def _pace(self) -> None:
+        # Waiting under the lock queues the threads, and the next slot is
+        # taken from the clock after the wait, so starts keep the interval
+        # even when a sleep overshoots.
+        with self._pace_lock:
+            delay = self._next_at - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            self._next_at = time.monotonic() + MIN_REQUEST_INTERVAL
+
+    def complete(self, prompt: str) -> str:
         token = os.environ.get(TOKEN_ENV_VAR, "")
         if not token:
             raise BackendError(
                 f"no API token: set the {TOKEN_ENV_VAR} environment variable")
+        self._pace()
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "max_tokens": max_output_tokens,
-            "temperature": temperature,
+            "max_tokens": 512,
+            "temperature": 0.0,
         }
         try:
             resp = requests.post(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     LABELS,
@@ -32,31 +32,6 @@ class DegenerateOrigin(ArithmeticError):
 # ---------------------------------------------------------------------------
 # Detection metrics
 # ---------------------------------------------------------------------------
-@dataclass
-class ConfusionTally:
-    tp: dict[DefectLabel, int] = field(default_factory=dict)
-    fp: dict[DefectLabel, int] = field(default_factory=dict)
-    fn: dict[DefectLabel, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for label in LABELS:
-            self.tp.setdefault(label, 0)
-            self.fp.setdefault(label, 0)
-            self.fn.setdefault(label, 0)
-
-    @classmethod
-    def from_pairs(cls, preds: list[DefectLabel],
-                   golds: list[DefectLabel]) -> "ConfusionTally":
-        tally = cls()
-        for pred, gold in zip(preds, golds):
-            if pred is gold:
-                tally.tp[gold] += 1
-            else:
-                tally.fp[pred] += 1
-                tally.fn[gold] += 1
-        return tally
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
@@ -68,7 +43,6 @@ class ClassMetrics:
 class DetectionReport:
     per_class: dict[DefectLabel, ClassMetrics]
     f1_macro: float
-    tally: ConfusionTally
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -82,16 +56,18 @@ def detection_metrics(preds: list[DefectLabel],
     if len(preds) != len(golds) or not golds:
         raise LengthMismatch(
             f"{len(preds)} predictions vs {len(golds)} gold labels")
-    tally = ConfusionTally.from_pairs(preds, golds)
+    pairs = list(zip(preds, golds))
+    tp = Counter(gold for pred, gold in pairs if pred is gold)
+    fp = Counter(pred for pred, gold in pairs if pred is not gold)
+    fn = Counter(gold for pred, gold in pairs if pred is not gold)
     per_class: dict[DefectLabel, ClassMetrics] = {}
     for label in LABELS:
-        tp, fp, fn = tally.tp[label], tally.fp[label], tally.fn[label]
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
+        precision = _safe_div(tp[label], tp[label] + fp[label])
+        recall = _safe_div(tp[label], tp[label] + fn[label])
         f1 = _safe_div(2 * precision * recall, precision + recall)
         per_class[label] = ClassMetrics(precision, recall, f1)
     macro = sum(m.f1 for m in per_class.values()) / len(LABELS)
-    return DetectionReport(per_class=per_class, f1_macro=macro, tally=tally)
+    return DetectionReport(per_class=per_class, f1_macro=macro)
 
 
 def f1_macro(preds: list[DefectLabel], golds: list[DefectLabel]) -> float:

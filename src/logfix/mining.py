@@ -94,51 +94,59 @@ class CommitSnapshotPair:
     changed_files: tuple[ChangedFile, ...]
 
 
+def _decode(data: bytes) -> str:
+    """UTF-8 text with newlines translated, as text-mode reading gives it.
+    Raises UnicodeDecodeError for bytes that are not UTF-8."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _skip_warning(commit: str, path: str) -> None:
+    log.warning("commit %s: %s is not UTF-8 text, commit skipped", commit, path)
+
+
 class GitHistoryProvider:
     """Walks the first-parent chain of a local git repository via the git CLI.
 
-    Output is decoded as UTF-8 with newlines translated. A commit with a
-    changed file that is not UTF-8 text is left out of the pairs, with a
-    warning that names the commit and the path.
+    Paths are read verbatim (`diff-tree -z`), file contents are decoded by
+    `_decode`. A commit with a changed file whose name or content is not
+    UTF-8 text, or whose content git cannot show, is left out of the pairs
+    with a warning that names the commit and the path.
     """
 
     def __init__(self, repo_path: str, since: str | None = None):
         self.repo_path = repo_path
         self.since = since
 
-    def _git(self, *args: str) -> str:
-        proc = subprocess.run(
+    def _git(self, *args: str) -> bytes:
+        return subprocess.run(
             ["git", "-C", self.repo_path, *args],
-            capture_output=True, encoding="utf-8", check=True)
-        return proc.stdout
-
-    def _show(self, commit: str, path: str) -> str:
-        proc = subprocess.run(
-            ["git", "-C", self.repo_path, "show", f"{commit}:{path}"],
-            capture_output=True, encoding="utf-8")
-        return proc.stdout if proc.returncode == 0 else ""
+            capture_output=True, check=True).stdout
 
     def commit_pairs(self) -> list[CommitSnapshotPair]:
         args = ["log", "--reverse", "--first-parent", "--pretty=%H"]
         if self.since:
             args.append(f"--since={self.since}")
-        shas = self._git(*args).split()
+        shas = self._git(*args).decode("utf-8").split()
         pairs: list[CommitSnapshotPair] = []
         for parent, child in zip(shas, shas[1:]):
-            out = self._git("diff-tree", "-r", "--no-renames",
-                            "--name-status", parent, child)
+            fields = self._git("diff-tree", "-z", "-r", "--no-renames",
+                               "--name-status", parent, child).split(b"\0")
             files: list[ChangedFile] = []
-            for line in out.splitlines():
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    continue
-                status, path = parts[0], parts[-1]
+            for status, raw_path in zip(fields[0::2], fields[1::2]):
+                shown = raw_path.decode("utf-8", "backslashreplace")
                 try:
-                    before = self._show(parent, path) if status != "A" else ""
-                    after = self._show(child, path) if status != "D" else ""
+                    path = raw_path.decode("utf-8")
+                    before = (_decode(self._git("show", f"{parent}:{path}"))
+                              if status != b"A" else "")
+                    after = (_decode(self._git("show", f"{child}:{path}"))
+                             if status != b"D" else "")
                 except UnicodeDecodeError:
-                    log.warning("commit %s: %s is not UTF-8 text, commit "
-                                "skipped", child, path)
+                    _skip_warning(child, shown)
+                    break
+                except subprocess.CalledProcessError as exc:
+                    log.warning("commit %s: git cannot show %s (%s), commit "
+                                "skipped", child, shown,
+                                exc.stderr.decode("utf-8", "replace").strip())
                     break
                 files.append((path, before, after))
             else:
@@ -151,21 +159,30 @@ class FixtureHistoryProvider:
 
     Each directory is a full tree; consecutive directories (sorted by name)
     form the commit pairs. The part after the first underscore is the commit
-    id.
+    id. Files are decoded by `_decode`; a commit that changes a file whose
+    name or content is not UTF-8 text is left out of the pairs, with the git
+    provider's warning.
     """
 
     def __init__(self, history_dir: str):
         self.history_dir = history_dir
 
-    def _snapshot(self, dirname: str) -> dict[str, str]:
+    def _snapshot(self, dirname: str) -> dict[str, str | bytes]:
+        """Path -> decoded text, or the raw bytes when the file's name or
+        content is not UTF-8."""
         root = os.path.join(self.history_dir, dirname)
-        tree: dict[str, str] = {}
+        tree: dict[str, str | bytes] = {}
         for base, _, names in os.walk(root):
             for name in names:
                 full = os.path.join(base, name)
-                rel = os.path.relpath(full, root)
-                with open(full, "r", encoding="utf-8") as fh:
-                    tree[rel.replace(os.sep, "/")] = fh.read()
+                rel = os.path.relpath(full, root).replace(os.sep, "/")
+                with open(full, "rb") as fh:
+                    data = fh.read()
+                try:
+                    rel.encode("utf-8")  # fails on an undecodable name
+                    tree[rel] = _decode(data)
+                except UnicodeError:
+                    tree[rel] = data
         return tree
 
     def commit_pairs(self) -> list[CommitSnapshotPair]:
@@ -176,16 +193,23 @@ class FixtureHistoryProvider:
         for prev, cur in zip(dirs, dirs[1:]):
             before_tree = self._snapshot(prev)
             after_tree = self._snapshot(cur)
+            commit_id = cur.split("_", 1)[1]
             changed: list[ChangedFile] = []
             for path in sorted(set(before_tree) | set(after_tree)):
                 b = before_tree.get(path, "")
                 a = after_tree.get(path, "")
-                if b != a:
-                    changed.append((path, b, a))
-            pairs.append(CommitSnapshotPair(
-                commit_id=cur.split("_", 1)[1],
-                parent_id=prev.split("_", 1)[1],
-                changed_files=tuple(changed)))
+                if b == a:
+                    continue
+                if isinstance(b, bytes) or isinstance(a, bytes):
+                    _skip_warning(commit_id, os.fsencode(path).decode(
+                        "utf-8", "backslashreplace"))
+                    break
+                changed.append((path, b, a))
+            else:
+                pairs.append(CommitSnapshotPair(
+                    commit_id=commit_id,
+                    parent_id=prev.split("_", 1)[1],
+                    changed_files=tuple(changed)))
         return pairs
 
 

@@ -6,9 +6,6 @@ record — the pipeline itself never raises."""
 from __future__ import annotations
 
 import re
-import string
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -53,22 +50,13 @@ class CheckerVerdict:
 # ---------------------------------------------------------------------------
 # Prompt templates
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PromptTemplate:
-    text: str
-
-    def slots(self) -> set[str]:
-        return {name for _, name, _, _ in string.Formatter().parse(self.text)
-                if name}
-
-    def render(self, **values: str) -> str:
-        missing = self.slots() - values.keys()
-        if missing:
-            raise ValueError(f"unfilled prompt slots: {sorted(missing)}")
-        return self.text.format(**{k: values[k] for k in self.slots()})
-
-
-CHECKER_FORMAT_INSTRUCTIONS = (
+CHECKER_TEMPLATE = (
+    "You review one logging statement inside its enclosing method for a "
+    "specific defect type.\n\n"
+    "Defect type: {defect_type}\n"
+    "Definition: {defect_definition}\n\n"
+    "Method source:\n{context}\n\n"
+    "Target statement:\n{statement}\n\n"
     "Reply with exactly three labeled lines:\n"
     "VERDICT: YES or NO (YES means the statement really has this defect)\n"
     "RATIONALE: one or two sentences justifying the verdict\n"
@@ -76,35 +64,17 @@ CHECKER_FORMAT_INSTRUCTIONS = (
     "code do"
 )
 
-UPDATER_FORMAT_INSTRUCTIONS = (
+UPDATER_TEMPLATE = (
+    "You fix one defective logging statement.\n\n"
+    "Defect type: {defect_type}\n"
+    "Statement and code semantics (from review):\n{checker_output}\n\n"
+    "Method source:\n{context}\n\n"
+    "Past fixes of similar statements:\n{exemplars}\n\n"
+    "Target statement:\n{statement}\n\n"
     "Rewrite the target statement so the defect is gone while preserving "
     "its intent, level, and argument structure as far as correctness "
     "allows. Reply with exactly one code line between <UPDATED> and "
     "</UPDATED>."
-)
-
-DEFAULT_CHECKER_TEMPLATE = PromptTemplate(
-    text=(
-        "You review one logging statement inside its enclosing method for a "
-        "specific defect type.\n\n"
-        "Defect type: {defect_type}\n"
-        "Definition: {defect_definition}\n\n"
-        "Method source:\n{context}\n\n"
-        "Target statement:\n{statement}\n\n"
-        "{format_instructions}"
-    ),
-)
-
-DEFAULT_UPDATER_TEMPLATE = PromptTemplate(
-    text=(
-        "You fix one defective logging statement.\n\n"
-        "Defect type: {defect_type}\n"
-        "Statement and code semantics (from review):\n{checker_output}\n\n"
-        "Method source:\n{context}\n\n"
-        "Past fixes of similar statements:\n{exemplars}\n\n"
-        "Target statement:\n{statement}\n\n"
-        "{format_instructions}"
-    ),
 )
 
 
@@ -124,12 +94,11 @@ def build_checker_prompt(
 ) -> str:
     if label is DefectLabel.NON_DEFECT:
         raise ValueError("checker prompts are only built for defect labels")
-    return DEFAULT_CHECKER_TEMPLATE.render(
+    return CHECKER_TEMPLATE.format(
         statement=stmt.raw_text,
         context=context.source_text,
         defect_type=label.value,
         defect_definition=defect_definition(label),
-        format_instructions=CHECKER_FORMAT_INSTRUCTIONS,
     )
 
 
@@ -179,32 +148,32 @@ def build_updater_prompt(
 ) -> str:
     if not verdict.confirmed:
         raise ValueError("updater prompts require a confirmed verdict")
-    return DEFAULT_UPDATER_TEMPLATE.render(
+    return UPDATER_TEMPLATE.format(
         statement=stmt.raw_text,
         context=context.source_text,
         defect_type=label.value,
         checker_output=verdict.semantic_notes or verdict.rationale,
         exemplars=_render_exemplars(exemplars),
-        format_instructions=UPDATER_FORMAT_INSTRUCTIONS,
     )
 
 
-_UPDATED_RE = re.compile(r"<UPDATED>\s*(.*?)\s*</UPDATED>", re.DOTALL)
-
-
-def parse_updater_reply(
-    text: str,
+def parse_tagged_reply(
+    reply: str,
+    tag: str,
     original: LoggingStatement,
     config: ParserConfig | None = None,
 ) -> LoggingStatement:
-    found = _UPDATED_RE.search(text)
+    """The statement between the first <tag> and </tag> of a backend reply,
+    re-parsed and placed where `original` is (`relocate`). The updater's
+    replies use UPDATED, semantic mutations use MUTATED."""
+    found = re.search(rf"<{tag}>\s*(.*?)\s*</{tag}>", reply, re.DOTALL)
     if not found:
-        raise MalformedReply("reply lacks <UPDATED> sentinels")
-    content = found.group(1).strip()
+        raise MalformedReply(f"reply lacks <{tag}> sentinels")
+    content = found.group(1)
     parsed = parse_statement_text(content, config)
     if parsed is None:
         raise NotALoggingStatement(
-            f"updated text is not a logger call: {content!r}")
+            f"{tag.lower()} text is not a logger call: {content!r}")
     return relocate(parsed.statement, original)
 
 
@@ -215,32 +184,7 @@ def parse_updater_reply(
 class RepairConfig:
     exemplar_count: int = 3
     workers: int = 4
-    # Minimum spacing between calls to a backend whose `rate_limited` is
-    # true; the others are never throttled.
-    min_request_interval: float = 0.5
     parser_config: ParserConfig | None = None
-
-
-class _RateLimiter:
-    def __init__(self, interval: float) -> None:
-        self.interval = interval
-        self._lock = threading.Lock()
-        self._next_at = 0.0
-
-    def wait(self) -> None:
-        if self.interval <= 0:
-            return
-        with self._lock:
-            now = time.monotonic()
-            delay = self._next_at - now
-            self._next_at = max(now, self._next_at) + self.interval
-        if delay > 0:
-            time.sleep(delay)
-
-
-def _limiter_for(backend: LlmBackend, config: RepairConfig) -> _RateLimiter:
-    return _RateLimiter(
-        config.min_request_interval if backend.rate_limited else 0.0)
 
 
 def run_pipeline(
@@ -250,13 +194,11 @@ def run_pipeline(
     pool: ExemplarPool,
     backend: LlmBackend,
     config: RepairConfig | None = None,
-    _limiter=None,
 ) -> UpdateResult:
     """Confirm and rewrite one statement whose detected (label, confidence)
     is `detection`. Never raises: backend and format failures become
     diagnostics on the result."""
     config = config or RepairConfig()
-    limiter = _limiter if _limiter is not None else _limiter_for(backend, config)
     predicted, confidence = detection
     diagnostics: list[str] = []
     calls = 0
@@ -285,7 +227,6 @@ def run_pipeline(
 
     def call(prompt: str) -> str:
         nonlocal calls
-        limiter.wait()
         calls += 1
         return backend.complete(prompt)
 
@@ -319,8 +260,8 @@ def run_pipeline(
     updated = None
     for attempt in range(2):
         try:
-            updated = parse_updater_reply(call(updater_prompt), stmt,
-                                          config.parser_config)
+            updated = parse_tagged_reply(call(updater_prompt), "UPDATED",
+                                         stmt, config.parser_config)
             break
         except BackendError as exc:
             diagnostics.append(f"backend-error:{exc}")
@@ -348,18 +289,13 @@ def run_pipeline_batch(
     config: RepairConfig | None = None,
 ) -> list[UpdateResult]:
     """Run the pipeline over many (context, statement, detection) items
-    with a bounded worker pool; backend calls share one rate limiter and
-    exemplar selection shares `pool`. Output order matches input."""
+    on `config.workers` threads that share `backend` and `pool`. Output
+    order matches input."""
     config = config or RepairConfig()
-    limiter = _limiter_for(backend, config)
-    if config.workers <= 1 or len(items) <= 1:
-        return [run_pipeline(ctx, stmt, detection, pool, backend, config,
-                             _limiter=limiter)
-                for ctx, stmt, detection in items]
     with ThreadPoolExecutor(max_workers=config.workers) as executor:
         futures = [
             executor.submit(run_pipeline, ctx, stmt, detection, pool,
-                            backend, config, _limiter=limiter)
+                            backend, config)
             for ctx, stmt, detection in items
         ]
         return [f.result() for f in futures]

@@ -33,6 +33,7 @@ from .parser import (
     parse_statement_text,
     relocate,
 )
+from .repair import MalformedReply, NotALoggingStatement, parse_tagged_reply
 from .tokenization import split_subwords
 
 
@@ -504,7 +505,6 @@ def mutate_tense(
 # Semantic mutations (STATEMENT_CODE / STATIC_DYNAMIC)
 # ---------------------------------------------------------------------------
 _IDENT_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
-_MUTATED_RE = re.compile(r"<MUTATED>\s*(.+?)\s*</MUTATED>", re.DOTALL)
 
 _KIND_GOALS = {
     DefectLabel.STATEMENT_CODE: (
@@ -630,8 +630,9 @@ def mutate_semantic(
     """Plant a semantic contradiction of the requested kind.
 
     A configured backend is asked first (transport failures propagate); the
-    deterministic rule fallback runs when no backend is given or its reply is
-    unusable. Without `rng_seed` the fallback picks the first candidate so
+    deterministic rule fallback runs when no backend is given or its reply
+    holds no <MUTATED> logger call that differs from `stmt` once re-parsed.
+    Without `rng_seed` the fallback picks the first candidate so
     repeated calls agree; with a seed it picks uniformly, which lets corpus
     building draw several distinct variants from one statement.
     """
@@ -644,22 +645,17 @@ def mutate_semantic(
 
     if backend is not None:
         reply = backend.complete(_semantic_prompt(stmt, context, kind))
-        found = _MUTATED_RE.search(reply)
-        if found:
-            candidate = found.group(1).strip()
-            if candidate and candidate != stmt.raw_text:
-                try:
-                    rebuilt = _rebuild(stmt, candidate, config)
-                except NoCandidate:
-                    rebuilt = None
-                if rebuilt is not None:
-                    record = MutationRecord(
-                        strategy=strategy,
-                        original=stmt.raw_text,
-                        mutated=candidate,
-                        detail=f"llm:{backend.name}",
-                    )
-                    return rebuilt, record
+        try:
+            mutated = parse_tagged_reply(reply, "MUTATED", stmt, config)
+        except (MalformedReply, NotALoggingStatement):
+            mutated = None
+        if mutated is not None and mutated.raw_text != stmt.raw_text:
+            return mutated, MutationRecord(
+                strategy=strategy,
+                original=stmt.raw_text,
+                mutated=mutated.raw_text,
+                detail=f"llm:{backend.name}",
+            )
 
     rng = random.Random(rng_seed) if rng_seed is not None else None
     antonyms = antonyms or default_antonym_table()

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 import requests
 
+from logfix import backends
 from logfix.backends import (
     BackendError,
     HttpBackend,
@@ -21,7 +24,6 @@ class TestMockBackend:
     def test_satisfies_the_backend_protocol(self):
         assert isinstance(MockBackend(), LlmBackend)
         assert MockBackend().name == "mock"
-        assert MockBackend().rate_limited is False
 
     def test_updater_prompts_echo_the_target_line(self):
         backend = MockBackend()
@@ -127,15 +129,14 @@ class TestHttpBackend:
             endpoint="https://example.invalid/v1/chat", model="m-1",
             timeout_seconds=9.0,
         )
-        reply = backend.complete("the prompt", max_output_tokens=128,
-                                 temperature=0.3)
+        reply = backend.complete("the prompt")
         assert reply == "the reply"
         assert seen["url"] == "https://example.invalid/v1/chat"
         assert seen["headers"] == {"Authorization": "Bearer sekrit"}
         assert seen["timeout"] == 9.0
         assert seen["payload"]["model"] == "m-1"
-        assert seen["payload"]["max_tokens"] == 128
-        assert seen["payload"]["temperature"] == 0.3
+        assert seen["payload"]["max_tokens"] == 512
+        assert seen["payload"]["temperature"] == 0.0
         assert seen["payload"]["messages"] == [
             {"role": "user", "content": "the prompt"}
         ]
@@ -170,4 +171,110 @@ class TestHttpBackend:
     def test_protocol_conformance(self):
         backend = HttpBackend(endpoint="https://example.invalid", model="m")
         assert isinstance(backend, LlmBackend)
-        assert backend.rate_limited is True
+
+
+class OkResponse:
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": "ok"}}]}
+
+
+def forbidden_sleep(seconds):  # pragma: no cover - must not run
+    raise AssertionError(f"unexpected wait of {seconds} s")
+
+
+class TestHttpBackendPacing:
+    """Request starts are spaced MIN_REQUEST_INTERVAL apart per instance;
+    the patched `requests.post` records when each request starts."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
+        recorded: list[float] = []
+        lock = threading.Lock()
+
+        def fake_post(*args, **kwargs):
+            with lock:
+                recorded.append(time.monotonic())
+            return OkResponse()
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        return recorded
+
+    def test_enforces_spacing(self, monkeypatch, starts):
+        interval = 0.2
+        monkeypatch.setattr(backends, "MIN_REQUEST_INTERVAL", interval)
+        backend = HttpBackend(endpoint="https://example.invalid", model="m")
+        began = time.monotonic()
+        threads = [
+            threading.Thread(target=lambda n=n: [backend.complete("p")
+                                                 for _ in range(n)])
+            for n in (1, 2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(starts) == 3
+        starts.sort()
+        # The first request is not delayed; each later one waits its turn.
+        assert starts[0] - began < interval / 2
+        assert starts[1] - starts[0] >= interval
+        assert starts[2] - starts[1] >= interval
+
+    def test_many_threads_share_one_schedule(self, monkeypatch, starts):
+        interval = 0.01
+        monkeypatch.setattr(backends, "MIN_REQUEST_INTERVAL", interval)
+        backend = HttpBackend(endpoint="https://example.invalid", model="m")
+        barrier = threading.Barrier(8)
+
+        def calls():
+            barrier.wait(timeout=10)
+            for _ in range(5):
+                backend.complete("p")
+
+        threads = [threading.Thread(target=calls) for _ in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(starts) == 40
+        starts.sort()
+        # A lost update of the schedule would let two requests start
+        # together; half the interval leaves room for scheduling jitter.
+        assert min(b - a for a, b in zip(starts, starts[1:])) >= interval / 2
+
+    def test_zero_interval_is_free(self, monkeypatch, starts):
+        monkeypatch.setattr(backends, "MIN_REQUEST_INTERVAL", 0.0)
+        monkeypatch.setattr(time, "sleep", forbidden_sleep)
+        backend = HttpBackend(endpoint="https://example.invalid", model="m")
+        for _ in range(100):
+            backend.complete("p")
+        assert len(starts) == 100
+
+    def test_missing_token_raises_before_any_wait(self, monkeypatch, starts):
+        monkeypatch.setattr(backends, "MIN_REQUEST_INTERVAL", 30.0)
+        monkeypatch.setattr(time, "sleep", forbidden_sleep)
+        backend = HttpBackend(endpoint="https://example.invalid", model="m")
+        backend.complete("first")  # the next slot is now 30 s away
+        monkeypatch.delenv(TOKEN_ENV_VAR)
+        with pytest.raises(BackendError, match=TOKEN_ENV_VAR):
+            backend.complete("second")
+        assert len(starts) == 1
+
+    def test_instances_are_paced_separately(self, monkeypatch, starts):
+        monkeypatch.setattr(backends, "MIN_REQUEST_INTERVAL", 30.0)
+        monkeypatch.setattr(time, "sleep", forbidden_sleep)
+        for _ in range(3):
+            HttpBackend(endpoint="https://example.invalid",
+                        model="m").complete("p")
+        assert len(starts) == 3

@@ -1,0 +1,34 @@
+"""The benchmark harness under perfbench/ drives logfix through its public
+names and wraps a fixed list of module attributes for tracing. This runs its
+smallest workload end to end, so a change that breaks what the harness uses
+fails here rather than in a benchmark run."""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def worker(*args: str) -> None:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", *args], cwd=REPO_ROOT,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_mine_workload_runs_clean(tmp_path):
+    work = tmp_path / "mine"
+    setup_record = tmp_path / "setup.json"
+    run_record = tmp_path / "run.json"
+    worker("setup", "mine", "tiny", "11", str(work), str(setup_record))
+    worker("run", "mine", str(work), "1", str(run_record))
+    record = json.loads(run_record.read_text(encoding="utf-8"))
+    assert record["problems"] == []
+    assert set(record["exits"].values()) == {0}
+    # Every other patch point still names a logfix attribute.
+    assert record["missing_patch_points"] == ["logfix.repair.predict"]

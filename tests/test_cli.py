@@ -279,6 +279,28 @@ class TestMine:
         assert latin in warning.getMessage()
         assert "Legacy.java" in warning.getMessage()
 
+    def test_non_utf8_snapshot_is_skipped_with_a_warning(self, tmp_path,
+                                                         caplog):
+        service = ("class Service {\n    void act() {\n"
+                   '        log.info("%s worker");\n    }\n}\n')
+        for dirname, message in (("1_base", "starting"), ("2_latin", "starting"),
+                                 ("3_logonly", "started")):
+            (tmp_path / dirname).mkdir()
+            (tmp_path / dirname / "Service.java").write_text(
+                service % message, encoding="utf-8")
+        for dirname in ("2_latin", "3_logonly"):
+            (tmp_path / dirname / "Legacy.java").write_bytes(
+                "class Legacy {\n    // Größe\n}\n".encode("latin-1"))
+        out = tmp_path / "changes.jsonl"
+        with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+            assert main(["mine", "--repo", str(tmp_path),
+                         "--out", str(out)]) == 0
+        [record] = read_jsonl(str(out))
+        assert record["commit_id"] == "logonly"
+        assert record["after"]["raw_text"] == 'log.info("started worker");'
+        assert [r.getMessage() for r in caplog.records] == [
+            "commit latin: Legacy.java is not UTF-8 text, commit skipped"]
+
 
 class TestSynthesize:
     def test_writes_clean_plus_mutants(self, ws, tmp_path):

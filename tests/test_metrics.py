@@ -69,10 +69,13 @@ class TestDetectionMetrics:
             detection_metrics([], [])
 
     def test_tally_counts(self):
+        # SC: one true positive and one false negative; ND: one false
+        # positive.
         report = detection_metrics([ND, SC], [SC, SC])
-        assert report.tally.tp[SC] == 1
-        assert report.tally.fn[SC] == 1
-        assert report.tally.fp[ND] == 1
+        assert report.per_class[SC].precision == 1.0
+        assert report.per_class[SC].recall == 0.5
+        assert report.per_class[ND].precision == 0.0
+        assert report.per_class[ND].recall == 0.0
 
 
 class TestBleu:

@@ -1,10 +1,17 @@
 """Line diffing, history providers, and the extraction of pure
 logging-text changes from commit history."""
 
+import logging
+import os
+import subprocess
+
+import pytest
+
 from logfix.mining import (
     ChangeKind,
     CommitSnapshotPair,
     FixtureHistoryProvider,
+    GitHistoryProvider,
     diff_lines,
     extract_lccs,
 )
@@ -46,6 +53,137 @@ def test_fixture_history_pairs_are_ordered_and_named():
         assert pair.changed_files, pair.commit_id
         for path, before, after in pair.changed_files:
             assert before != after
+
+
+def test_fixture_history_skips_a_commit_with_non_utf8_text(tmp_path, caplog):
+    service = 'class S {\n    void a() {\n        log.info("%s");\n    }\n}\n'
+    snapshots = {
+        "1_base": {"S.java": service % "starting"},
+        "2_latin": {"S.java": service % "starting",
+                    "Legacy.java": "// Gr\u00f6\u00dfe\n".encode("latin-1")},
+        "3_crlf": {"S.java": (service % "started").replace("\n", "\r\n"),
+                   "Legacy.java": "// Gr\u00f6\u00dfe\n".encode("latin-1")},
+    }
+    for dirname, files in snapshots.items():
+        for name, content in files.items():
+            path = tmp_path / dirname / name
+            path.parent.mkdir(exist_ok=True)
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_bytes(content.encode("utf-8"))
+    with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+        pairs = FixtureHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [p.commit_id for p in pairs] == ["crlf"]
+    # An unchanged undecodable file is no reason to skip; newlines read as \n.
+    assert pairs[0].changed_files == (
+        ("S.java", service % "starting", service % "started"),)
+    [warning] = caplog.records
+    assert "commit latin: Legacy.java is not UTF-8 text" in warning.getMessage()
+
+
+def test_fixture_history_skips_a_commit_with_a_non_utf8_name(tmp_path,
+                                                             caplog):
+    service = 'class S {\n    void a() {\n        log.info("%s");\n    }\n}\n'
+    for dirname, message, odd in (("1_base", "starting", False),
+                                  ("2_latin", "starting", True),
+                                  ("3_logonly", "started", True)):
+        (tmp_path / dirname).mkdir()
+        (tmp_path / dirname / "S.java").write_text(service % message,
+                                                   encoding="utf-8")
+        if odd:
+            with open(os.path.join(os.fsencode(tmp_path), dirname.encode(),
+                                   b"Caf\xe9.java"), "wb") as fh:
+                fh.write((service % "opening lease").encode("utf-8"))
+    with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+        pairs = FixtureHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [p.commit_id for p in pairs] == ["logonly"]
+    [warning] = caplog.records
+    assert "commit latin: Caf\\xe9.java is not UTF-8 text" in (
+        warning.getMessage())
+
+
+class GitRepo:
+    """A scratch git repository built one commit at a time."""
+
+    def __init__(self, root):
+        self.root = root
+        self.git("init", "-q")
+
+    def git(self, *args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(self.root), "-c", "user.name=t",
+             "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+             *args],
+            capture_output=True, text=True, check=True).stdout.strip()
+
+    def commit(self, files: dict[bytes, str]) -> str:
+        for name, text in files.items():
+            with open(os.path.join(os.fsencode(self.root), name), "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        self.git("add", "-A")
+        self.git("commit", "-q", "--allow-empty", "-m", "change")
+        return self.git("rev-parse", "HEAD")
+
+
+def service_source(message: str, code: str = "n += 1;") -> str:
+    return java(code, f'log.info("{message}");')
+
+
+@pytest.mark.parametrize("odd", ["Caf\u00e9.java", "Tab\tName.java",
+                                 'Quote"Name.java'])
+def test_git_history_reads_paths_verbatim(tmp_path, odd):
+    repo = GitRepo(tmp_path)
+    name = odd.encode("utf-8")
+    repo.commit({name: service_source("opening lease"),
+                 b"Other.java": service_source("starting worker")})
+    mixed = repo.commit({name: service_source("opening lease", "n += 2;"),
+                         b"Other.java": service_source("started worker")})
+    log_only = repo.commit({name: service_source("opened lease", "n += 2;")})
+    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [p.commit_id for p in pairs] == [mixed, log_only]
+    assert dict((path, (before, after))
+                for path, before, after in pairs[0].changed_files)[odd] == (
+        service_source("opening lease"),
+        service_source("opening lease", "n += 2;"))
+    # The code edit in the odd path keeps the mixed commit out.
+    changes = extract_lccs(pairs, None, "proj")
+    assert [(c.commit_id, c.after.location.path, c.after.raw_text)
+            for c in changes] == [
+        (log_only, odd, 'log.info("opened lease");')]
+
+
+def test_git_history_skips_a_non_utf8_path(tmp_path, caplog):
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Other.java": service_source("starting worker")})
+    latin = repo.commit({b"Caf\xe9.java": service_source("opening lease")})
+    log_only = repo.commit({b"Other.java": service_source("started worker")})
+    with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+        pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [p.commit_id for p in pairs] == [log_only]
+    [warning] = caplog.records
+    assert f"commit {latin}: Caf\\xe9.java is not UTF-8" in (
+        warning.getMessage())
+
+
+def test_git_history_skips_a_file_git_cannot_show(tmp_path, caplog):
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Other.java": service_source("starting worker")})
+    # A submodule entry whose commit is not in the repository: `git show`
+    # fails on it, which must not read as an unchanged empty file.
+    (tmp_path / "Other.java").write_text(service_source("started worker"),
+                                         encoding="utf-8")
+    repo.git("add", "-A")
+    repo.git("update-index", "--add", "--cacheinfo",
+             "160000,1111111111111111111111111111111111111111,vendor/lib")
+    repo.git("commit", "-q", "-m", "bump")
+    bump = repo.git("rev-parse", "HEAD")
+    with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+        pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert pairs == []
+    [warning] = caplog.records
+    assert f"commit {bump}: git cannot show vendor/lib" in (
+        warning.getMessage())
 
 
 # ---------------------------------------------------------------------------

@@ -2,33 +2,30 @@
 never-raising pipeline."""
 from __future__ import annotations
 
+import string
 import time
 
 import pytest
 
 from conftest import make_change, single_method
-from logfix.backends import BackendError, HttpBackend, MockBackend
+from logfix.backends import BackendError, MockBackend
 from logfix.model import (
     DefectLabel,
     result_to_dict,
     statement_id,
 )
 from logfix.repair import (
-    CHECKER_FORMAT_INSTRUCTIONS,
+    CHECKER_TEMPLATE,
     CheckerVerdict,
-    DEFAULT_CHECKER_TEMPLATE,
-    DEFAULT_UPDATER_TEMPLATE,
     MalformedReply,
     NotALoggingStatement,
-    PromptTemplate,
     RepairConfig,
-    _RateLimiter,
-    _limiter_for,
+    UPDATER_TEMPLATE,
     build_checker_prompt,
     build_updater_prompt,
     defect_definition,
     parse_checker_reply,
-    parse_updater_reply,
+    parse_tagged_reply,
     run_pipeline,
     run_pipeline_batch,
 )
@@ -48,8 +45,6 @@ DEFECT_LABELS = (
     DefectLabel.TEMPORAL,
     DefectLabel.READABILITY,
 )
-
-FAST = RepairConfig(min_request_interval=0.0)
 
 YES_REPLY = (
     "VERDICT: YES\n"
@@ -80,14 +75,12 @@ class QueueBackend:
     """Replays a fixed list of replies; an Exception entry is raised."""
 
     name = "queue"
-    rate_limited = True
 
     def __init__(self, replies):
         self.replies = list(replies)
         self.calls: list[str] = []
 
-    def complete(self, prompt: str, max_output_tokens: int = 512,
-                 temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         self.calls.append(prompt)
         item = self.replies.pop(0)
         if isinstance(item, Exception):
@@ -100,27 +93,17 @@ class QueueBackend:
 # ---------------------------------------------------------------------------
 class TestPromptTemplate:
     def test_slot_discovery(self):
-        assert DEFAULT_CHECKER_TEMPLATE.slots() == {
+        def slots(template):
+            return {name for _, name, _, _ in string.Formatter().parse(template)
+                    if name}
+
+        assert slots(CHECKER_TEMPLATE) == {
             "defect_type", "defect_definition", "context", "statement",
-            "format_instructions",
         }
-        assert DEFAULT_UPDATER_TEMPLATE.slots() == {
+        assert slots(UPDATER_TEMPLATE) == {
             "defect_type", "checker_output", "context", "exemplars",
-            "statement", "format_instructions",
+            "statement",
         }
-
-    def test_render_fills_slots(self):
-        template = PromptTemplate(text="a={a} b={b}")
-        assert template.render(a="1", b="2") == "a=1 b=2"
-
-    def test_render_rejects_missing_slots(self):
-        template = PromptTemplate(text="{a} {b}")
-        with pytest.raises(ValueError, match="b"):
-            template.render(a="1")
-
-    def test_render_ignores_extra_values(self):
-        template = PromptTemplate(text="{a}")
-        assert template.render(a="x", unrelated="y") == "x"
 
 
 class TestDefectDefinitions:
@@ -144,7 +127,7 @@ class TestCheckerPrompt:
         assert ctx.source_text in prompt
         assert "STATEMENT_CODE" in prompt
         assert defect_definition(DefectLabel.STATEMENT_CODE) in prompt
-        assert CHECKER_FORMAT_INSTRUCTIONS in prompt
+        assert "Reply with exactly three labeled lines:" in prompt
 
     def test_rejects_non_defect(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
@@ -224,10 +207,10 @@ class TestParseUpdaterReply:
     def test_valid_reply_keeps_identity_fields(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         original = stmts[0]
-        updated = parse_updater_reply(
+        updated = parse_tagged_reply(
             'text before <UPDATED>  LOG.debug("channel {} opened", '
             'remoteAddr);  </UPDATED> text after',
-            original,
+            "UPDATED", original,
         )
         assert updated.raw_text == 'LOG.debug("channel {} opened", remoteAddr);'
         assert updated.location == original.location
@@ -241,13 +224,23 @@ class TestParseUpdaterReply:
     def test_missing_sentinels(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         with pytest.raises(MalformedReply):
-            parse_updater_reply("here is the fix: log.info(...)", stmts[0])
+            parse_tagged_reply("here is the fix: log.info(...)", "UPDATED",
+                               stmts[0])
 
     def test_non_statement_content(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         with pytest.raises(NotALoggingStatement):
-            parse_updater_reply("<UPDATED>return count + 1;</UPDATED>",
-                                stmts[0])
+            parse_tagged_reply("<UPDATED>return count + 1;</UPDATED>",
+                               "UPDATED", stmts[0])
+
+    def test_only_the_requested_tag_is_read(self):
+        ctx, stmts = single_method(CHANNEL_SOURCE)
+        reply = '<MUTATED>LOG.debug("channel {} opened", remoteAddr);</MUTATED>'
+        with pytest.raises(MalformedReply, match="<UPDATED>"):
+            parse_tagged_reply(reply, "UPDATED", stmts[0])
+        mutated = parse_tagged_reply(reply, "MUTATED", stmts[0])
+        assert mutated.raw_text == 'LOG.debug("channel {} opened", remoteAddr);'
+
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,7 @@ class TestRunPipeline:
         ])
         result = run_pipeline(ctx, stmts[0],
                               detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend, FAST)
+                              make_pool(), backend)
         assert result.checker_confirmed is True
         assert result.updated_statement is not None
         assert result.updated_statement.raw_text == (
@@ -339,7 +332,7 @@ class TestRunPipeline:
         backend = QueueBackend([BackendError("boom")])
         result = run_pipeline(ctx, stmts[0],
                               detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend, FAST)
+                              make_pool(), backend)
         assert result.checker_confirmed is False
         assert result.updated_statement is None
         assert any(d.startswith("backend-error:") for d in result.diagnostics)
@@ -350,7 +343,7 @@ class TestRunPipeline:
         backend = QueueBackend([YES_REPLY, BackendError("boom")])
         result = run_pipeline(ctx, stmts[0],
                               detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend, FAST)
+                              make_pool(), backend)
         assert result.checker_confirmed is True
         assert result.checker_semantics
         assert len(result.exemplars) == 3
@@ -425,7 +418,7 @@ class TestRunPipeline:
         backend = QueueBackend([YES_REPLY, "", "", ""])
         result = run_pipeline(ctx, stmts[0],
                               detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend, FAST)
+                              make_pool(), backend)
         assert result.updated_statement is None
         assert result.diagnostics[-1].startswith("backend-calls:")
 
@@ -466,38 +459,7 @@ class TestRunPipelineBatch:
 
     def test_mock_backend_is_never_throttled(self):
         items = self.make_items()
-        config = RepairConfig(min_request_interval=30.0)
         started = time.perf_counter()
-        results = run_pipeline_batch(items, make_pool(), MockBackend(),
-                                     config)
+        results = run_pipeline_batch(items, make_pool(), MockBackend())
         assert len(results) == 3
         assert time.perf_counter() - started < 5.0
-
-
-class TestRateLimiter:
-    def test_enforces_spacing(self):
-        limiter = _RateLimiter(0.05)
-        started = time.perf_counter()
-        for _ in range(3):
-            limiter.wait()
-        # First call is free; the next two wait 0.05 each.
-        assert time.perf_counter() - started >= 0.09
-
-    def test_zero_interval_is_free(self):
-        limiter = _RateLimiter(0.0)
-        started = time.perf_counter()
-        for _ in range(100):
-            limiter.wait()
-        assert time.perf_counter() - started < 0.5
-
-    def test_selection_by_backend_kind(self):
-        class UnlimitedQueue(QueueBackend):
-            rate_limited = False
-
-        config = RepairConfig(min_request_interval=0.25)
-        assert _limiter_for(MockBackend(), config).interval == 0.0
-        assert _limiter_for(HttpBackend("http://localhost", "m"),
-                            config).interval == 0.25
-        assert _limiter_for(QueueBackend([]), config).interval == 0.25
-        # The class attribute decides, not the backend's type.
-        assert _limiter_for(UnlimitedQueue([]), config).interval == 0.0

@@ -428,6 +428,34 @@ class TestMutateSemantic:
         )
         assert record.detail == "antonym closed -> opened"
 
+    def test_reply_equal_to_the_origin_once_reparsed_falls_back(self):
+        ctx, stmts = single_method(CHANNEL_SOURCE)
+        backend = MockBackend(transcript=[(
+            "MUTATED",
+            '<MUTATED>LOG.debug("channel {} closed", remoteAddr); // x'
+            '</MUTATED>',
+        )])
+        mutated, record = mutate_semantic(
+            stmts[0], ctx, DefectLabel.STATEMENT_CODE, backend
+        )
+        assert record.detail == "antonym closed -> opened"
+        assert mutated.raw_text == 'LOG.debug("channel {} opened", remoteAddr);'
+        assert len(backend.calls) == 1
+
+    def test_record_holds_the_reparsed_text(self):
+        ctx, stmts = single_method(CHANNEL_SOURCE)
+        backend = MockBackend(transcript=[(
+            "MUTATED",
+            '<MUTATED>LOG.debug("channel {} reset", remoteAddr); // x'
+            '</MUTATED>',
+        )])
+        mutated, record = mutate_semantic(
+            stmts[0], ctx, DefectLabel.STATEMENT_CODE, backend
+        )
+        assert record.detail == "llm:mock"
+        assert record.mutated == mutated.raw_text == (
+            'LOG.debug("channel {} reset", remoteAddr);')
+
     def test_seeded_choice_is_deterministic(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         a = mutate_semantic(stmts[0], ctx, DefectLabel.STATIC_DYNAMIC, rng_seed=9)
