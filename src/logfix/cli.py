@@ -30,23 +30,22 @@ from .model import (
     LABEL_INDEX,
     LABELS,
     DefectLabel,
-    context_from_dict,
-    context_to_dict,
+    LoggingStatement,
+    MethodContext,
+    UpdateResult,
+    from_dict,
     method_record_from_dict,
     method_record_to_dict,
+    parse_level,
     read_changes,
     read_jsonl,
     read_samples,
-    result_from_dict,
-    parse_level,
-    result_to_dict,
-    statement_from_dict,
-    statement_to_dict,
+    to_dict,
     write_changes,
     write_jsonl,
     write_samples,
 )
-from .parser import ParserConfig, extract_file
+from .parser import ParserConfig, decode_source, extract_file
 from .repair import RepairConfig, run_pipeline_batch
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_pool
 from .synthesis import (
@@ -227,9 +226,16 @@ def cmd_extract(args, config: ToolConfig) -> int:
     records = []
     methods = statements = 0
     for path in paths:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            source = fh.read()
         rel = os.path.relpath(path, args.root).replace(os.sep, "/")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            rel.encode("utf-8")  # fails on an undecodable name
+            source = decode_source(data)
+        except UnicodeError:
+            shown = os.fsencode(rel).decode("utf-8", "backslashreplace")
+            _note(f"extract: {shown}: not UTF-8 text, file skipped")
+            continue
         result = extract_file(source, rel, config.parser, args.project)
         for err in result.errors:
             _note(f"extract: {err}")
@@ -315,8 +321,8 @@ def cmd_detect(args, config: ToolConfig) -> int:
             label, confidence = _detect_one(ctx, stmt, model, head,
                                             train_config.max_tokens)
             records.append({
-                "method": context_to_dict(ctx),
-                "statement": statement_to_dict(stmt),
+                "method": to_dict(ctx),
+                "statement": to_dict(stmt),
                 "predicted_label": label.value,
                 "confidence": confidence,
             })
@@ -343,8 +349,9 @@ def _read_statement_items(path: str):
             if "predicted_label" in d:
                 detection = (DefectLabel(d["predicted_label"]),
                              float(d["confidence"]))
-            items.append((context_from_dict(d["method"]),
-                          statement_from_dict(d["statement"]), detection))
+            items.append((from_dict(MethodContext, d["method"]),
+                          from_dict(LoggingStatement, d["statement"]),
+                          detection))
     return items
 
 
@@ -369,7 +376,7 @@ def cmd_fix(args, config: ToolConfig) -> int:
     repair_config = RepairConfig(exemplar_count=k, workers=args.jobs,
                                  parser_config=config.parser)
     results = run_pipeline_batch(items, pool, backend, repair_config)
-    write_jsonl(args.out, (result_to_dict(r) for r in results))
+    write_jsonl(args.out, map(to_dict, results))
     updated = sum(1 for r in results if r.updated_statement is not None)
     failed = sum(1 for r in results
                  if any(d.startswith("backend-error:") for d in r.diagnostics))
@@ -381,14 +388,14 @@ def cmd_fix(args, config: ToolConfig) -> int:
 
 
 def cmd_evaluate(args, config: ToolConfig) -> int:
-    results = [result_from_dict(d) for d in read_jsonl(args.results)]
+    results = [from_dict(UpdateResult, d) for d in read_jsonl(args.results)]
     if not results:
         raise DataError(f"no results in {args.results!r}")
     truth = {}
     for d in read_jsonl(args.truth):
         truth[d["statement_id"]] = (
             DefectLabel(d["label"]),
-            statement_from_dict(d["statement"]),
+            from_dict(LoggingStatement, d["statement"]),
         )
     preds, golds, per_sample = [], [], []
     for result in results:
@@ -406,14 +413,8 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
     detection = detection_metrics(preds, golds)
     report = {
         "detection": {
-            "per_class": {
-                label.value: {
-                    "precision": detection.per_class[label].precision,
-                    "recall": detection.per_class[label].recall,
-                    "f1": detection.per_class[label].f1,
-                }
-                for label in LABELS
-            },
+            "per_class": {label.value: to_dict(detection.per_class[label])
+                          for label in LABELS},
             "f1_macro": detection.f1_macro,
             "samples": len(results),
         },

@@ -26,6 +26,8 @@ from .model import (
     LabeledSample,
     LoggingStatement,
     MethodContext,
+    from_dict,
+    to_dict,
 )
 from .tokenization import TokenSequence, Vocabulary, build_vocabulary, tokenize
 
@@ -91,24 +93,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "adam_epsilon": self.adam_epsilon,
-            "dropout": self.dropout,
-            "epochs": self.epochs,
-            "alpha": self.alpha,
-            "max_tokens": self.max_tokens,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "dim": self.dim,
-            "vocab_size": self.vocab_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -524,7 +508,7 @@ def save_checkpoint(path: str, model: EncoderModel, head: ClassifierHead,
                     config: TrainConfig) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "config": config.to_dict(),
+        "config": to_dict(config),
         "vocabulary": {
             "tokens": [t for t, _ in sorted(
                 model.vocabulary.token_to_id.items(), key=lambda kv: kv[1])],
@@ -544,7 +528,7 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, ClassifierHead, TrainConfi
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint file: {path}")
-    config = TrainConfig.from_dict(payload["config"])
+    config = from_dict(TrainConfig, payload["config"])
     vocab_info = payload["vocabulary"]
     vocab = Vocabulary(
         token_to_id={t: i for i, t in enumerate(vocab_info["tokens"])},

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable
 
 from logfix.model import LogCentricChange, MethodContext
-from logfix.parser import ParserConfig, extract_file
+from logfix.parser import ParserConfig, decode_source, extract_file
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +94,6 @@ class CommitSnapshotPair:
     changed_files: tuple[ChangedFile, ...]
 
 
-def _decode(data: bytes) -> str:
-    """UTF-8 text with newlines translated, as text-mode reading gives it.
-    Raises UnicodeDecodeError for bytes that are not UTF-8."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _skip_warning(commit: str, path: str) -> None:
     log.warning("commit %s: %s is not UTF-8 text, commit skipped", commit, path)
 
@@ -108,9 +102,9 @@ class GitHistoryProvider:
     """Walks the first-parent chain of a local git repository via the git CLI.
 
     Paths are read verbatim (`diff-tree -z`), file contents are decoded by
-    `_decode`. A commit with a changed file whose name or content is not
-    UTF-8 text, or whose content git cannot show, is left out of the pairs
-    with a warning that names the commit and the path.
+    `decode_source`. A commit with a changed file whose name or content is
+    not UTF-8 text, or whose content git cannot show, is left out of the
+    pairs with a warning that names the commit and the path.
     """
 
     def __init__(self, repo_path: str, since: str | None = None):
@@ -136,9 +130,9 @@ class GitHistoryProvider:
                 shown = raw_path.decode("utf-8", "backslashreplace")
                 try:
                     path = raw_path.decode("utf-8")
-                    before = (_decode(self._git("show", f"{parent}:{path}"))
+                    before = (decode_source(self._git("show", f"{parent}:{path}"))
                               if status != b"A" else "")
-                    after = (_decode(self._git("show", f"{child}:{path}"))
+                    after = (decode_source(self._git("show", f"{child}:{path}"))
                              if status != b"D" else "")
                 except UnicodeDecodeError:
                     _skip_warning(child, shown)
@@ -159,9 +153,9 @@ class FixtureHistoryProvider:
 
     Each directory is a full tree; consecutive directories (sorted by name)
     form the commit pairs. The part after the first underscore is the commit
-    id. Files are decoded by `_decode`; a commit that changes a file whose
-    name or content is not UTF-8 text is left out of the pairs, with the git
-    provider's warning.
+    id. Files are decoded by `decode_source`; a commit that changes a file
+    whose name or content is not UTF-8 text is left out of the pairs, with
+    the git provider's warning.
     """
 
     def __init__(self, history_dir: str):
@@ -180,7 +174,7 @@ class FixtureHistoryProvider:
                     data = fh.read()
                 try:
                     rel.encode("utf-8")  # fails on an undecodable name
-                    tree[rel] = _decode(data)
+                    tree[rel] = decode_source(data)
                 except UnicodeError:
                     tree[rel] = data
         return tree
@@ -190,9 +184,11 @@ class FixtureHistoryProvider:
             d for d in os.listdir(self.history_dir)
             if os.path.isdir(os.path.join(self.history_dir, d)) and "_" in d)
         pairs: list[CommitSnapshotPair] = []
-        for prev, cur in zip(dirs, dirs[1:]):
-            before_tree = self._snapshot(prev)
-            after_tree = self._snapshot(cur)
+        # each tree is read once: the newer side of one pair is the older
+        # side of the next
+        trees = map(self._snapshot, dirs)
+        before_tree = next(trees, {})
+        for prev, cur, after_tree in zip(dirs, dirs[1:], trees):
             commit_id = cur.split("_", 1)[1]
             changed: list[ChangedFile] = []
             for path in sorted(set(before_tree) | set(after_tree)):
@@ -210,6 +206,7 @@ class FixtureHistoryProvider:
                     commit_id=commit_id,
                     parent_id=prev.split("_", 1)[1],
                     changed_files=tuple(changed)))
+            before_tree = after_tree
         return pairs
 
 

@@ -3,18 +3,23 @@
 Everything downstream (parser, miner, synthesizer, detector, repair,
 evaluation) speaks in these types. All types are immutable after
 construction; identifiers are content hashes so equal content gets equal
-ids across runs. The JSON Lines helpers at the bottom define the canonical
-on-disk corpus formats.
+ids across runs. They are the on-disk format as well: `to_dict` and
+`from_dict` at the bottom write and read them as JSON Lines records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Any, Iterable, Iterator
+from functools import cache, cached_property, partial
+from operator import attrgetter
+from types import UnionType
+from typing import (Any, Callable, Iterable, Iterator, TypeVar, Union,
+                    get_args, get_origin, get_type_hints)
+
+T = TypeVar("T")
 
 
 class UnknownLevel(ValueError):
@@ -193,8 +198,8 @@ class UpdateResult:
     checker_confirmed: bool
     checker_rationale: str
     checker_semantics: str
-    exemplars: tuple[LogCentricChange, ...]
-    updated_statement: LoggingStatement | None
+    exemplars: tuple[LogCentricChange, ...] = ()
+    updated_statement: LoggingStatement | None = None
     diagnostics: tuple[str, ...] = ()
 
 
@@ -226,148 +231,69 @@ def validate_sample(sample: LabeledSample) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization. Field names match the dataclass definitions exactly.
+# JSON (de)serialization. A record's keys are its dataclass fields, in
+# declaration order: an Enum is written as its value, a tuple as a list, a
+# nested dataclass as an object and None as null. Reading ignores keys the
+# class lacks and gives a missing key its field's default.
 # ---------------------------------------------------------------------------
 
-def location_to_dict(loc: SourceLocation) -> dict[str, Any]:
-    return {"path": loc.path, "start_line": loc.start_line, "end_line": loc.end_line}
+def _converters(tp: Any) -> tuple[Callable | None, Callable | None]:
+    """(encode, decode) for values of type `tp`; None where the JSON value
+    is the value itself."""
+    if get_origin(tp) in (Union, UnionType):  # X | None
+        (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
+        encode, decode = _converters(inner)
+        return (None if encode is None
+                else lambda v: None if v is None else encode(v),
+                None if decode is None
+                else lambda v: None if v is None else decode(v))
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        encode, decode = _converters(get_args(tp)[0])
+        return (list if encode is None else lambda v: [encode(x) for x in v],
+                tuple if decode is None
+                else lambda v: tuple([decode(x) for x in v]))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return attrgetter("value"), tp
+    if is_dataclass(tp):
+        return to_dict, partial(from_dict, tp)
+    if tp in (int, float, bool):
+        return None, tp
+    return None, None
 
 
-def location_from_dict(d: dict[str, Any]) -> SourceLocation:
-    return SourceLocation(d["path"], int(d["start_line"]), int(d["end_line"]))
+@cache
+def _plan(cls: type) -> tuple[tuple, ...]:
+    """(name, encode, decode, required) for each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, *_converters(hints[f.name]),
+         f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls))
 
 
-def statement_to_dict(s: LoggingStatement) -> dict[str, Any]:
-    return {
-        "id": s.id,
-        "level": s.level.value,
-        "static_text": s.static_text,
-        "placeholders": [
-            {"kind": p.kind.value, "offset": p.offset, "text": p.text}
-            for p in s.placeholders
-        ],
-        "variables": list(s.variables),
-        "raw_text": s.raw_text,
-        "location": location_to_dict(s.location),
-        "method_id": s.method_id,
-        "arity_mismatch": s.arity_mismatch,
-        "parse_degraded": s.parse_degraded,
-    }
+def to_dict(obj: Any) -> dict[str, Any]:
+    """The JSON object of a dataclass instance."""
+    out = {}
+    for name, encode, _, _ in _plan(type(obj)):
+        value = getattr(obj, name)
+        out[name] = value if encode is None else encode(value)
+    return out
 
 
-def statement_from_dict(d: dict[str, Any]) -> LoggingStatement:
-    return LoggingStatement(
-        id=d["id"],
-        level=LogLevel(d["level"]),
-        static_text=d["static_text"],
-        placeholders=tuple(
-            Placeholder(PlaceholderKind(p["kind"]), int(p["offset"]), p.get("text", ""))
-            for p in d["placeholders"]
-        ),
-        variables=tuple(d["variables"]),
-        raw_text=d["raw_text"],
-        location=location_from_dict(d["location"]),
-        method_id=d["method_id"],
-        parse_degraded=bool(d.get("parse_degraded", False)),
-    )
+def from_dict(cls: type[T], data: dict[str, Any]) -> T:
+    """The `cls` instance a JSON object holds; KeyError names a missing key
+    whose field has no default."""
+    kwargs = {}
+    for name, _, decode, required in _plan(cls):
+        if name in data:
+            value = data[name]
+            kwargs[name] = value if decode is None else decode(value)
+        elif required:
+            raise KeyError(name)
+    return cls(**kwargs)
 
 
-def context_to_dict(c: MethodContext) -> dict[str, Any]:
-    return {
-        "method_id": c.method_id,
-        "project_id": c.project_id,
-        "qualified_name": c.qualified_name,
-        "source_text": c.source_text,
-        "statement_ids": list(c.statement_ids),
-        "location": location_to_dict(c.location),
-    }
-
-
-def context_from_dict(d: dict[str, Any]) -> MethodContext:
-    return MethodContext(
-        method_id=d["method_id"],
-        project_id=d["project_id"],
-        qualified_name=d["qualified_name"],
-        source_text=d["source_text"],
-        statement_ids=tuple(d["statement_ids"]),
-        location=location_from_dict(d["location"]),
-    )
-
-
-def sample_to_dict(s: LabeledSample) -> dict[str, Any]:
-    return {
-        "context": context_to_dict(s.context),
-        "target": statement_to_dict(s.target),
-        "label": s.label.value,
-        "provenance": {
-            "kind": s.provenance.kind.value,
-            "strategy": s.provenance.strategy,
-            "original_raw_text": s.provenance.original_raw_text,
-        },
-    }
-
-
-def sample_from_dict(d: dict[str, Any]) -> LabeledSample:
-    p = d["provenance"]
-    return LabeledSample(
-        context=context_from_dict(d["context"]),
-        target=statement_from_dict(d["target"]),
-        label=DefectLabel(d["label"]),
-        provenance=Provenance(
-            kind=ProvenanceKind(p["kind"]),
-            strategy=p.get("strategy"),
-            original_raw_text=p.get("original_raw_text"),
-        ),
-    )
-
-
-def change_to_dict(c: LogCentricChange) -> dict[str, Any]:
-    return {
-        "project_id": c.project_id,
-        "commit_id": c.commit_id,
-        "before": statement_to_dict(c.before),
-        "after": statement_to_dict(c.after),
-        "context": context_to_dict(c.context),
-    }
-
-
-def change_from_dict(d: dict[str, Any]) -> LogCentricChange:
-    return LogCentricChange(
-        project_id=d["project_id"],
-        commit_id=d["commit_id"],
-        before=statement_from_dict(d["before"]),
-        after=statement_from_dict(d["after"]),
-        context=context_from_dict(d["context"]),
-    )
-
-
-def result_to_dict(r: UpdateResult) -> dict[str, Any]:
-    return {
-        "sample": sample_to_dict(r.sample),
-        "predicted_label": r.predicted_label.value,
-        "confidence": r.confidence,
-        "checker_confirmed": r.checker_confirmed,
-        "checker_rationale": r.checker_rationale,
-        "checker_semantics": r.checker_semantics,
-        "exemplars": [change_to_dict(e) for e in r.exemplars],
-        "updated_statement": statement_to_dict(r.updated_statement) if r.updated_statement else None,
-        "diagnostics": list(r.diagnostics),
-    }
-
-
-def result_from_dict(d: dict[str, Any]) -> UpdateResult:
-    upd = d.get("updated_statement")
-    return UpdateResult(
-        sample=sample_from_dict(d["sample"]),
-        predicted_label=DefectLabel(d["predicted_label"]),
-        confidence=float(d["confidence"]),
-        checker_confirmed=bool(d["checker_confirmed"]),
-        checker_rationale=d["checker_rationale"],
-        checker_semantics=d["checker_semantics"],
-        exemplars=tuple(change_from_dict(e) for e in d.get("exemplars", [])),
-        updated_statement=statement_from_dict(upd) if upd else None,
-        diagnostics=tuple(d.get("diagnostics", [])),
-    )
+statement_to_dict = to_dict  # the name perfbench/inputs.py imports
 
 
 # ---------------------------------------------------------------------------
@@ -397,31 +323,27 @@ def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
 
 
 def write_samples(path: str, samples: Iterable[LabeledSample]) -> int:
-    return write_jsonl(path, (sample_to_dict(s) for s in samples))
+    return write_jsonl(path, map(to_dict, samples))
 
 
 def read_samples(path: str) -> list[LabeledSample]:
-    return [sample_from_dict(d) for d in read_jsonl(path)]
+    return [from_dict(LabeledSample, d) for d in read_jsonl(path)]
 
 
 def write_changes(path: str, changes: Iterable[LogCentricChange]) -> int:
-    return write_jsonl(path, (change_to_dict(c) for c in changes))
+    return write_jsonl(path, map(to_dict, changes))
 
 
 def read_changes(path: str) -> list[LogCentricChange]:
-    return [change_from_dict(d) for d in read_jsonl(path)]
+    return [from_dict(LogCentricChange, d) for d in read_jsonl(path)]
 
 
 def method_record_to_dict(context: MethodContext,
                           statements: Iterable[LoggingStatement]) -> dict[str, Any]:
-    return {
-        "method": context_to_dict(context),
-        "statements": [statement_to_dict(s) for s in statements],
-    }
+    return {"method": to_dict(context),
+            "statements": [to_dict(s) for s in statements]}
 
 
 def method_record_from_dict(d: dict[str, Any]) -> tuple[MethodContext, list[LoggingStatement]]:
-    return (
-        context_from_dict(d["method"]),
-        [statement_from_dict(s) for s in d["statements"]],
-    )
+    return (from_dict(MethodContext, d["method"]),
+            [from_dict(LoggingStatement, s) for s in d["statements"]])

@@ -494,6 +494,12 @@ def _scan_class_spans(lexed: Lexed) -> list[tuple[str, int, int]]:
     return out
 
 
+def decode_source(data: bytes) -> str:
+    """UTF-8 text with newlines translated, as text-mode reading gives it.
+    Raises UnicodeDecodeError for bytes that are not UTF-8."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 @dataclass
 class ExtractionResult:
     records: list[tuple[MethodContext, list[ParsedStatement]]]

@@ -66,22 +66,25 @@ def query_tokens(text: str) -> list[str]:
 
 
 def build_index(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
-                b: float = DEFAULT_B) -> Bm25Index:
+                b: float = DEFAULT_B,
+                tokens: Sequence[list[str]] | None = None) -> Bm25Index:
     """Index every change by its before-statement text (the query side is a
-    defective statement, so symmetry puts like with like)."""
+    defective statement, so symmetry puts like with like). `tokens`, when
+    given, holds each change's `query_tokens` of that text, in order."""
     # Outside these bounds a term weight can turn negative or divide by zero.
     if k1 < 0:
         raise ValueError(f"BM25 k1 must be >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"BM25 b must lie in [0, 1], got {b}")
     index = Bm25Index(k1=k1, b=b, changes=list(lccs))
+    if tokens is None:
+        tokens = [query_tokens(c.before.raw_text) for c in index.changes]
     doc_counts = []
-    for position, change in enumerate(index.changes):
-        tokens = query_tokens(change.before.raw_text)
-        counts = Counter(tokens)
+    for position, (change, doc) in enumerate(zip(index.changes, tokens)):
+        counts = Counter(doc)
         index._position[change.change_id] = position
         doc_counts.append(counts)
-        index.doc_lengths.append(len(tokens))
+        index.doc_lengths.append(len(doc))
         for token in counts:
             index.doc_freq[token] = index.doc_freq.get(token, 0) + 1
     if index.changes:
@@ -138,14 +141,18 @@ class ExemplarPool:
 
 def build_pool(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
                b: float = DEFAULT_B) -> ExemplarPool:
-    """Index every retrieval scope of `lccs` once."""
-    projects: dict[str, list[LogCentricChange]] = {}
-    for change in lccs:
-        projects.setdefault(change.project_id, []).append(change)
+    """Index every retrieval scope of `lccs` once; each change is tokenized
+    once for all of its scopes."""
+    tokens = [query_tokens(c.before.raw_text) for c in lccs]
+    projects: dict[str, tuple[list[LogCentricChange], list[list[str]]]] = {}
+    for change, doc in zip(lccs, tokens):
+        changes, docs = projects.setdefault(change.project_id, ([], []))
+        changes.append(change)
+        docs.append(doc)
     return ExemplarPool(
-        all_projects=build_index(lccs, k1, b),
-        by_project={project: build_index(changes, k1, b)
-                    for project, changes in projects.items()},
+        all_projects=build_index(lccs, k1, b, tokens),
+        by_project={project: build_index(changes, k1, b, docs)
+                    for project, (changes, docs) in projects.items()},
     )
 
 

@@ -21,14 +21,27 @@ def worker(*args: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_mine_workload_runs_clean(tmp_path):
-    work = tmp_path / "mine"
+def traced_run(tmp_path, workload: str) -> dict:
+    work = tmp_path / workload
     setup_record = tmp_path / "setup.json"
     run_record = tmp_path / "run.json"
-    worker("setup", "mine", "tiny", "11", str(work), str(setup_record))
-    worker("run", "mine", str(work), "1", str(run_record))
-    record = json.loads(run_record.read_text(encoding="utf-8"))
+    worker("setup", workload, "tiny", "11", str(work), str(setup_record))
+    worker("run", workload, str(work), "1", str(run_record))
+    return json.loads(run_record.read_text(encoding="utf-8"))
+
+
+def test_traced_mine_workload_runs_clean(tmp_path):
+    record = traced_run(tmp_path, "mine")
     assert record["problems"] == []
     assert set(record["exits"].values()) == {0}
     # Every other patch point still names a logfix attribute.
+    assert record["missing_patch_points"] == ["logfix.repair.predict"]
+
+
+def test_traced_audit_workload_runs_clean(tmp_path):
+    # audit reads and writes every record kind: methods, detections, the
+    # exemplar pool, results and the truth file the harness writes itself
+    record = traced_run(tmp_path, "audit")
+    assert record["problems"] == []
+    assert set(record["exits"].values()) == {0}
     assert record["missing_patch_points"] == ["logfix.repair.predict"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import subprocess
 
 import pytest
@@ -21,11 +22,10 @@ from logfix.detector import TrainConfig, init_head, init_model, save_checkpoint
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
-    context_to_dict,
     method_record_to_dict,
     read_jsonl,
     read_samples,
-    statement_to_dict,
+    to_dict,
     write_changes,
     write_jsonl,
     write_samples,
@@ -220,6 +220,47 @@ class TestExtract:
         assert main(["extract", "--root", str(E2E_SRC_DIR),
                      "--glob", "*.scala", "--out", str(out)]) == 0
         assert list(read_jsonl(str(out))) == []
+
+
+    SERVICE = ('class S%d {\n    void a() {\n'
+               '        log.info("%s");\n    }\n}\n')
+
+    def test_non_utf8_file_is_skipped_with_a_note(self, tmp_path, capsys):
+        root = tmp_path / "tree"
+        root.mkdir()
+        (root / "A.java").write_bytes(
+            (self.SERVICE % (1, "caf\u00e9 opened")).encode("utf-8"))
+        (root / "B.java").write_bytes(
+            (self.SERVICE % (2, "caf\u00e9 closed")).encode("latin-1"))
+        (root / "C.java").write_bytes((self.SERVICE % (3, "started"))
+                                      .replace("\n", "\r\n").encode("utf-8"))
+        out = tmp_path / "o.jsonl"
+        assert main(["extract", "--root", str(root),
+                     "--out", str(out)]) == 0
+        records = list(read_jsonl(str(out)))
+        assert [r["method"]["location"]["path"] for r in records] == [
+            "A.java", "C.java"]
+        assert [r["statements"][0]["raw_text"] for r in records] == [
+            'log.info("caf\u00e9 opened");', 'log.info("started");']
+        # newlines read as text mode reads them
+        assert "\r" not in records[1]["method"]["source_text"]
+        assert ("extract: B.java: not UTF-8 text, file skipped"
+                in capsys.readouterr().err)
+
+    def test_file_with_a_non_utf8_name_is_skipped(self, tmp_path, capsys):
+        root = tmp_path / "tree"
+        root.mkdir()
+        (root / "A.java").write_text(self.SERVICE % (1, "opened"),
+                                     encoding="utf-8")
+        (root / os.fsdecode(b"D\xe9.java")).write_text(
+            self.SERVICE % (2, "closed"), encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["extract", "--root", str(root),
+                     "--out", str(out)]) == 0
+        assert [r["method"]["location"]["path"]
+                for r in read_jsonl(str(out))] == ["A.java"]
+        assert ("extract: D\\xe9.java: not UTF-8 text, file skipped"
+                in capsys.readouterr().err)
 
 
 class TestMine:
@@ -575,8 +616,8 @@ class TestFix:
             project="e2e")
         detections = tmp_path / "detections.jsonl"
         write_jsonl(str(detections), [{
-            "method": context_to_dict(ctx),
-            "statement": statement_to_dict(stmts[0]),
+            "method": to_dict(ctx),
+            "statement": to_dict(stmts[0]),
             "predicted_label": "STATEMENT_CODE",
             "confidence": 0.9,
         }])
@@ -646,6 +687,21 @@ class TestEvaluate:
         assert main(["evaluate", "--results", str(results),
                      "--truth", str(truth),
                      "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_record_without_a_required_key_is_a_data_error(
+            self, ws, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(results)]) == 0
+        truth = tmp_path / "truth.jsonl"
+        self.build_truth(ws, str(truth))
+        rows = list(read_jsonl(str(truth)))
+        del rows[0]["statement"]["raw_text"]
+        write_jsonl(str(truth), rows)
+        assert main(["evaluate", "--results", str(results),
+                     "--truth", str(truth),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "KeyError: 'raw_text'" in capsys.readouterr().err
 
     def test_empty_results(self, ws, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -27,7 +27,13 @@ from logfix.detector import (
     stratified_split,
     train,
 )
-from logfix.model import NUM_CLASSES, DefectLabel, LABEL_INDEX
+from logfix.model import (
+    LABEL_INDEX,
+    NUM_CLASSES,
+    DefectLabel,
+    from_dict,
+    to_dict,
+)
 from logfix.tokenization import Vocabulary, build_vocabulary, tokenize
 
 
@@ -122,7 +128,7 @@ class TestTrainingBatchValidation:
 class TestTrainConfig:
     def test_round_trip(self):
         config = TrainConfig(learning_rate=1e-3, epochs=4, dim=32)
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert from_dict(TrainConfig, to_dict(config)) == config
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,23 @@ def test_fixture_history_pairs_are_ordered_and_named():
             assert before != after
 
 
+def test_fixture_history_reads_each_file_once(monkeypatch):
+    from logfix import mining
+
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, HISTORY_DIR))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(mining, "open", counting_open, raising=False)
+    pairs = FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs()
+    assert len(pairs) == 5
+    files = [os.path.relpath(os.path.join(base, name), HISTORY_DIR)
+             for base, _, names in os.walk(HISTORY_DIR) for name in names]
+    assert sorted(opened) == sorted(files)
+
+
 def test_fixture_history_skips_a_commit_with_non_utf8_text(tmp_path, caplog):
     service = 'class S {\n    void a() {\n        log.info("%s");\n    }\n}\n'
     snapshots = {

@@ -8,35 +8,36 @@ import pytest
 
 from conftest import make_change, single_method, statement_of
 from logfix import model as model_module
+from logfix.detector import TrainConfig
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
     LABELS,
     LabeledSample,
+    LogCentricChange,
+    LoggingStatement,
     LogLevel,
+    MethodContext,
     NUM_CLASSES,
+    Placeholder,
+    PlaceholderKind,
     Provenance,
     ProvenanceKind,
     SourceLocation,
     UnknownLevel,
     UpdateResult,
-    change_from_dict,
-    change_to_dict,
     content_hash,
     dumps_line,
+    from_dict,
     method_record_from_dict,
     method_record_to_dict,
     parse_level,
     read_changes,
     read_jsonl,
     read_samples,
-    result_from_dict,
-    result_to_dict,
-    sample_from_dict,
-    sample_to_dict,
-    statement_from_dict,
     statement_id,
     statement_to_dict,
+    to_dict,
     validate_sample,
     write_changes,
     write_jsonl,
@@ -104,24 +105,25 @@ class TestHashing:
 class TestStatementSerialization:
     def test_round_trip(self):
         stmt = statement_of('log.error(err, "failed {} after {}", job, wait);')
-        d = statement_to_dict(stmt)
-        assert d["arity_mismatch"] == stmt.arity_mismatch
+        d = to_dict(stmt)
+        # arity_mismatch is derived from the placeholders and variables, so
+        # it is not written
+        assert list(d) == [f.name for f in dataclasses.fields(stmt)]
         assert d["parse_degraded"] is False
-        assert statement_from_dict(json.loads(json.dumps(d))) == stmt
+        assert from_dict(LoggingStatement, json.loads(json.dumps(d))) == stmt
 
     def test_derived_fields_are_not_required_to_load(self):
         stmt = statement_of('log.info("plain");')
-        d = statement_to_dict(stmt)
-        del d["arity_mismatch"]
+        d = to_dict(stmt)
         del d["parse_degraded"]
-        assert statement_from_dict(d) == stmt
+        assert from_dict(LoggingStatement, d) == stmt
 
 
 class TestSampleSerialization:
     def test_round_trip(self):
         sample = make_sample()
-        d = sample_to_dict(sample)
-        assert sample_from_dict(json.loads(json.dumps(d))) == sample
+        d = to_dict(sample)
+        assert from_dict(LabeledSample, json.loads(json.dumps(d))) == sample
 
     def test_mutated_provenance_round_trip(self):
         sample = make_sample()
@@ -134,7 +136,7 @@ class TestSampleSerialization:
                 original_raw_text='log.info("evicting …");',
             ),
         )
-        assert sample_from_dict(sample_to_dict(mutated)) == mutated
+        assert from_dict(LabeledSample, to_dict(mutated)) == mutated
 
 
 class TestChangeSerialization:
@@ -144,14 +146,14 @@ class TestChangeSerialization:
             'log.info("strating");',
             'log.info("starting");',
         )
-        d = change_to_dict(change)
-        restored = change_from_dict(json.loads(json.dumps(d)))
+        d = to_dict(change)
+        restored = from_dict(LogCentricChange, json.loads(json.dumps(d)))
         assert restored == change
         assert restored.change_id == change.change_id
 
     def test_change_id_is_hashed_once_per_object(self, monkeypatch):
         change = make_change("proj", "c1", 'log.info("a");', 'log.info("b");')
-        before = json.dumps(change_to_dict(change))
+        before = json.dumps(to_dict(change))
         calls = []
         real = model_module.content_hash
         monkeypatch.setattr(model_module, "content_hash",
@@ -161,7 +163,7 @@ class TestChangeSerialization:
         assert len(calls) == 1
         # The cached id is no field: it is neither serialized nor carried
         # over to a modified copy.
-        assert json.dumps(change_to_dict(change)) == before
+        assert json.dumps(to_dict(change)) == before
         assert dataclasses.replace(change, commit_id="c2").change_id != first
         assert len(calls) == 2
 
@@ -181,8 +183,8 @@ class TestResultSerialization:
             updated_statement=statement_of('log.info("fixed");'),
             diagnostics=("backend-calls:2",),
         )
-        d = result_to_dict(result)
-        assert result_from_dict(json.loads(json.dumps(d))) == result
+        d = to_dict(result)
+        assert from_dict(UpdateResult, json.loads(json.dumps(d))) == result
         # Older files carry per-result metrics, which nothing reads, and an
         # inferred label on each exemplar; both still load and are dropped.
         old = json.loads(json.dumps({
@@ -192,9 +194,9 @@ class TestResultSerialization:
             "metrics": [{"metric_name": "bleu-1", "m_origin": 0.5,
                          "m_updated": 0.9, "ic": 0.8}],
         }))
-        restored = result_from_dict(old)
+        restored = from_dict(UpdateResult, old)
         assert restored == result
-        assert result_to_dict(restored) == d
+        assert to_dict(restored) == d
         assert "metrics" not in d
         assert "inferred_label" not in d["exemplars"][0]
 
@@ -206,12 +208,231 @@ class TestResultSerialization:
             checker_confirmed=False,
             checker_rationale="",
             checker_semantics="",
-            exemplars=(),
-            updated_statement=None,
         )
-        restored = result_from_dict(result_to_dict(result))
+        d = to_dict(result)
+        assert d["exemplars"] == [] and d["updated_statement"] is None
+        restored = from_dict(UpdateResult, d)
         assert restored == result
         assert restored.updated_statement is None
+
+
+class TestCodec:
+    def test_keys_follow_the_declared_field_order(self):
+        result = UpdateResult(
+            sample=make_sample(), predicted_label=DefectLabel.TEMPORAL,
+            confidence=0.5, checker_confirmed=False, checker_rationale="",
+            checker_semantics="",
+            exemplars=(make_change("p", "c", 'log.info("a");',
+                                   'log.info("b");'),))
+        d = to_dict(result)
+        for obj, record in [(result, d), (result.sample, d["sample"]),
+                            (result.sample.context, d["sample"]["context"]),
+                            (result.sample.target, d["sample"]["target"]),
+                            (result.exemplars[0], d["exemplars"][0]),
+                            (TrainConfig(), to_dict(TrainConfig()))]:
+            assert list(record) == [f.name for f in dataclasses.fields(obj)]
+
+    def test_values_become_json_types(self):
+        stmt = statement_of('log.warn("took {} ms", elapsed);')
+        d = to_dict(stmt)
+        assert d["level"] == "WARN"
+        assert d["placeholders"] == [
+            {"kind": "BRACE", "offset": 5, "text": "{}"}]
+        assert d["variables"] == ["elapsed"]
+        assert d["location"] == {"path": "<text>", "start_line": 1,
+                                 "end_line": 1}
+        prov = to_dict(Provenance(ProvenanceKind.WELL_MAINTAINED))
+        assert prov == {"kind": "WELL_MAINTAINED", "strategy": None,
+                        "original_raw_text": None}
+        assert dumps_line(prov).endswith('"original_raw_text": null}')
+
+    def test_unknown_keys_are_ignored(self):
+        loc = from_dict(SourceLocation, {"path": "A.java", "start_line": 1,
+                                         "end_line": 2, "column": 7})
+        assert loc == SourceLocation("A.java", 1, 2)
+
+    def test_a_missing_key_takes_the_field_default(self):
+        assert (from_dict(Placeholder, {"kind": "PERCENT", "offset": 3})
+                == Placeholder(PlaceholderKind.PERCENT, 3, ""))
+        assert from_dict(TrainConfig, {"epochs": 4}) == TrainConfig(epochs=4)
+
+    def test_a_missing_key_without_a_default_raises_key_error(self):
+        with pytest.raises(KeyError, match="end_line"):
+            from_dict(SourceLocation, {"path": "A.java", "start_line": 1})
+
+    def test_int_float_and_bool_fields_are_coerced(self):
+        loc = from_dict(SourceLocation, {"path": "A.java",
+                                         "start_line": "3", "end_line": 4.0})
+        assert (loc.start_line, loc.end_line) == (3, 4)
+        assert type(loc.end_line) is int
+        d = to_dict(make_result())
+        restored = from_dict(UpdateResult, {**d, "confidence": 1,
+                                            "checker_confirmed": 0})
+        assert type(restored.confidence) is float
+        assert restored.checker_confirmed is False
+        assert from_dict(TrainConfig, {"dropout": 0}).dropout == 0.0
+
+    def test_the_field_plan_is_worked_out_once_per_class(self):
+        model_module._plan.cache_clear()
+        changes = [make_change("p", f"c{i}", 'log.info("a {}", x);',
+                               'log.info("b {}", x);') for i in range(20)]
+        records = [json.loads(json.dumps(to_dict(c))) for c in changes]
+        assert [from_dict(LogCentricChange, r) for r in records] == changes
+        # LogCentricChange, LoggingStatement, Placeholder, SourceLocation,
+        # MethodContext
+        assert model_module._plan.cache_info().misses == 5
+
+    def test_statement_to_dict_is_to_dict(self):
+        stmt = statement_of('log.info("x");')
+        assert statement_to_dict(stmt) == to_dict(stmt)
+
+
+def make_result() -> UpdateResult:
+    return UpdateResult(
+        sample=make_sample(), predicted_label=DefectLabel.READABILITY,
+        confidence=0.5, checker_confirmed=True, checker_rationale="typo",
+        checker_semantics="eviction")
+
+
+# Records as the previous format wrote them: every statement carries the
+# derived arity_mismatch, results carry metrics and exemplars an
+# inferred_label (both dropped earlier). Reading them must give the objects
+# the code builds today; writing those back drops only the three keys.
+OLD_METHOD = {
+    "method_id": "3107186e56e72d7f", "project_id": "cache",
+    "qualified_name": "Cache.evict",
+    "source_text": "    void evict(String key, int size) {\n"
+                   "        log.warn(\"evicted {} of {}\", key);\n    }",
+    "statement_ids": ["18362b7b0b154d01"],
+    "location": {"path": "Cache.java", "start_line": 2, "end_line": 4}}
+OLD_STATEMENT = {
+    "id": "18362b7b0b154d01", "level": "WARN",
+    "static_text": "evicted {} of {}",
+    "placeholders": [{"kind": "BRACE", "offset": 8, "text": "{}"},
+                     {"kind": "BRACE", "offset": 14, "text": "{}"}],
+    "variables": ["key"], "raw_text": "log.warn(\"evicted {} of {}\", key);",
+    "location": {"path": "Cache.java", "start_line": 3, "end_line": 3},
+    "method_id": "3107186e56e72d7f", "arity_mismatch": True,
+    "parse_degraded": False}
+
+
+def old_text_statement(id_, static, variables, raw):
+    return {"id": id_, "level": "INFO", "static_text": static,
+            "placeholders": [{"kind": "BRACE", "offset": 9, "text": "{}"}],
+            "variables": variables, "raw_text": raw,
+            "location": {"path": "<text>", "start_line": 1, "end_line": 1},
+            "method_id": "", "arity_mismatch": False,
+            "parse_degraded": False}
+
+
+OLD_CHANGE = {
+    "project_id": "cache", "commit_id": "c1",
+    "before": old_text_statement("14312e828b9f986c", "strating {}", ["id"],
+                                 "log.info(\"strating {}\", id);"),
+    "after": old_text_statement("5b5d73380f7c1f63", "starting {}", ["id"],
+                                "log.info(\"starting {}\", id);"),
+    "context": {
+        "method_id": "", "project_id": "cache",
+        "qualified_name": "Holder.act",
+        "source_text": "void act() {\n    log.info(\"starting {}\", id);\n}",
+        "statement_ids": ["5b5d73380f7c1f63"],
+        "location": {"path": "<text>", "start_line": 1, "end_line": 3}},
+    "inferred_label": "TEMPORAL"}
+OLD_UPDATED = {
+    "id": "2913924b03c7f7fe", "level": "WARN",
+    "static_text": "evicted {} of {}",
+    "placeholders": [{"kind": "BRACE", "offset": 8, "text": "{}"},
+                     {"kind": "BRACE", "offset": 14, "text": "{}"}],
+    "variables": ["key", "size"],
+    "raw_text": "log.warn(\"evicted {} of {}\", key, size);",
+    "location": {"path": "<text>", "start_line": 1, "end_line": 1},
+    "method_id": "", "arity_mismatch": False, "parse_degraded": False}
+OLD_SAMPLE = {
+    "context": OLD_METHOD, "target": OLD_STATEMENT, "label": "READABILITY",
+    "provenance": {"kind": "MUTATED", "strategy": "TYPO",
+                   "original_raw_text": "log.warn(\"evcited {} of {}\", key);"}}
+OLD_RESULT = {
+    "sample": {**OLD_SAMPLE, "label": "NON_DEFECT",
+               "provenance": {"kind": "WELL_MAINTAINED", "strategy": None,
+                              "original_raw_text": None}},
+    "predicted_label": "READABILITY", "confidence": 0.5,
+    "checker_confirmed": True, "checker_rationale": "typo",
+    "checker_semantics": "eviction", "exemplars": [OLD_CHANGE],
+    "updated_statement": OLD_UPDATED, "diagnostics": ["backend-calls:2"],
+    "metrics": [{"metric_name": "bleu-1", "m_origin": 0.5, "m_updated": 0.9,
+                 "ic": 0.8}]}
+OLD_CONFIG = {"learning_rate": 0.003, "adam_epsilon": 1e-08, "dropout": 0.1,
+              "epochs": 4, "alpha": 0.5, "max_tokens": 1024,
+              "batch_size": 32, "seed": 0, "dim": 128, "vocab_size": 4096}
+UNREAD_KEYS = ("arity_mismatch", "metrics", "inferred_label")
+
+
+def without_unread_keys(value):
+    if isinstance(value, dict):
+        return {k: without_unread_keys(v) for k, v in value.items()
+                if k not in UNREAD_KEYS}
+    if isinstance(value, list):
+        return [without_unread_keys(v) for v in value]
+    return value
+
+
+class TestPreviousFormat:
+    def today(self):
+        ctx, stmts = single_method(
+            "class Cache {\n    void evict(String key, int size) {\n"
+            '        log.warn("evicted {} of {}", key);\n    }\n}\n',
+            path="Cache.java", project="cache")
+        sample = LabeledSample(
+            ctx, stmts[0], DefectLabel.READABILITY,
+            Provenance(ProvenanceKind.MUTATED, "TYPO",
+                       'log.warn("evcited {} of {}", key);'))
+        change = make_change("cache", "c1", 'log.info("strating {}", id);',
+                             'log.info("starting {}", id);')
+        result = UpdateResult(
+            sample=dataclasses.replace(
+                sample, label=DefectLabel.NON_DEFECT,
+                provenance=Provenance(ProvenanceKind.WELL_MAINTAINED)),
+            predicted_label=DefectLabel.READABILITY, confidence=0.5,
+            checker_confirmed=True, checker_rationale="typo",
+            checker_semantics="eviction", exemplars=(change,),
+            updated_statement=statement_of(
+                'log.warn("evicted {} of {}", key, size);'),
+            diagnostics=("backend-calls:2",))
+        return ctx, stmts, sample, change, result
+
+    def test_every_record_kind_loads_as_today(self):
+        ctx, stmts, sample, change, result = self.today()
+        lines = {kind: json.loads(dumps_line(record)) for kind, record in [
+            ("extract", {"method": OLD_METHOD, "statements": [OLD_STATEMENT]}),
+            ("detect", {"method": OLD_METHOD, "statement": OLD_STATEMENT,
+                        "predicted_label": "TEMPORAL", "confidence": 0.75}),
+            ("truth", {"statement_id": OLD_STATEMENT["id"],
+                       "label": "TEMPORAL", "statement": OLD_STATEMENT}),
+            ("sample", OLD_SAMPLE), ("change", OLD_CHANGE),
+            ("result", OLD_RESULT)]}
+        assert method_record_from_dict(lines["extract"]) == (ctx, stmts)
+        assert from_dict(MethodContext, lines["detect"]["method"]) == ctx
+        for kind in ("detect", "truth"):
+            assert (from_dict(LoggingStatement, lines[kind]["statement"])
+                    == stmts[0])
+        assert stmts[0].arity_mismatch
+        assert from_dict(LabeledSample, lines["sample"]) == sample
+        assert from_dict(LogCentricChange, lines["change"]) == change
+        assert from_dict(UpdateResult, lines["result"]) == result
+        assert (from_dict(TrainConfig, OLD_CONFIG)
+                == TrainConfig(learning_rate=3e-3, epochs=4))
+
+    def test_writing_back_drops_only_the_unread_keys(self):
+        ctx, stmts, sample, change, result = self.today()
+        for obj, old in [(sample, OLD_SAMPLE), (change, OLD_CHANGE),
+                         (result, OLD_RESULT),
+                         (TrainConfig(learning_rate=3e-3, epochs=4),
+                          OLD_CONFIG)]:
+            assert dumps_line(to_dict(obj)) == dumps_line(
+                without_unread_keys(old))
+        assert dumps_line(method_record_to_dict(ctx, stmts)) == dumps_line(
+            without_unread_keys({"method": OLD_METHOD,
+                                 "statements": [OLD_STATEMENT]}))
 
 
 class TestValidateSample:
@@ -310,7 +531,7 @@ class TestJsonl:
         assert read_changes(str(path)) == changes
         # An older file with an inferred label, which nothing reads, still
         # loads, and writing it back drops the key.
-        write_jsonl(str(path), [{**change_to_dict(c),
+        write_jsonl(str(path), [{**to_dict(c),
                                  "inferred_label": "TEMPORAL"}
                                 for c in changes])
         assert read_changes(str(path)) == changes

@@ -11,8 +11,8 @@ from conftest import make_change, single_method
 from logfix.backends import BackendError, MockBackend
 from logfix.model import (
     DefectLabel,
-    result_to_dict,
     statement_id,
+    to_dict,
 )
 from logfix.repair import (
     CHECKER_TEMPLATE,
@@ -454,8 +454,8 @@ class TestRunPipelineBatch:
                                     RepairConfig(workers=1))
         parallel = run_pipeline_batch(items, pool, MockBackend(),
                                       RepairConfig(workers=4))
-        assert ([result_to_dict(r) for r in serial]
-                == [result_to_dict(r) for r in parallel])
+        assert ([to_dict(r) for r in serial]
+                == [to_dict(r) for r in parallel])
 
     def test_mock_backend_is_never_throttled(self):
         items = self.make_items()

@@ -346,3 +346,31 @@ def test_stored_weights_sum_to_the_reference_score_exactly():
             assert (bm25_score(tokens, change.change_id, index)
                     == reference_bm25_score(tokens, change.change_id,
                                             reference))
+
+
+def test_build_pool_splits_each_change_once(monkeypatch):
+    from logfix import retrieval
+
+    changes = seeded_changes(11)
+    fresh = {"all": build_index(changes)}
+    for project in ("alpha", "beta"):
+        fresh[project] = build_index(
+            [c for c in changes if c.project_id == project])
+    calls = []
+    real = retrieval.split_tokens
+    monkeypatch.setattr(retrieval, "split_tokens",
+                        lambda text: calls.append(text) or real(text))
+    pool = build_pool(changes)
+    assert calls == [c.before.raw_text for c in changes]
+    # every scope's index is the one build_index makes on its own
+    scopes = {"all": pool.all_projects, **pool.by_project}
+    assert set(scopes) == set(fresh)
+    for name, index in scopes.items():
+        assert index.changes == fresh[name].changes
+        assert index.doc_lengths == fresh[name].doc_lengths
+        assert index.doc_freq == fresh[name].doc_freq
+        assert index.avg_length == fresh[name].avg_length
+        assert list(index.postings) == list(fresh[name].postings)
+        for token, (positions, weights) in index.postings.items():
+            assert positions.tobytes() == fresh[name].postings[token][0].tobytes()
+            assert weights.tobytes() == fresh[name].postings[token][1].tobytes()

@@ -37,7 +37,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from logfix.model import DefectLabel, dumps_line, statement_to_dict
+from logfix.model import DefectLabel, dumps_line, to_dict
 from logfix.parser import extract_file
 from logfix.synthesis import (
     Tense,
@@ -417,7 +417,7 @@ def write_e2e() -> None:
         truth_lines.append(dumps_line({
             "statement_id": final_stmt.id,
             "label": label.value,
-            "statement": statement_to_dict(truth_stmt),
+            "statement": to_dict(truth_stmt),
         }))
     with open(os.path.join(E2E_DIR, "truth.jsonl"), "w",
               encoding="utf-8") as fh:
