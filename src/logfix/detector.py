@@ -15,6 +15,7 @@ import base64
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,8 +90,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key in ("epochs", "batch_size", "dim", "max_tokens"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("learning_rate", "adam_epsilon"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -166,6 +171,20 @@ def _pool(model: EncoderModel, sequences: list[TokenSequence]) -> np.ndarray:
         if seq.ids:
             out[i] = model.embedding[np.asarray(seq.ids)].mean(axis=0)
     return out
+
+
+def _bag(sequences: list[TokenSequence], vocab_size: int) -> np.ndarray:
+    """The Jacobian of `_pool`: entry (i, t) is the count of token t in
+    sequence i divided by the sequence's length (an empty sequence gives a
+    zero row), so the embedding gradient is `_bag(...).T @ d_pooled`."""
+    lengths = np.array([len(seq.ids) for seq in sequences], dtype=np.intp)
+    ids = np.fromiter(chain.from_iterable(seq.ids for seq in sequences),
+                      dtype=np.intp, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(sequences)), lengths)
+    counts = np.bincount(rows * vocab_size + ids,
+                         minlength=len(sequences) * vocab_size)
+    return (counts.reshape(len(sequences), vocab_size)
+            / np.maximum(lengths, 1)[:, None])
 
 
 def encode(seq: TokenSequence, model: EncoderModel) -> np.ndarray:
@@ -345,19 +364,31 @@ class _Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v))
+                         for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray]) -> None:
+        """In place, but the same operations in the same order as
+        m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        value -= lr * (m/b1c) / (sqrt(v/b2c) + eps), so bit for bit equal."""
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
         for name, value in params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / b1c
-            v_hat = self.v[name] / b2c
-            value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            num, den = self._scratch[name]
+            m *= self.beta1
+            m += np.multiply(1 - self.beta1, g, out=num)
+            v *= self.beta2
+            np.multiply(1 - self.beta2, g, out=num)
+            v += np.multiply(num, g, out=num)
+            np.divide(v, b2c, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, b1c, out=num)
+            num *= self.lr
+            value -= np.divide(num, den, out=num)
 
 
 def _predict_encoded(model: EncoderModel, head: ClassifierHead,
@@ -394,7 +425,8 @@ def train(
 
     train_seqs = [_tokenize_pair(s, vocab, config.max_tokens) for s in train_set]
     train_labels = _one_hot([s.label for s in train_set])
-    val_seqs = [_tokenize_pair(s, vocab, config.max_tokens) for s in val_set]
+    val_stmts, val_ctxs = map(list, zip(*[
+        _tokenize_pair(s, vocab, config.max_tokens) for s in val_set]))
     val_golds = [s.label for s in val_set]
 
     params = {**model.parameters(), **head.parameters()}
@@ -426,28 +458,16 @@ def train(
                 loss, grads, _ = loss_and_grads(
                     model, head, pooled_l, pooled_s, labels,
                     config.alpha, masks)
-            d_emb = np.zeros_like(model.embedding)
-            for row, (seq, d_pooled) in enumerate(
-                    zip(seq_l, grads["pooled_stmt"])):
-                if seq.ids:
-                    np.add.at(d_emb, np.asarray(seq.ids),
-                              d_pooled / len(seq.ids))
-            for row, (seq, d_pooled) in enumerate(
-                    zip(seq_s, grads["pooled_ctx"])):
-                if seq.ids:
-                    np.add.at(d_emb, np.asarray(seq.ids),
-                              d_pooled / len(seq.ids))
-            grads["embedding"] = d_emb
+            d_pooled = np.concatenate([grads["pooled_stmt"],
+                                       grads["pooled_ctx"]])
+            grads["embedding"] = _bag(seq_l + seq_s, vocab.size).T @ d_pooled
             optimizer.step(params, grads)
             epoch_loss += loss
             batches += 1
 
-        val_preds = []
-        for seq_pair in val_seqs:
-            probs = _predict_encoded(
-                model, head,
-                _pool(model, [seq_pair[0]]), _pool(model, [seq_pair[1]]))
-            val_preds.append(_argmax_label(probs[0]))
+        val_probs = _predict_encoded(model, head, _pool(model, val_stmts),
+                                     _pool(model, val_ctxs))
+        val_preds = [_argmax_label(row) for row in val_probs]
         val_f1 = f1_macro(val_preds, val_golds)
         history.append({
             "epoch": epoch,

@@ -234,36 +234,62 @@ def validate_sample(sample: LabeledSample) -> list[str]:
 # JSON (de)serialization. A record's keys are its dataclass fields, in
 # declaration order: an Enum is written as its value, a tuple as a list, a
 # nested dataclass as an object and None as null. Reading ignores keys the
-# class lacks and gives a missing key its field's default.
+# class lacks, gives a missing key its field's default, coerces int, float
+# and bool fields, and rejects a value of the wrong JSON type with a
+# ValueError that names the class and the field.
 # ---------------------------------------------------------------------------
 
-def _converters(tp: Any) -> tuple[Callable | None, Callable | None]:
-    """(encode, decode) for values of type `tp`; None where the JSON value
-    is the value itself."""
+# The JSON types each scalar field accepts, and how to say so.
+_SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
+    str: ((str,), "a string"),
+    int: ((int, float, str), "an integer"),
+    float: ((int, float, str), "a number"),
+    bool: ((bool, int), "a boolean"),
+}
+
+
+def _converters(tp: Any) -> tuple[Callable | None, Callable | None,
+                                  tuple[type, ...], str]:
+    """(encode, decode, accepted JSON types, their description) for values
+    of type `tp`; encode/decode are None where the JSON value is the value
+    itself."""
     if get_origin(tp) in (Union, UnionType):  # X | None
         (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
-        encode, decode = _converters(inner)
+        encode, decode, kinds, expected = _converters(inner)
         return (None if encode is None
                 else lambda v: None if v is None else encode(v),
                 None if decode is None
-                else lambda v: None if v is None else decode(v))
+                else lambda v: None if v is None else decode(v),
+                (*kinds, type(None)), f"{expected} or null")
     if get_origin(tp) is tuple:  # tuple[X, ...]
-        encode, decode = _converters(get_args(tp)[0])
+        encode, decode, kinds, expected = _converters(get_args(tp)[0])
+        kinds_set = frozenset(kinds)
+
+        def read(items: list) -> tuple:
+            if not kinds_set.issuperset(map(type, items)):
+                wrong = next(x for x in items if type(x) not in kinds)
+                raise ValueError(
+                    f"each item must be {expected}, got {_show(wrong)}")
+            return tuple(items if decode is None else map(decode, items))
         return (list if encode is None else lambda v: [encode(x) for x in v],
-                tuple if decode is None
-                else lambda v: tuple([decode(x) for x in v]))
+                read, (list,), "a list")
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return attrgetter("value"), tp
+        return attrgetter("value"), tp, (str,), "a string"
     if is_dataclass(tp):
-        return to_dict, partial(from_dict, tp)
-    if tp in (int, float, bool):
-        return None, tp
-    return None, None
+        return to_dict, partial(from_dict, tp), (dict,), "an object"
+    if tp in _SCALARS:
+        return None, None if tp is str else tp, *_SCALARS[tp]
+    raise TypeError(f"no JSON form for {tp!r}")
+
+
+def _show(value: Any) -> str:
+    return json.dumps(value, ensure_ascii=False)[:60]
 
 
 @cache
 def _plan(cls: type) -> tuple[tuple, ...]:
-    """(name, encode, decode, required) for each field of a dataclass."""
+    """(name, encode, decode, accepted JSON types, their description,
+    required) for each field of a dataclass."""
     hints = get_type_hints(cls)
     return tuple(
         (f.name, *_converters(hints[f.name]),
@@ -274,20 +300,31 @@ def _plan(cls: type) -> tuple[tuple, ...]:
 def to_dict(obj: Any) -> dict[str, Any]:
     """The JSON object of a dataclass instance."""
     out = {}
-    for name, encode, _, _ in _plan(type(obj)):
+    for name, encode, *_ in _plan(type(obj)):
         value = getattr(obj, name)
         out[name] = value if encode is None else encode(value)
     return out
 
 
 def from_dict(cls: type[T], data: dict[str, Any]) -> T:
-    """The `cls` instance a JSON object holds; KeyError names a missing key
-    whose field has no default."""
+    """The `cls` instance a JSON object holds. KeyError names a missing key
+    whose field has no default; ValueError names the class and the field of
+    a value of the wrong type (and the path to it, for a nested record)."""
+    if type(data) is not dict:
+        raise ValueError(f"{cls.__name__} must be an object, got {_show(data)}")
     kwargs = {}
-    for name, _, decode, required in _plan(cls):
+    for name, _, decode, kinds, expected, required in _plan(cls):
         if name in data:
             value = data[name]
-            kwargs[name] = value if decode is None else decode(value)
+            if type(value) not in kinds:
+                raise ValueError(f"{cls.__name__}.{name} must be {expected}, "
+                                 f"got {_show(value)}")
+            if decode is not None:
+                try:
+                    value = decode(value)
+                except ValueError as exc:
+                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+            kwargs[name] = value
         elif required:
             raise KeyError(name)
     return cls(**kwargs)

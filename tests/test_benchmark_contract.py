@@ -45,3 +45,12 @@ def test_traced_audit_workload_runs_clean(tmp_path):
     assert record["problems"] == []
     assert set(record["exits"].values()) == {0}
     assert record["missing_patch_points"] == ["logfix.repair.predict"]
+
+
+def test_traced_train_workload_runs_clean(tmp_path):
+    # train runs synthesize, train and the held-out check; tracing it pins
+    # the detector and tokenizer names the harness wraps
+    record = traced_run(tmp_path, "train")
+    assert record["problems"] == []
+    assert set(record["exits"].values()) == {0}
+    assert record["missing_patch_points"] == ["logfix.repair.predict"]

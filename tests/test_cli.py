@@ -400,6 +400,23 @@ class TestTrainAndDetect:
                      "--model", str(tmp_path / "m.json"),
                      "--config", ws["config"]]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", -4), ("batch_size", 0), ("dim", 0), ("max_tokens", 0),
+        ("learning_rate", -1e-3), ("adam_epsilon", 0.0),
+    ])
+    def test_train_rejects_settings_that_cannot_train(self, ws, tmp_path,
+                                                      capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {**SMALL_TRAIN_SECTION,
+                                                key: value}}),
+                          encoding="utf-8")
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["train", "--corpus", ws["corpus"], "--model", str(model),
+                     "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not model.exists()
+
     def test_detect_rejects_bad_checkpoint(self, ws, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format\": \"wrong\"}", encoding="utf-8")
@@ -702,6 +719,24 @@ class TestEvaluate:
                      "--truth", str(truth),
                      "--out", str(tmp_path / "r.json")]) == 2
         assert "KeyError: 'raw_text'" in capsys.readouterr().err
+
+    def test_record_value_of_the_wrong_type_is_a_data_error(
+            self, ws, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(results)]) == 0
+        truth = tmp_path / "truth.jsonl"
+        self.build_truth(ws, str(truth))
+        rows = list(read_jsonl(str(truth)))
+        rows[0]["statement"]["location"]["start_line"] = None
+        write_jsonl(str(truth), rows)
+        capsys.readouterr()
+        assert main(["evaluate", "--results", str(results),
+                     "--truth", str(truth),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "SourceLocation.start_line must be an integer, got null" in err
+        assert "Traceback" not in err
 
     def test_empty_results(self, ws, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -16,6 +16,9 @@ from logfix.detector import (
     EncoderModel,
     TrainConfig,
     TrainingBatch,
+    _Adam,
+    _bag,
+    _pool,
     composite_loss,
     encode,
     init_head,
@@ -34,7 +37,12 @@ from logfix.model import (
     from_dict,
     to_dict,
 )
-from logfix.tokenization import Vocabulary, build_vocabulary, tokenize
+from logfix.tokenization import (
+    TokenSequence,
+    Vocabulary,
+    build_vocabulary,
+    tokenize,
+)
 
 
 def one_hot(index: int) -> np.ndarray:
@@ -204,6 +212,108 @@ class TestLossAndGrads:
         assert np.all(masked_grads["pooled_stmt"] == 0.0)
 
 
+def seqs(*ids: tuple[int, ...]) -> list[TokenSequence]:
+    return [TokenSequence(ids=tuple(row), truncated=False) for row in ids]
+
+
+def scatter_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
+    """Reference embedding gradient, one row at a time: each occurrence of
+    a token adds its row's pooled gradient divided by the row's length."""
+    d_emb = np.zeros(shape)
+    for seq, row in zip(sequences, d_pooled):
+        if seq.ids:
+            np.add.at(d_emb, np.asarray(seq.ids), row / len(seq.ids))
+    return d_emb
+
+
+class TestEmbeddingGradient:
+    def test_bag_rows_are_normalized_counts(self):
+        bag = _bag(seqs((2, 0, 2, 3), (), (1,)), 5)
+        assert bag.tolist() == [[0.25, 0.0, 0.5, 0.25, 0.0],
+                                [0.0] * 5,
+                                [0.0, 1.0, 0.0, 0.0, 0.0]]
+
+    def test_matches_finite_differences_through_pooling(self):
+        # From token ids through _pool to the loss: an empty statement, a
+        # repeated id on either side and an id that only the context uses.
+        rng = np.random.default_rng(11)
+        dim = 4
+        vocab = Vocabulary(token_to_id={}, oov_buckets=6, max_tokens=64)
+        model = init_model(vocab, dim, seed=3)
+        model.embedding[...] = rng.normal(0.0, 0.5, size=model.embedding.shape)
+        # Non-zero biases give the empty statement a non-zero encoding, so
+        # its cosine term stays live.
+        model.b1[...] = rng.normal(0.0, 0.5, size=dim)
+        model.b2[...] = rng.normal(0.0, 0.5, size=dim)
+        head = ClassifierHead(
+            weight=rng.normal(0.0, 0.5, size=(2 * dim, NUM_CLASSES)),
+            bias=rng.normal(0.0, 0.5, size=NUM_CLASSES))
+        seq_l = seqs((0, 1, 1), (), (2, 4, 2, 2))
+        seq_s = seqs((3, 0, 1, 5), (5, 5), (4, 0))
+        labels = np.zeros((3, NUM_CLASSES))
+        labels[[0, 1, 2], [1, 0, 3]] = 1.0
+
+        def loss_and_grads_at():
+            return loss_and_grads(model, head, _pool(model, seq_l),
+                                  _pool(model, seq_s), labels, 0.5)
+
+        _, grads, _ = loss_and_grads_at()
+        analytic = _bag(seq_l + seq_s, vocab.size).T @ np.concatenate(
+            [grads["pooled_stmt"], grads["pooled_ctx"]])
+        h = 1e-6
+        for row in range(vocab.size):
+            for col in range(dim):
+                original = model.embedding[row, col]
+                model.embedding[row, col] = original + h
+                up = loss_and_grads_at()[0]
+                model.embedding[row, col] = original - h
+                down = loss_and_grads_at()[0]
+                model.embedding[row, col] = original
+                fd = (up - down) / (2 * h)
+                assert fd == pytest.approx(analytic[row, col],
+                                           rel=1e-5, abs=1e-9)
+
+    def test_equals_the_per_row_scatter(self):
+        rng = np.random.default_rng(5)
+        vocab_size, dim = 40, 6
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            sequences = seqs(*(rng.integers(0, vocab_size,
+                                            size=int(rng.integers(0, 30)))
+                               for _ in range(n)))
+            d_pooled = rng.normal(size=(n, dim))
+            expected = scatter_embedding_grad((vocab_size, dim), sequences,
+                                              d_pooled)
+            got = _bag(sequences, vocab_size).T @ d_pooled
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+class TestAdam:
+    def test_in_place_step_equals_the_out_of_place_formula(self):
+        rng = np.random.default_rng(9)
+        params = {"a": rng.normal(size=(7, 3)), "b": rng.normal(size=5)}
+        expected = {k: v.copy() for k, v in params.items()}
+        lr, eps, beta1, beta2 = 3e-3, 1e-8, 0.9, 0.999
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        optimizer = _Adam(params, lr, eps)
+        for step in range(1, 6):
+            grads = {k: rng.normal(size=x.shape) for k, x in params.items()}
+            optimizer.step(params, grads)
+            b1c = 1.0 - beta1 ** step
+            b2c = 1.0 - beta2 ** step
+            for k, g in grads.items():
+                m[k] = beta1 * m[k] + (1 - beta1) * g
+                v[k] = beta2 * v[k] + (1 - beta2) * g * g
+                m_hat = m[k] / b1c
+                v_hat = v[k] / b2c
+                expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for k in params:
+                assert np.array_equal(params[k], expected[k])
+                assert np.array_equal(optimizer.m[k], m[k])
+                assert np.array_equal(optimizer.v[k], v[k])
+
+
 class TestPrediction:
     def test_untrained_head_abstains(self):
         ctx, stmts = single_method(
@@ -308,6 +418,14 @@ class TestCheckpoints:
                            loaded_model, loaded_head)
             assert orig[0] is redo[0]
             assert np.allclose(orig[1], redo[1])
+
+    def test_same_seed_checkpoints_are_byte_identical(self, small_corpus,
+                                                       tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            model, head, _ = train(small_corpus, SMALL_CONFIG)
+            save_checkpoint(str(path), model, head, SMALL_CONFIG)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -271,6 +272,35 @@ class TestCodec:
         assert type(restored.confidence) is float
         assert restored.checker_confirmed is False
         assert from_dict(TrainConfig, {"dropout": 0}).dropout == 0.0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("variables", "ab", "LoggingStatement.variables must be a list"),
+        ("variables", ["a", 1], "LoggingStatement.variables: each item must "
+                                "be a string, got 1"),
+        ("raw_text", 7, "LoggingStatement.raw_text must be a string"),
+        ("level", "LOUD", "LoggingStatement.level: 'LOUD' is not a valid"),
+        ("location", None, "LoggingStatement.location must be an object"),
+        ("parse_degraded", "no", "parse_degraded must be a boolean"),
+    ])
+    def test_a_value_of_the_wrong_type_names_class_and_field(
+            self, field, value, message):
+        d = {**to_dict(statement_of('log.info("x {}", a);')), field: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_dict(LoggingStatement, d)
+
+    def test_a_wrong_type_in_a_nested_record_names_the_path(self):
+        d = to_dict(make_sample())
+        d["target"]["location"]["start_line"] = None
+        with pytest.raises(ValueError) as info:
+            from_dict(LabeledSample, d)
+        assert str(info.value) == (
+            "LabeledSample.target: LoggingStatement.location: "
+            "SourceLocation.start_line must be an integer, got null")
+
+    def test_a_record_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ValueError, match="SourceLocation must be an "
+                                             "object"):
+            from_dict(SourceLocation, ["A.java", 1, 2])
 
     def test_the_field_plan_is_worked_out_once_per_class(self):
         model_module._plan.cache_clear()
