@@ -30,7 +30,7 @@ from .model import (
     from_dict,
     to_dict,
 )
-from .tokenization import TokenSequence, Vocabulary, build_vocabulary, tokenize
+from .tokenization import TokenSequence, Vocabulary, fit_vocabulary, tokenize
 
 
 class ClassUnderflow(ValueError):
@@ -416,14 +416,14 @@ def train(
     parameters of the best validation epoch plus the metric history."""
     config = config or TrainConfig()
     train_set, val_set, _ = stratified_split(corpus, config.seed)
-    vocab = build_vocabulary(_sample_texts(train_set),
-                             max_size=config.vocab_size,
-                             max_tokens=config.max_tokens)
+    vocab, seqs = fit_vocabulary(_sample_texts(train_set),
+                                 max_size=config.vocab_size,
+                                 max_tokens=config.max_tokens)
     model = init_model(vocab, config.dim, config.seed)
     head = init_head(config.dim)
     rng = np.random.default_rng(config.seed + 1)
 
-    train_seqs = [_tokenize_pair(s, vocab, config.max_tokens) for s in train_set]
+    train_seqs = list(zip(seqs[0::2], seqs[1::2]))
     train_labels = _one_hot([s.label for s in train_set])
     val_stmts, val_ctxs = map(list, zip(*[
         _tokenize_pair(s, vocab, config.max_tokens) for s in val_set]))

@@ -29,7 +29,12 @@ from enum import Enum
 from typing import Iterable
 
 from logfix.model import LogCentricChange, MethodContext
-from logfix.parser import ParserConfig, decode_source, extract_file
+from logfix.parser import (
+    ExtractionResult,
+    ParserConfig,
+    decode_source,
+    extract_file,
+)
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +103,53 @@ def _skip_warning(commit: str, path: str) -> None:
     log.warning("commit %s: %s is not UTF-8 text, commit skipped", commit, path)
 
 
+class _MissingBlob(Exception):
+    """`git cat-file --batch` has no content for a requested object."""
+
+
+# One `diff-tree --raw` record: status, old object id, new object id, path.
+_RawChange = tuple[bytes, bytes, bytes, bytes]
+
+
+def _parse_raw_diffs(output: bytes) -> dict[str, list[_RawChange]]:
+    """Commit id -> its records, from `diff-tree --stdin -z -r --raw`.
+
+    The output is NUL-separated: a commit id heads each commit's records,
+    and each record is a `:<modes> <old> <new> <status>` field followed by
+    its path. A commit whose diff is empty gets no heading at all.
+    """
+    fields = iter(output.split(b"\0"))
+    changes: dict[str, list[_RawChange]] = {}
+    records: list[_RawChange] = []
+    for field in fields:
+        if field.startswith(b":"):
+            _, _, old, new, status = field.split(b" ")
+            records.append((status, old, new, next(fields)))
+        elif field:
+            records = changes[field.decode("ascii")] = []
+    return changes
+
+
+def _read_blob(cat_file: subprocess.Popen, oid: bytes) -> str:
+    """One object's decoded content through a running `cat-file --batch`."""
+    cat_file.stdin.write(oid + b"\n")
+    cat_file.stdin.flush()
+    header = cat_file.stdout.readline()  # "<oid> <type> <size>\n"
+    if not header:
+        raise OSError("git cat-file --batch ended early")
+    if header.endswith(b" missing\n"):
+        raise _MissingBlob
+    size = int(header.split()[2])
+    return decode_source(cat_file.stdout.read(size + 1)[:size])
+
+
 class GitHistoryProvider:
     """Walks the first-parent chain of a local git repository via the git CLI.
 
-    Paths are read verbatim (`diff-tree -z`), file contents are decoded by
+    Three git processes serve the whole history, however long: `log` lists
+    the commits, one `diff-tree --stdin` diffs every commit against its
+    first parent, and one `cat-file --batch` reads the changed files by
+    object id. Paths are read verbatim (`-z`), file contents are decoded by
     `decode_source`. A commit with a changed file whose name or content is
     not UTF-8 text, or whose content git cannot show, is left out of the
     pairs with a warning that names the commit and the path.
@@ -111,9 +159,9 @@ class GitHistoryProvider:
         self.repo_path = repo_path
         self.since = since
 
-    def _git(self, *args: str) -> bytes:
+    def _git(self, *args: str, input: bytes | None = None) -> bytes:
         return subprocess.run(
-            ["git", "-C", self.repo_path, *args],
+            ["git", "-C", self.repo_path, *args], input=input,
             capture_output=True, check=True).stdout
 
     def commit_pairs(self) -> list[CommitSnapshotPair]:
@@ -121,30 +169,38 @@ class GitHistoryProvider:
         if self.since:
             args.append(f"--since={self.since}")
         shas = self._git(*args).decode("utf-8").split()
-        pairs: list[CommitSnapshotPair] = []
-        for parent, child in zip(shas, shas[1:]):
-            fields = self._git("diff-tree", "-z", "-r", "--no-renames",
-                               "--name-status", parent, child).split(b"\0")
-            files: list[ChangedFile] = []
-            for status, raw_path in zip(fields[0::2], fields[1::2]):
-                shown = raw_path.decode("utf-8", "backslashreplace")
-                try:
-                    path = raw_path.decode("utf-8")
-                    before = (decode_source(self._git("show", f"{parent}:{path}"))
-                              if status != b"A" else "")
-                    after = (decode_source(self._git("show", f"{child}:{path}"))
-                             if status != b"D" else "")
-                except UnicodeDecodeError:
-                    _skip_warning(child, shown)
-                    break
-                except subprocess.CalledProcessError as exc:
-                    log.warning("commit %s: git cannot show %s (%s), commit "
-                                "skipped", child, shown,
-                                exc.stderr.decode("utf-8", "replace").strip())
-                    break
-                files.append((path, before, after))
-            else:
-                pairs.append(CommitSnapshotPair(child, parent, tuple(files)))
+        links = list(zip(shas, shas[1:]))
+        feed = "".join(f"{child} {parent}\n" for parent, child in links)
+        changes = _parse_raw_diffs(self._git(
+            "diff-tree", "--stdin", "-z", "-r", "--no-renames", "--raw",
+            input=feed.encode("ascii")))
+        with subprocess.Popen(
+                ["git", "-C", self.repo_path, "cat-file", "--batch"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL) as cat_file:
+            # leaving the block closes the pipes and waits for the process,
+            # also when reading fails
+            pairs: list[CommitSnapshotPair] = []
+            for parent, child in links:
+                files: list[ChangedFile] = []
+                for status, old, new, raw_path in changes.get(child, ()):
+                    shown = raw_path.decode("utf-8", "backslashreplace")
+                    try:
+                        path = raw_path.decode("utf-8")
+                        before = (_read_blob(cat_file, old)
+                                  if status != b"A" else "")
+                        after = (_read_blob(cat_file, new)
+                                 if status != b"D" else "")
+                    except UnicodeDecodeError:
+                        _skip_warning(child, shown)
+                        break
+                    except _MissingBlob:
+                        log.warning("commit %s: git cannot show %s (missing), "
+                                    "commit skipped", child, shown)
+                        break
+                    files.append((path, before, after))
+                else:
+                    pairs.append(CommitSnapshotPair(child, parent, tuple(files)))
         return pairs
 
 
@@ -251,6 +307,9 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
     """
     parser_config = parser_config or ParserConfig()
     changes: list[LogCentricChange] = []
+    # path -> the last "after" version parsed there: usually the next
+    # commit that touches the path starts from it (parses are never mutated)
+    last_after: dict[str, tuple[str, ExtractionResult]] = {}
     for pair in history:
         eligible = True
         pending: list[tuple[MethodContext, object, object]] = []
@@ -261,8 +320,11 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
                 log.debug("commit %s: non-source change %s", pair.commit_id, path)
                 eligible = False
                 break
-            rb = extract_file(before, path, parser_config, project_id)
+            text, rb = last_after.get(path, (None, None))
+            if text != before:
+                rb = extract_file(before, path, parser_config, project_id)
             ra = extract_file(after, path, parser_config, project_id)
+            last_after[path] = (after, ra)
             if rb.errors or ra.errors:
                 log.debug("commit %s: parse trouble in %s, skipped",
                           pair.commit_id, path)

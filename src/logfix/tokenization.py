@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 CAPS_MARKER = "<caps>"
@@ -78,22 +80,39 @@ class TokenSequence:
     truncated: bool
 
 
-def build_vocabulary(texts: Iterable[str], max_size: int = 4096,
-                     oov_buckets: int = 32, max_tokens: int = 1024) -> Vocabulary:
-    """Frequency-ranked vocabulary over the segmentation of `texts`.
+def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
+                   oov_buckets: int = 32, max_tokens: int = 1024,
+                   ) -> tuple[Vocabulary, list[TokenSequence]]:
+    """Frequency-ranked vocabulary over the segmentation of `texts`, and
+    each text's `tokenize` through it; every text is segmented once.
 
     Ties break alphabetically so the same corpus always yields the same map.
     """
-    counts: dict[str, int] = {}
-    for text in texts:
-        for tok in split_tokens(text):
-            counts[tok] = counts.get(tok, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-    return Vocabulary(
-        token_to_id={tok: i for i, (tok, _) in enumerate(ranked)},
+    # Every segmentation is held until the ranking is known, as indices
+    # into `first_seen`: an occurrence then costs one pointer to a shared
+    # int rather than a string object of its own (~50 bytes).
+    first_seen: dict[str, int] = {}
+    index_lists = [[first_seen.setdefault(tok, len(first_seen))
+                    for tok in split_tokens(text)] for text in texts]
+    counts = Counter(chain.from_iterable(index_lists))
+    ranked = sorted(first_seen,
+                    key=lambda tok: (-counts[first_seen[tok]], tok))[:max_size]
+    vocab = Vocabulary(
+        token_to_id={tok: i for i, tok in enumerate(ranked)},
         oov_buckets=oov_buckets,
         max_tokens=max_tokens,
     )
+    ids = [vocab.id_of(tok) for tok in first_seen]
+    return vocab, [
+        TokenSequence(ids=tuple(ids[i] for i in indices[:max_tokens]),
+                      truncated=len(indices) > max_tokens)
+        for indices in index_lists]
+
+
+def build_vocabulary(texts: Iterable[str], max_size: int = 4096,
+                     oov_buckets: int = 32, max_tokens: int = 1024) -> Vocabulary:
+    """The vocabulary of `fit_vocabulary`."""
+    return fit_vocabulary(texts, max_size, oov_buckets, max_tokens)[0]
 
 
 def tokenize(text: str, vocab: Vocabulary, max_tokens: int | None = None) -> TokenSequence:

@@ -41,6 +41,7 @@ from logfix.tokenization import (
     TokenSequence,
     Vocabulary,
     build_vocabulary,
+    split_tokens,
     tokenize,
 )
 
@@ -395,6 +396,22 @@ class TestTraining:
         assert isinstance(label, DefectLabel)
         assert probs.shape == (NUM_CLASSES,)
         assert probs.sum() == pytest.approx(1.0)
+
+    def test_each_text_is_segmented_once(self, small_corpus, monkeypatch):
+        from logfix import tokenization
+
+        segmented = []
+
+        def counting_split_tokens(text):
+            segmented.append(text)
+            return split_tokens(text)
+
+        monkeypatch.setattr(tokenization, "split_tokens",
+                            counting_split_tokens)
+        train(small_corpus, SMALL_CONFIG)
+        # 25 training and 5 validation samples, a statement and a method
+        # each: the vocabulary and the id sequences share one segmentation
+        assert len(segmented) == 2 * (25 + 5)
 
     def test_training_is_deterministic(self, small_corpus):
         model_a, head_a, hist_a = train(small_corpus, SMALL_CONFIG)

@@ -15,6 +15,7 @@ from logfix.mining import (
     diff_lines,
     extract_lccs,
 )
+from logfix.parser import extract_file
 
 from conftest import HISTORY_DIR
 
@@ -127,19 +128,23 @@ class GitRepo:
         self.root = root
         self.git("init", "-q")
 
-    def git(self, *args: str) -> str:
+    def git(self, *args: str, committer_date: str | None = None) -> str:
+        env = None
+        if committer_date is not None:  # what `log --since` compares
+            env = {**os.environ, "GIT_COMMITTER_DATE": committer_date}
         return subprocess.run(
             ["git", "-C", str(self.root), "-c", "user.name=t",
              "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
              *args],
-            capture_output=True, text=True, check=True).stdout.strip()
+            capture_output=True, text=True, check=True, env=env).stdout.strip()
 
-    def commit(self, files: dict[bytes, str]) -> str:
+    def commit(self, files: dict[bytes, str], date: str | None = None) -> str:
         for name, text in files.items():
             with open(os.path.join(os.fsencode(self.root), name), "wb") as fh:
                 fh.write(text.encode("utf-8"))
         self.git("add", "-A")
-        self.git("commit", "-q", "--allow-empty", "-m", "change")
+        self.git("commit", "-q", "--allow-empty", "-m", "change",
+                 committer_date=date)
         return self.git("rev-parse", "HEAD")
 
 
@@ -201,6 +206,135 @@ def test_git_history_skips_a_file_git_cannot_show(tmp_path, caplog):
     [warning] = caplog.records
     assert f"commit {bump}: git cannot show vendor/lib" in (
         warning.getMessage())
+
+
+def test_git_history_keeps_a_commit_with_an_empty_diff(tmp_path):
+    # `diff-tree --stdin` prints nothing at all for an empty diff; the
+    # commit must still count as a pair, with no files.
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Service.java": service_source("starting worker")})
+    empty = repo.commit({})
+    log_only = repo.commit({b"Service.java": service_source("started worker")})
+    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [(p.commit_id, p.changed_files) for p in pairs] == [
+        (empty, ()),
+        (log_only, (("Service.java", service_source("starting worker"),
+                     service_source("started worker")),))]
+
+
+def test_git_history_reads_a_mode_only_change(tmp_path):
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Service.java": service_source("starting worker")})
+    os.chmod(tmp_path / "Service.java", 0o755)
+    chmod = repo.commit({})
+    [pair] = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    text = service_source("starting worker")
+    assert (pair.commit_id, pair.changed_files) == (
+        chmod, (("Service.java", text, text),))
+    assert extract_lccs([pair], None, "proj") == []
+
+
+def test_git_history_reads_an_added_and_a_deleted_file(tmp_path):
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Old.java": service_source("starting worker")})
+    (tmp_path / "Old.java").unlink()
+    swap = repo.commit({b"New.java": service_source("opening lease")})
+    [pair] = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert pair.commit_id == swap
+    assert sorted(pair.changed_files) == [
+        ("New.java", "", service_source("opening lease")),
+        ("Old.java", service_source("starting worker"), "")]
+
+
+class CountingSubprocess:
+    """Stand-in for `logfix.mining.subprocess` that records the git
+    subcommand of every process it starts."""
+
+    def __init__(self):
+        self.started: list[str] = []
+
+    def run(self, args, **kwargs):
+        self.started.append(args[3])  # git -C <repo> <subcommand>
+        return subprocess.run(args, **kwargs)
+
+    def Popen(self, args, **kwargs):
+        self.started.append(args[3])
+        self.process = subprocess.Popen(args, **kwargs)
+        return self.process
+
+    def __getattr__(self, name):
+        return getattr(subprocess, name)
+
+
+@pytest.mark.parametrize("commits", [4, 20])
+def test_git_process_count_does_not_grow_with_history(tmp_path, monkeypatch,
+                                                      commits):
+    from logfix import mining
+
+    repo = GitRepo(tmp_path)
+    for n in range(commits):
+        repo.commit({b"Service.java": service_source(f"step {n}"),
+                     b"notes.txt": f"note {n}\n"})
+    counter = CountingSubprocess()
+    monkeypatch.setattr(mining, "subprocess", counter)
+    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert len(pairs) == commits - 1
+    assert all(len(p.changed_files) == 2 for p in pairs)
+    assert counter.started == ["log", "diff-tree", "cat-file"]
+
+
+def test_cat_file_is_waited_on_when_reading_fails(tmp_path, monkeypatch):
+    from logfix import mining
+
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Service.java": service_source("starting worker")})
+    repo.commit({b"Service.java": service_source("started worker")})
+    counter = CountingSubprocess()
+    monkeypatch.setattr(mining, "subprocess", counter)
+
+    def broken_decode(data):
+        raise RuntimeError("decoder broke")
+
+    monkeypatch.setattr(mining, "decode_source", broken_decode)
+    with pytest.raises(RuntimeError, match="decoder broke"):
+        GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert counter.process.returncode is not None
+    assert counter.process.stdin.closed and counter.process.stdout.closed
+
+
+def test_git_history_since_limits_the_pairs(tmp_path):
+    repo = GitRepo(tmp_path)
+    shas = [repo.commit({b"Service.java": service_source(f"step {year}")},
+                        date=f"{year}-01-01T00:00:00+00:00")
+            for year in (2020, 2021, 2022, 2023)]
+    pairs = GitHistoryProvider(str(tmp_path), since="2021-06-01").commit_pairs()
+    assert [(p.parent_id, p.commit_id) for p in pairs] == [(shas[2], shas[3])]
+    every = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [p.commit_id for p in every] == shas[1:]
+
+
+def test_each_file_version_is_parsed_once(tmp_path, monkeypatch):
+    from logfix import mining
+
+    repo = GitRepo(tmp_path)
+    for message in ("starting worker", "started worker", "worker started",
+                    "worker is up"):
+        repo.commit({b"Service.java": service_source(message)})
+    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    parsed = []
+
+    def counting_extract_file(source, path, *args):
+        parsed.append(source)
+        return extract_file(source, path, *args)
+
+    monkeypatch.setattr(mining, "extract_file", counting_extract_file)
+    changes = extract_lccs(pairs, None, "proj")
+    assert [c.after.raw_text for c in changes] == [
+        'log.info("started worker");', 'log.info("worker started");',
+        'log.info("worker is up");']
+    # Each commit's "before" side is the previous commit's "after" side.
+    assert len(parsed) == 4
+    assert len(set(parsed)) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from logfix.tokenization import (
     CAPS_MARKER,
     Vocabulary,
     build_vocabulary,
+    fit_vocabulary,
     split_subwords,
     split_tokens,
     tokenize,
@@ -91,3 +92,14 @@ def test_tokenize_empty_text():
     seq = tokenize("", vocab)
     assert seq.ids == ()
     assert not seq.truncated
+
+
+def test_fit_vocabulary_equals_build_vocabulary_then_tokenize():
+    texts = ["LOG.info(\"Starting worker {}\", id);", "b b a a c",
+             "void run() { log.warn(\"retrying\"); }", ""]
+    vocab, seqs = fit_vocabulary(texts, max_size=6, oov_buckets=4,
+                                 max_tokens=5)
+    assert vocab == build_vocabulary(texts, max_size=6, oov_buckets=4,
+                                     max_tokens=5)
+    assert seqs == [tokenize(text, vocab) for text in texts]
+    assert [seq.truncated for seq in seqs] == [True, False, True, False]
