@@ -253,19 +253,28 @@ def cmd_extract(args, config: ToolConfig) -> int:
 def cmd_mine(args, config: ToolConfig) -> int:
     if not os.path.isdir(args.repo):
         raise DataError(f"not a directory: {args.repo!r}")
-    if os.path.isdir(os.path.join(args.repo, ".git")):
+    # `.git` is a file in a linked worktree or a submodule checkout
+    if os.path.exists(os.path.join(args.repo, ".git")):
         provider = GitHistoryProvider(args.repo, args.since)
     else:
         if args.since:
             _note("mine: snapshot directories carry no dates; --since ignored")
         provider = FixtureHistoryProvider(args.repo)
+    commits = 0
+
+    def counted_pairs():
+        nonlocal commits
+        for pair in provider.commit_pairs():
+            commits += 1
+            yield pair
+
+    # the providers read the history while extract_lccs consumes it
     try:
-        pairs = provider.commit_pairs()
+        changes = extract_lccs(counted_pairs(), config.parser, args.project)
     except (subprocess.CalledProcessError, OSError) as exc:
         raise DataError(f"cannot read history from {args.repo!r}: {exc}") from exc
-    changes = extract_lccs(pairs, config.parser, args.project)
     write_changes(args.out, changes)
-    _note(f"mine: {len(pairs)} commits -> {len(changes)} log-centric "
+    _note(f"mine: {commits} commits -> {len(changes)} log-centric "
           f"changes -> {args.out}")
     return EXIT_OK
 

@@ -26,7 +26,7 @@ import os
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from logfix.model import LogCentricChange, MethodContext
 from logfix.parser import (
@@ -164,7 +164,10 @@ class GitHistoryProvider:
             ["git", "-C", self.repo_path, *args], input=input,
             capture_output=True, check=True).stdout
 
-    def commit_pairs(self) -> list[CommitSnapshotPair]:
+    def commit_pairs(self) -> Iterator[CommitSnapshotPair]:
+        """The first-parent commits oldest first, each with its changed files,
+        one at a time: only the pair being read holds file texts. git runs
+        when the first pair is asked for."""
         args = ["log", "--reverse", "--first-parent", "--pretty=%H"]
         if self.since:
             args.append(f"--since={self.since}")
@@ -179,8 +182,7 @@ class GitHistoryProvider:
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL) as cat_file:
             # leaving the block closes the pipes and waits for the process,
-            # also when reading fails
-            pairs: list[CommitSnapshotPair] = []
+            # also when reading fails or the consumer stops early
             for parent, child in links:
                 files: list[ChangedFile] = []
                 for status, old, new, raw_path in changes.get(child, ()):
@@ -200,8 +202,7 @@ class GitHistoryProvider:
                         break
                     files.append((path, before, after))
                 else:
-                    pairs.append(CommitSnapshotPair(child, parent, tuple(files)))
-        return pairs
+                    yield CommitSnapshotPair(child, parent, tuple(files))
 
 
 class FixtureHistoryProvider:
@@ -235,11 +236,11 @@ class FixtureHistoryProvider:
                     tree[rel] = data
         return tree
 
-    def commit_pairs(self) -> list[CommitSnapshotPair]:
+    def commit_pairs(self) -> Iterator[CommitSnapshotPair]:
+        """Consecutive snapshots as commit pairs, one at a time."""
         dirs = sorted(
             d for d in os.listdir(self.history_dir)
             if os.path.isdir(os.path.join(self.history_dir, d)) and "_" in d)
-        pairs: list[CommitSnapshotPair] = []
         # each tree is read once: the newer side of one pair is the older
         # side of the next
         trees = map(self._snapshot, dirs)
@@ -258,12 +259,11 @@ class FixtureHistoryProvider:
                     break
                 changed.append((path, b, a))
             else:
-                pairs.append(CommitSnapshotPair(
+                yield CommitSnapshotPair(
                     commit_id=commit_id,
                     parent_id=prev.split("_", 1)[1],
-                    changed_files=tuple(changed)))
+                    changed_files=tuple(changed))
             before_tree = after_tree
-        return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,8 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
     A commit qualifies only if every changed line in every changed file lies
     within a recognized logging statement, statements match one-to-one
     between versions, and at least one matched pair differs beyond
-    whitespace. Unparseable files disqualify the whole commit.
+    whitespace. Unparseable files disqualify the whole commit, and so does
+    a changed file that is not a source file, before any file is parsed.
     """
     parser_config = parser_config or ParserConfig()
     changes: list[LogCentricChange] = []
@@ -311,15 +312,18 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
     # commit that touches the path starts from it (parses are never mutated)
     last_after: dict[str, tuple[str, ExtractionResult]] = {}
     for pair in history:
+        changed = [(path, before, after)
+                   for path, before, after in pair.changed_files
+                   if before != after]
+        non_source = next((path for path, _, _ in changed
+                           if not path.endswith(SOURCE_SUFFIXES)), None)
+        if non_source is not None:
+            log.debug("commit %s: non-source change %s", pair.commit_id,
+                      non_source)
+            continue
         eligible = True
         pending: list[tuple[MethodContext, object, object]] = []
-        for path, before, after in pair.changed_files:
-            if before == after:
-                continue
-            if not path.endswith(SOURCE_SUFFIXES):
-                log.debug("commit %s: non-source change %s", pair.commit_id, path)
-                eligible = False
-                break
+        for path, before, after in changed:
             text, rb = last_after.get(path, (None, None))
             if text != before:
                 rb = extract_file(before, path, parser_config, project_id)

@@ -234,16 +234,16 @@ def validate_sample(sample: LabeledSample) -> list[str]:
 # JSON (de)serialization. A record's keys are its dataclass fields, in
 # declaration order: an Enum is written as its value, a tuple as a list, a
 # nested dataclass as an object and None as null. Reading ignores keys the
-# class lacks, gives a missing key its field's default, coerces int, float
-# and bool fields, and rejects a value of the wrong JSON type with a
-# ValueError that names the class and the field.
+# class lacks, gives a missing key its field's default, reads a JSON integer
+# into a float field and 0/1 into a bool field, and rejects a value of the
+# wrong JSON type with a ValueError that names the class and the field.
 # ---------------------------------------------------------------------------
 
 # The JSON types each scalar field accepts, and how to say so.
 _SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
     str: ((str,), "a string"),
-    int: ((int, float, str), "an integer"),
-    float: ((int, float, str), "a number"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
     bool: ((bool, int), "a boolean"),
 }
 
@@ -278,7 +278,7 @@ def _converters(tp: Any) -> tuple[Callable | None, Callable | None,
     if is_dataclass(tp):
         return to_dict, partial(from_dict, tp), (dict,), "an object"
     if tp in _SCALARS:
-        return None, None if tp is str else tp, *_SCALARS[tp]
+        return None, None if tp in (str, int) else tp, *_SCALARS[tp]
     raise TypeError(f"no JSON form for {tp!r}")
 
 

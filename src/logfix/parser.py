@@ -1,11 +1,13 @@
 """Brace-matching extraction of methods and logging statements from Java-like source.
 
-This is not a grammar: methods are located by a signature pattern followed by
-a balanced brace block, and logger calls by receiver/method-name pattern.
-Each text is lexed once (`lex`): comments are replaced by spaces, so offsets
-and line numbers stay valid, string and char literals are masked, and every
-bracket outside them is matched. The scanners read only that result, so
-quotes, braces, and commas inside literals never confuse them.
+This is not a grammar: a method is a name before a matched "(" whose
+parameter list is followed by a balanced brace block, and a logger call is a
+receiver/method-name pattern. Each text is lexed once (`lex`): comments are
+replaced by spaces, so offsets and line numbers stay valid, string and char
+literals are masked, and every bracket outside them is matched. The scanners
+read only that result, so quotes, braces, and commas inside literals never
+confuse them, and each reads every word once: extraction time is linear in
+the text, however long its identifiers or literals.
 Malformed input degrades: regions that cannot be matched are skipped and
 reported, never raised out of extraction.
 """
@@ -156,31 +158,21 @@ def lex(source: str) -> Lexed:
 # Message decomposition
 # ---------------------------------------------------------------------------
 
-# %-conversions treated as substitution sites; %% and %n are not.
-_PERCENT_RE = re.compile(r"%[-+ #0,(]*\d*(?:\.\d+)?[sSdfxXeEgGoObBcChHaA]")
+# A {} marker, an escaped %%, or a %-conversion treated as a substitution
+# site (%n is not one).
+_MARKER_RE = re.compile(
+    r"\{\}|%%|%[-+ #0,(]*\d*(?:\.\d+)?[sSdfxXeEgGoObBcChHaA]")
 
 
 def _scan_markers(static_text: str, base: int = 0) -> list[Placeholder]:
     """Find {} and %-style markers in one literal fragment."""
     found: list[Placeholder] = []
-    i, n = 0, len(static_text)
-    while i < n:
-        c = static_text[i]
-        if c == "{" and i + 1 < n and static_text[i + 1] == "}":
-            found.append(Placeholder(PlaceholderKind.BRACE, base + i, "{}"))
-            i += 2
-        elif c == "%":
-            if i + 1 < n and static_text[i + 1] == "%":
-                i += 2
-                continue
-            m = _PERCENT_RE.match(static_text, i)
-            if m:
-                found.append(Placeholder(PlaceholderKind.PERCENT, base + i, m.group()))
-                i = m.end()
-            else:
-                i += 1
-        else:
-            i += 1
+    for m in _MARKER_RE.finditer(static_text):
+        marker = m.group()
+        if marker == "{}":
+            found.append(Placeholder(PlaceholderKind.BRACE, base + m.start(), "{}"))
+        elif marker != "%%":
+            found.append(Placeholder(PlaceholderKind.PERCENT, base + m.start(), marker))
     return found
 
 
@@ -192,6 +184,10 @@ class _Fragment:
     span: tuple[int, int]  # span of `text` within the format expression
 
 
+# what the concatenation splitter looks at: brackets and '+'
+_CUT_STOP_RE = re.compile(r"[()\[\]+]")
+
+
 def _split_format_expr(expr: str, mask: bytearray) -> list[_Fragment] | None:
     """Split a concatenation chain into literal/expression fragments.
 
@@ -201,14 +197,16 @@ def _split_format_expr(expr: str, mask: bytearray) -> list[_Fragment] | None:
     # cut points: top-level '+' outside literals and parens
     cuts = []
     depth = 0
-    for i, c in enumerate(expr):
+    for stop in _CUT_STOP_RE.finditer(expr):
+        i = stop.start()
         if mask[i]:
             continue
+        c = stop.group()
         if c in "([":
             depth += 1
         elif c in ")]":
             depth -= 1
-        elif c == "+" and depth == 0:
+        elif depth == 0:  # a '+'
             # unary +/++ never separates string concat operands in practice;
             # treat every top-level + as a cut, which is right for chains
             cuts.append(i)
@@ -262,8 +260,18 @@ class _Call:
 
 
 def _build_call_re(config: ParserConfig) -> re.Pattern[str]:
-    recv = "|".join(re.escape(r) for r in sorted(config.logger_receivers))
-    return re.compile(rf"(?<![\w$])(?:{recv})\s*\.\s*([A-Za-z_$][\w$]*)\s*\(")
+    # Each receiver checks that no identifier character precedes it after
+    # matching it, so the pattern starts with a literal and `re` skips ahead
+    # to the receivers' first letters instead of trying every offset. An
+    # empty receiver set matches a bare `.method(`, as the empty alternation
+    # always did.
+    recv = "|".join(rf"{re.escape(r)}(?<![\w$]{re.escape(r)})"
+                    for r in sorted(config.logger_receivers) or [""])
+    return re.compile(rf"(?:{recv})\s*\.\s*([A-Za-z_$][\w$]*)\s*\(")
+
+
+# what the argument splitter looks at: brackets and commas
+_ARG_STOP_RE = re.compile(r"[()\[\]{},]")
 
 
 def _scan_calls(lexed: Lexed, config: ParserConfig) -> list[_Call]:
@@ -296,15 +304,16 @@ def _scan_calls(lexed: Lexed, config: ParserConfig) -> list[_Call]:
         spans: list[tuple[int, int]] = []
         depth = 0
         a = open_idx + 1
-        for i in range(open_idx + 1, close):
+        for stop in _ARG_STOP_RE.finditer(stripped, open_idx + 1, close):
+            i = stop.start()
             if mask[i]:
                 continue
-            c = stripped[i]
+            c = stop.group()
             if c in "([{":
                 depth += 1
             elif c in ")]}":
                 depth -= 1
-            elif c == "," and depth == 0:
+            elif depth == 0:  # a comma
                 spans.append((a, i))
                 a = i + 1
         if close > open_idx + 1:
@@ -413,9 +422,17 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
 # Method extraction
 # ---------------------------------------------------------------------------
 
-_IDENT_PAREN_RE = re.compile(r"([A-Za-z_$][\w$]*)\s*\(")
+# Read against the reversed text from just before a "(": the whitespace and
+# the identifier-character run ending there, so each run is read once.
+_RUN_BEFORE_PAREN_RE = re.compile(r"\s*([\w$]+)")
+_IDENT_START_RE = re.compile(r"[A-Za-z_$]")
 _THROWS_RE = re.compile(r"\s*throws\s+[\w$.\s,<>]*")
-_CLASS_RE = re.compile(r"\b(?:class|interface|enum)\s+([A-Za-z_$][\w$]*)")
+# `\b` before each keyword, checked after matching it so that the pattern
+# starts with a literal and `re` skips ahead to the next c, i or e
+_CLASS_RE = re.compile(
+    "(?:" + "|".join(rf"{kw}(?<!\w{kw})"
+                     for kw in ("class", "interface", "enum"))
+    + r")\s+([A-Za-z_$][\w$]*)")
 _NOT_A_METHOD = {
     "if", "for", "while", "switch", "catch", "return", "new", "do", "else",
     "try", "finally", "throw", "assert", "super", "this", "synchronized",
@@ -442,23 +459,41 @@ class _MethodSpan:
 
 def _scan_method_spans(lexed: Lexed, path: str,
                        errors: list[UnbalancedBraces]) -> list[_MethodSpan]:
+    """Method declarations: a name, a parameter list, an optional throws
+    clause, and a body, all matched by `lex`.
+
+    A name is an identifier-character run followed by optional whitespace
+    and a matched "(", minus any leading characters that cannot start an
+    identifier (digits, non-ASCII word characters). Only a "(" that `lex`
+    matched can open a parameter list, so the scan starts from those and
+    reads each run backwards once.
+    """
     stripped, mask = lexed.stripped, lexed.mask
+    n = len(stripped)
+    backwards = stripped[::-1]
     spans: list[_MethodSpan] = []
-    for m in _IDENT_PAREN_RE.finditer(stripped):
-        if mask[m.start()]:
+    for open_paren, close in sorted(lexed.closes.items()):
+        if stripped[open_paren] != "(":
             continue
-        name = m.group(1)
+        run = _RUN_BEFORE_PAREN_RE.match(backwards, n - open_paren)
+        if run is None:
+            continue
+        run_end = n - run.start(1)
+        first = _IDENT_START_RE.search(stripped, n - run.end(1), run_end)
+        if first is None:
+            continue
+        start = first.start()
+        if mask[start]:
+            continue
+        name = stripped[start:run_end]
         if name in _NOT_A_METHOD:
             continue
-        k = m.start()
+        k = start
         while k > 0 and stripped[k - 1].isspace():
             k -= 1
         if k > 0 and stripped[k - 1] in ".@":
             continue  # method call or annotation
-        if _prev_word(stripped, m.start()) in ("new", "record"):
-            continue
-        close = lexed.close(m.end() - 1)
-        if close < 0:
+        if _prev_word(stripped, start) in ("new", "record"):
             continue
         after = close + 1
         tm = _THROWS_RE.match(stripped, after)
@@ -473,7 +508,7 @@ def _scan_method_spans(lexed: Lexed, path: str,
             errors.append(UnbalancedBraces(
                 path, lexed.line_of(after), f"method {name}"))
             continue
-        header_start = stripped.rfind("\n", 0, m.start()) + 1
+        header_start = lexed.starts[lexed.line_of(start) - 1]
         spans.append(_MethodSpan(name, header_start, after, body_close))
     return spans
 
@@ -492,6 +527,33 @@ def _scan_class_spans(lexed: Lexed) -> list[tuple[str, int, int]]:
             continue
         out.append((m.group(1), open_idx, close))
     return out
+
+
+def _calls_by_method(method_spans: list[_MethodSpan],
+                     calls: list[_Call]) -> dict[int, list[_Call]]:
+    """Each call under the index of the innermost method whose body holds
+    it; calls outside every method body are left out.
+
+    Method bodies are brace blocks `lex` matched, so two of them are nested
+    or disjoint. One pass over the calls in text order keeps a stack of the
+    bodies opened before the call; the innermost body that holds it is the
+    top once the bodies closed before it are popped.
+    """
+    by_open = sorted(range(len(method_spans)),
+                     key=lambda i: method_spans[i].open_brace)
+    grouped: dict[int, list[_Call]] = {}
+    opened: list[int] = []
+    k = 0
+    for call in calls:  # in text order
+        while (k < len(by_open)
+               and method_spans[by_open[k]].open_brace < call.start):
+            opened.append(by_open[k])
+            k += 1
+        while opened and method_spans[opened[-1]].close_brace <= call.start:
+            opened.pop()
+        if opened:
+            grouped.setdefault(opened[-1], []).append(call)
+    return grouped
 
 
 def decode_source(data: bytes) -> str:
@@ -521,19 +583,7 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     class_spans = _scan_class_spans(lexed)
     calls = _scan_calls(lexed, config)
 
-    # innermost-span attribution
-    grouped: dict[int, list[_Call]] = {}
-    for call in calls:
-        best = None
-        best_size = None
-        for i, ms in enumerate(method_spans):
-            if ms.open_brace < call.start and call.start < ms.close_brace:
-                size = ms.close_brace - ms.open_brace
-                if best_size is None or size < best_size:
-                    best, best_size = i, size
-        if best is not None:
-            grouped.setdefault(best, []).append(call)
-
+    grouped = _calls_by_method(method_spans, calls)
     records: list[tuple[MethodContext, list[ParsedStatement]]] = []
     for i in sorted(grouped):
         ms = method_spans[i]

@@ -34,7 +34,7 @@ from .parser import (
     relocate,
 )
 from .repair import MalformedReply, NotALoggingStatement, parse_tagged_reply
-from .tokenization import split_subwords
+from .tokenization import split_tokens
 
 
 class SynthesisError(Exception):
@@ -607,7 +607,8 @@ def _description_swap_candidates(
         for j, var in enumerate(stmt.variables):
             if j == i or not _IDENT_RE.match(var):
                 continue
-            pieces = split_subwords(var)
+            # the identifier's sub-words: its tokens but "$" and the caps marker
+            pieces = [t for t in split_tokens(var) if t.isalnum()]
             if not pieces:
                 continue
             description = pieces[-1]

@@ -17,36 +17,29 @@ from typing import Iterable
 
 CAPS_MARKER = "<caps>"
 
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
-_SUBWORD_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
-
-
-def split_subwords(word: str) -> list[str]:
-    """camelCase / snake_case / digit-boundary split, lowercased."""
-    out: list[str] = []
-    for chunk in word.split("_"):
-        for m in _SUBWORD_RE.finditer(chunk):
-            out.append(m.group().lower())
-    return out
+# One pass over the text. A word is a run of ASCII letters, digits and "_";
+# its sub-words are the camelCase / letter-digit pieces between the "_"s.
+_TOKEN_RE = re.compile(
+    # the caps marker: an empty match where a word of two or more characters
+    # starts that has an uppercase letter and no lowercase one (tried only
+    # at a word's start, so each word is read a bounded number of times)
+    r"(?<![A-Za-z0-9_])(?=[A-Za-z0-9_]{2})"
+    r"(?=[0-9_]*[A-Z][A-Z0-9_]*(?![A-Za-z0-9_]))"
+    # sub-words: an acronym (up to the capital that starts the next piece),
+    # a capitalized or lowercase piece, or a number
+    r"|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+"
+    # any other non-space character is a token of its own
+    r"|[^\sA-Za-z0-9_]")
 
 
 def split_tokens(text: str) -> list[str]:
-    """Segment arbitrary source text into sub-word and punctuation tokens."""
-    tokens: list[str] = []
-    pos = 0
-    for m in _WORD_RE.finditer(text):
-        for ch in text[pos:m.start()]:
-            if not ch.isspace():
-                tokens.append(ch)
-        word = m.group()
-        if len(word) >= 2 and word.isupper():
-            tokens.append(CAPS_MARKER)
-        tokens.extend(split_subwords(word))
-        pos = m.end()
-    for ch in text[pos:]:
-        if not ch.isspace():
-            tokens.append(ch)
-    return tokens
+    """Segment arbitrary source text into sub-word and punctuation tokens.
+
+    Sub-words are lowercased; other characters, non-ASCII ones included,
+    are kept as they are."""
+    return [CAPS_MARKER if not piece
+            else piece.lower() if piece.isascii() else piece
+            for piece in _TOKEN_RE.findall(text)]
 
 
 def _bucket_hash(token: str) -> int:
@@ -119,8 +112,9 @@ def tokenize(text: str, vocab: Vocabulary, max_tokens: int | None = None) -> Tok
     """Segment, map through the vocabulary, and truncate to max_tokens."""
     limit = vocab.max_tokens if max_tokens is None else max_tokens
     toks = split_tokens(text)
-    truncated = len(toks) > limit
+    known = vocab.token_to_id.get
     return TokenSequence(
-        ids=tuple(vocab.id_of(t) for t in toks[:limit]),
-        truncated=truncated,
+        ids=tuple([i if (i := known(t)) is not None else vocab.id_of(t)
+                   for t in toks[:limit]]),
+        truncated=len(toks) > limit,
     )

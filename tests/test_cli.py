@@ -280,6 +280,50 @@ class TestMine:
         assert main(["mine", "--repo", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
 
+    def test_a_history_git_cannot_read_is_a_data_error(self, tmp_path,
+                                                       capsys):
+        # git runs only once mining asks for the first commit; its failure
+        # there is still exit 2, not a traceback
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        (repo / ".git").write_text(f"gitdir: {tmp_path / 'gone'}\n",
+                                   encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read history from" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_checkout_whose_git_entry_is_a_file_is_mined_with_git(
+            self, tmp_path):
+        # as in a linked worktree or a submodule checkout
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git = ["git", "-C", str(repo), "-c", "user.name=t",
+               "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        source = ("class S {\n    void a() {\n"
+                  "        log.info(\"%s\");\n    }\n}\n")
+        for message in ("starting", "started"):
+            (repo / "S.java").write_text(source % message, encoding="utf-8")
+            subprocess.run([*git, "add", "-A"], check=True)
+            subprocess.run([*git, "commit", "-q", "-m", message], check=True)
+        (repo / ".git").rename(tmp_path / "gitdir")
+        (repo / ".git").write_text(f"gitdir: {tmp_path / 'gitdir'}\n",
+                                   encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 0
+        [change] = read_jsonl(str(out))
+        assert change["after"]["raw_text"] == 'log.info("started");'
+
+    def test_note_counts_the_commits(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(HISTORY_DIR), "--out",
+                     str(out)]) == 0
+        assert "mine: 5 commits -> 2 log-centric changes" in (
+            capsys.readouterr().err)
+
     def test_non_utf8_commit_is_skipped_with_a_warning(self, tmp_path,
                                                        caplog):
         repo = tmp_path / "repo"
@@ -736,6 +780,24 @@ class TestEvaluate:
                      "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "SourceLocation.start_line must be an integer, got null" in err
+        assert "Traceback" not in err
+
+    def test_a_fractional_line_number_is_a_data_error(self, ws, tmp_path,
+                                                      capsys):
+        results = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(results)]) == 0
+        truth = tmp_path / "truth.jsonl"
+        self.build_truth(ws, str(truth))
+        rows = list(read_jsonl(str(truth)))
+        rows[0]["statement"]["location"]["end_line"] += 0.5
+        write_jsonl(str(truth), rows)
+        capsys.readouterr()
+        assert main(["evaluate", "--results", str(results),
+                     "--truth", str(truth),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "SourceLocation.end_line must be an integer, got" in err
         assert "Traceback" not in err
 
     def test_empty_results(self, ws, tmp_path):

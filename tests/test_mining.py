@@ -45,7 +45,7 @@ def test_diff_lines_identical_inputs():
 # Fixture history provider
 # ---------------------------------------------------------------------------
 def test_fixture_history_pairs_are_ordered_and_named():
-    pairs = FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs()
+    pairs = list(FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs())
     assert [p.commit_id for p in pairs] == [
         "typofix", "mixedfix", "logdrop", "logadd", "tensefix"]
     assert [p.parent_id for p in pairs] == [
@@ -66,7 +66,7 @@ def test_fixture_history_reads_each_file_once(monkeypatch):
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(mining, "open", counting_open, raising=False)
-    pairs = FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs()
+    pairs = list(FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs())
     assert len(pairs) == 5
     files = [os.path.relpath(os.path.join(base, name), HISTORY_DIR)
              for base, _, names in os.walk(HISTORY_DIR) for name in names]
@@ -91,7 +91,7 @@ def test_fixture_history_skips_a_commit_with_non_utf8_text(tmp_path, caplog):
             else:
                 path.write_bytes(content.encode("utf-8"))
     with caplog.at_level(logging.WARNING, logger="logfix.mining"):
-        pairs = FixtureHistoryProvider(str(tmp_path)).commit_pairs()
+        pairs = list(FixtureHistoryProvider(str(tmp_path)).commit_pairs())
     assert [p.commit_id for p in pairs] == ["crlf"]
     # An unchanged undecodable file is no reason to skip; newlines read as \n.
     assert pairs[0].changed_files == (
@@ -114,7 +114,7 @@ def test_fixture_history_skips_a_commit_with_a_non_utf8_name(tmp_path,
                                    b"Caf\xe9.java"), "wb") as fh:
                 fh.write((service % "opening lease").encode("utf-8"))
     with caplog.at_level(logging.WARNING, logger="logfix.mining"):
-        pairs = FixtureHistoryProvider(str(tmp_path)).commit_pairs()
+        pairs = list(FixtureHistoryProvider(str(tmp_path)).commit_pairs())
     assert [p.commit_id for p in pairs] == ["logonly"]
     [warning] = caplog.records
     assert "commit latin: Caf\\xe9.java is not UTF-8 text" in (
@@ -162,7 +162,7 @@ def test_git_history_reads_paths_verbatim(tmp_path, odd):
     mixed = repo.commit({name: service_source("opening lease", "n += 2;"),
                          b"Other.java": service_source("started worker")})
     log_only = repo.commit({name: service_source("opened lease", "n += 2;")})
-    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert [p.commit_id for p in pairs] == [mixed, log_only]
     assert dict((path, (before, after))
                 for path, before, after in pairs[0].changed_files)[odd] == (
@@ -181,7 +181,7 @@ def test_git_history_skips_a_non_utf8_path(tmp_path, caplog):
     latin = repo.commit({b"Caf\xe9.java": service_source("opening lease")})
     log_only = repo.commit({b"Other.java": service_source("started worker")})
     with caplog.at_level(logging.WARNING, logger="logfix.mining"):
-        pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+        pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert [p.commit_id for p in pairs] == [log_only]
     [warning] = caplog.records
     assert f"commit {latin}: Caf\\xe9.java is not UTF-8" in (
@@ -201,7 +201,7 @@ def test_git_history_skips_a_file_git_cannot_show(tmp_path, caplog):
     repo.git("commit", "-q", "-m", "bump")
     bump = repo.git("rev-parse", "HEAD")
     with caplog.at_level(logging.WARNING, logger="logfix.mining"):
-        pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+        pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert pairs == []
     [warning] = caplog.records
     assert f"commit {bump}: git cannot show vendor/lib" in (
@@ -215,7 +215,7 @@ def test_git_history_keeps_a_commit_with_an_empty_diff(tmp_path):
     repo.commit({b"Service.java": service_source("starting worker")})
     empty = repo.commit({})
     log_only = repo.commit({b"Service.java": service_source("started worker")})
-    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert [(p.commit_id, p.changed_files) for p in pairs] == [
         (empty, ()),
         (log_only, (("Service.java", service_source("starting worker"),
@@ -277,7 +277,7 @@ def test_git_process_count_does_not_grow_with_history(tmp_path, monkeypatch,
                      b"notes.txt": f"note {n}\n"})
     counter = CountingSubprocess()
     monkeypatch.setattr(mining, "subprocess", counter)
-    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert len(pairs) == commits - 1
     assert all(len(p.changed_files) == 2 for p in pairs)
     assert counter.started == ["log", "diff-tree", "cat-file"]
@@ -297,9 +297,47 @@ def test_cat_file_is_waited_on_when_reading_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mining, "decode_source", broken_decode)
     with pytest.raises(RuntimeError, match="decoder broke"):
-        GitHistoryProvider(str(tmp_path)).commit_pairs()
+        list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert counter.process.returncode is not None
     assert counter.process.stdin.closed and counter.process.stdout.closed
+
+
+def test_commit_pairs_are_read_as_they_are_consumed(tmp_path, monkeypatch):
+    from logfix import mining
+
+    repo = GitRepo(tmp_path)
+    for message in ("starting worker", "started worker", "worker started"):
+        repo.commit({b"Service.java": service_source(message)})
+    counter = CountingSubprocess()
+    monkeypatch.setattr(mining, "subprocess", counter)
+    pairs = GitHistoryProvider(str(tmp_path)).commit_pairs()
+    assert counter.started == []  # nothing runs before the first pair
+    first = next(pairs)
+    assert first.changed_files[0][2] == service_source("started worker")
+    assert counter.process.returncode is None  # cat-file serves the rest
+    # A consumer that stops early: closing the generator closes cat-file's
+    # pipes and waits for it.
+    pairs.close()
+    assert counter.process.returncode is not None
+    assert counter.process.stdin.closed and counter.process.stdout.closed
+    assert counter.started == ["log", "diff-tree", "cat-file"]
+
+
+def test_fixture_history_reads_snapshots_as_they_are_consumed(monkeypatch):
+    from logfix import mining
+
+    read = []
+    snapshot = FixtureHistoryProvider._snapshot
+
+    def recording_snapshot(self, dirname):
+        read.append(dirname)
+        return snapshot(self, dirname)
+
+    monkeypatch.setattr(mining.FixtureHistoryProvider, "_snapshot",
+                        recording_snapshot)
+    pairs = FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs()
+    assert next(pairs).commit_id == "typofix"
+    assert len(read) == 2  # the base snapshot and the first commit's
 
 
 def test_git_history_since_limits_the_pairs(tmp_path):
@@ -379,6 +417,36 @@ def test_extract_lccs_rejects_non_source_files():
         changed_files=(("Service.java", before, after),
                        ("notes.txt", "a\n", "b\n")))
     assert extract_lccs([pair], None, "proj") == []
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_non_source_change_rejects_the_commit_before_parsing(monkeypatch,
+                                                               order):
+    from logfix import mining
+
+    first = java('log.info("starting worker");')
+    second = java('log.info("started worker");')
+    third = java('log.info("worker started");')
+    mixed = CommitSnapshotPair(
+        commit_id="c2", parent_id="c1",
+        changed_files=(("Service.java", first, second),
+                       ("notes.txt", "a\n", "b\n"))[::order])
+    parsed = []
+
+    def counting_extract_file(source, path, *args):
+        parsed.append(path)
+        return extract_file(source, path, *args)
+
+    monkeypatch.setattr(mining, "extract_file", counting_extract_file)
+    assert extract_lccs([mixed], None, "proj") == []
+    assert parsed == []
+    # The next commit to the file is mined as it was when the mixed commit
+    # was parsed before its rejection.
+    changes = extract_lccs([mixed, pair_of("c3", second, third)], None, "proj")
+    assert [(c.commit_id, c.before.raw_text, c.after.raw_text)
+            for c in changes] == [
+        ("c3", 'log.info("started worker");', 'log.info("worker started");')]
+    assert parsed == ["Service.java", "Service.java"]
 
 
 def test_extract_lccs_rejects_code_line_changes():

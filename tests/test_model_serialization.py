@@ -261,11 +261,23 @@ class TestCodec:
         with pytest.raises(KeyError, match="end_line"):
             from_dict(SourceLocation, {"path": "A.java", "start_line": 1})
 
-    def test_int_float_and_bool_fields_are_coerced(self):
-        loc = from_dict(SourceLocation, {"path": "A.java",
-                                         "start_line": "3", "end_line": 4.0})
-        assert (loc.start_line, loc.end_line) == (3, 4)
-        assert type(loc.end_line) is int
+    def test_int_float_and_bool_fields_take_only_their_json_types(self):
+        # an int field takes a JSON integer only: no float, however whole,
+        # no numeric string and no boolean
+        for start_line, end_line, bad in ((4.7, 5, "start_line"),
+                                          (4, "5", "end_line"),
+                                          (4, 4.0, "end_line"),
+                                          (True, 5, "start_line")):
+            data = {"path": "A.java", "start_line": start_line,
+                    "end_line": end_line}
+            with pytest.raises(ValueError, match=re.escape(
+                    f"SourceLocation.{bad} must be an integer, got "
+                    f"{json.dumps(data[bad])}")):
+                from_dict(SourceLocation, data)
+        with pytest.raises(ValueError, match=re.escape(
+                'TrainConfig.dropout must be a number, got "0.1"')):
+            from_dict(TrainConfig, {"dropout": "0.1"})
+        # a JSON integer reads into a float field, and 0/1 into a bool field
         d = to_dict(make_result())
         restored = from_dict(UpdateResult, {**d, "confidence": 1,
                                             "checker_confirmed": 0})

@@ -1,6 +1,8 @@
 """Statement decomposition, method extraction, and raw-text round-trips."""
 
 import random
+import re
+import time
 
 import pytest
 
@@ -16,6 +18,12 @@ from logfix.model import LogLevel, PlaceholderKind
 from logfix.parser import (
     ParserConfig,
     UnbalancedBraces,
+    _calls_by_method,
+    _scan_calls,
+    _scan_class_spans,
+    _scan_markers,
+    _scan_method_spans,
+    _split_format_expr,
     collect_scope_identifiers,
     extract_file,
     lex,
@@ -286,6 +294,343 @@ def test_lexer_matches_reference_scanners():
         assert lexed.mask == mask, text
         assert lexed.starts == starts, text
         assert {i: lexed.close(i) for i in closes} == closes, text
+
+
+# ---------------------------------------------------------------------------
+# Reference scanners, as first written: the method, class and call finders,
+# whose regexes try every offset (the identifier ones backtrack over the rest
+# of each word, so they are quadratic in the longest word or literal), the
+# placeholder and concatenation splitters, which step one character at a
+# time, and the attribution of calls to methods, which compares every call
+# with every method. The parser's scanners must return exactly what these
+# return.
+# ---------------------------------------------------------------------------
+_REF_IDENT_PAREN_RE = re.compile(r"([A-Za-z_$][\w$]*)\s*\(")
+_REF_THROWS_RE = re.compile(r"\s*throws\s+[\w$.\s,<>]*")
+_REF_CLASS_RE = re.compile(r"\b(?:class|interface|enum)\s+([A-Za-z_$][\w$]*)")
+_REF_NOT_A_METHOD = {
+    "if", "for", "while", "switch", "catch", "return", "new", "do", "else",
+    "try", "finally", "throw", "assert", "super", "this", "synchronized",
+}
+
+
+def _ref_prev_word(text: str, idx: int) -> str:
+    j = idx
+    while j > 0 and text[j - 1].isspace():
+        j -= 1
+    i = j
+    while i > 0 and (text[i - 1].isalnum() or text[i - 1] in "_$"):
+        i -= 1
+    return text[i:j]
+
+
+def _reference_method_spans(lexed, path):
+    """(name, header_start, open_brace, close_brace) per method, and
+    (path, line, what) per unbalanced body."""
+    stripped, mask = lexed.stripped, lexed.mask
+    spans, errors = [], []
+    for m in _REF_IDENT_PAREN_RE.finditer(stripped):
+        if mask[m.start()]:
+            continue
+        name = m.group(1)
+        if name in _REF_NOT_A_METHOD:
+            continue
+        k = m.start()
+        while k > 0 and stripped[k - 1].isspace():
+            k -= 1
+        if k > 0 and stripped[k - 1] in ".@":
+            continue
+        if _ref_prev_word(stripped, m.start()) in ("new", "record"):
+            continue
+        close = lexed.close(m.end() - 1)
+        if close < 0:
+            continue
+        after = close + 1
+        tm = _REF_THROWS_RE.match(stripped, after)
+        if tm:
+            after = tm.end()
+        while after < len(stripped) and stripped[after].isspace():
+            after += 1
+        if after >= len(stripped) or stripped[after] != "{":
+            continue
+        body_close = lexed.close(after)
+        if body_close < 0:
+            errors.append((path, lexed.line_of(after), f"method {name}"))
+            continue
+        header_start = stripped.rfind("\n", 0, m.start()) + 1
+        spans.append((name, header_start, after, body_close))
+    return spans, errors
+
+
+def _reference_class_spans(lexed):
+    stripped, mask = lexed.stripped, lexed.mask
+    out = []
+    for m in _REF_CLASS_RE.finditer(stripped):
+        if mask[m.start()]:
+            continue
+        open_idx = stripped.find("{", m.end())
+        while open_idx >= 0 and mask[open_idx]:
+            open_idx = stripped.find("{", open_idx + 1)
+        close = lexed.close(open_idx)
+        if close < 0:
+            continue
+        out.append((m.group(1), open_idx, close))
+    return out
+
+
+def _reference_calls(lexed, config):
+    """(start, end, level, arg_spans) per logger call."""
+    stripped, mask = lexed.stripped, lexed.mask
+    recv = "|".join(re.escape(r) for r in sorted(config.logger_receivers))
+    call_re = re.compile(
+        rf"(?<![\w$])(?:{recv})\s*\.\s*([A-Za-z_$][\w$]*)\s*\(")
+    calls = []
+    pos = 0
+    n = len(stripped)
+    while pos < n:
+        m = call_re.search(stripped, pos)
+        if not m:
+            break
+        if mask[m.start()]:
+            pos = m.start() + 1
+            continue
+        level = config.level_methods.get(m.group(1).lower())
+        if level is None:
+            pos = m.end()
+            continue
+        open_idx = m.end() - 1
+        close = lexed.close(open_idx)
+        if close < 0:
+            eol = stripped.find("\n", open_idx)
+            end = eol if eol >= 0 else n
+            calls.append((m.start(), end, level, ()))
+            pos = end
+            continue
+        spans = []
+        depth = 0
+        a = open_idx + 1
+        for i in range(open_idx + 1, close):
+            if mask[i]:
+                continue
+            c = stripped[i]
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                depth -= 1
+            elif c == "," and depth == 0:
+                spans.append((a, i))
+                a = i + 1
+        if close > open_idx + 1:
+            spans.append((a, close))
+        end = close + 1
+        if end < n and stripped[end] == ";":
+            end += 1
+        calls.append((m.start(), end, level, tuple(spans)))
+        pos = end
+    return calls
+
+
+# what the finders look for, in random order: keywords, receivers, names
+# with digits and non-ASCII letters, annotations, brackets and literals
+_FINDER_FRAGMENTS = ["class", "interface", "enum", "record", "new", "if",
+                     "throws", "void", "run", "x1", "1x", "é", "$", "_",
+                     "@", ".", ",", ";", "(", ")", "{", "}", "[", "]", '"',
+                     "'", "\\", "\n", " ", "\t", "//", "/*", "*/", "log",
+                     "LOG", "Logger", "this.log", "$log", "info", "warn",
+                     "subclass", "élog", "run(", "1x (", "() {", ") {",
+                     ") throws E {", "@A(", "log.info(", "new A("]
+_FINDER_CONFIGS = [
+    ParserConfig(),
+    ParserConfig(logger_receivers=frozenset()),
+    ParserConfig(logger_receivers=frozenset({"", "$log", "this.log", "LOG"})),
+]
+
+
+def _finder_texts() -> list[str]:
+    texts = list(fuzz_texts(10_000))
+    fixtures = sorted(FIXTURES.rglob("*.java"))
+    assert len(fixtures) >= 50
+    texts.extend(path.read_text(encoding="utf-8") for path in fixtures)
+    rng = random.Random(7)
+    texts.extend("".join(rng.choices(_FINDER_FRAGMENTS,
+                                     k=rng.randrange(0, 40)))
+                 for _ in range(5_000))
+    # corners: "$" and non-ASCII letters before keywords and receivers,
+    # names after digits, brackets and commas inside arguments
+    texts.extend([
+        "$class A { void run() { log.info(\"x\"); } }",
+        "éclass B { }", "_enum C { }", "subclass D { }", "x.class E { }",
+        "class F {\nrun() {\n}\n1run() {\n}\né2run () {\n}\n}",
+        'void g() { log.info("{} {}", m[i, j], k); LOG.warn("a", f(1, 2)); }',
+        'void h() { $log.info("x"); élog.info("y"); x.log.info("z"); }',
+    ])
+    return texts
+
+
+def test_finders_match_reference_finders():
+    for text in _finder_texts():
+        lexed = lex(text)
+        errors = []
+        spans = _scan_method_spans(lexed, "A.java", errors)
+        assert ([(s.name, s.header_start, s.open_brace, s.close_brace)
+                 for s in spans],
+                [(e.path, e.line, e.what) for e in errors]
+                ) == _reference_method_spans(lexed, "A.java"), text
+        assert _scan_class_spans(lexed) == _reference_class_spans(lexed), text
+        for config in _FINDER_CONFIGS:
+            assert [(c.start, c.end, c.level, c.arg_spans)
+                    for c in _scan_calls(lexed, config)
+                    ] == _reference_calls(lexed, config), text
+
+
+_REF_PERCENT_RE = re.compile(r"%[-+ #0,(]*\d*(?:\.\d+)?[sSdfxXeEgGoObBcChHaA]")
+
+
+def _reference_markers(static_text):
+    """(kind, offset, text) per placeholder marker, one character at a
+    time."""
+    found = []
+    i, n = 0, len(static_text)
+    while i < n:
+        c = static_text[i]
+        if c == "{" and i + 1 < n and static_text[i + 1] == "}":
+            found.append((PlaceholderKind.BRACE, i, "{}"))
+            i += 2
+        elif c == "%":
+            if i + 1 < n and static_text[i + 1] == "%":
+                i += 2
+                continue
+            m = _REF_PERCENT_RE.match(static_text, i)
+            if m:
+                found.append((PlaceholderKind.PERCENT, i, m.group()))
+                i = m.end()
+            else:
+                i += 1
+        else:
+            i += 1
+    return found
+
+
+def _reference_split_format_expr(expr, mask):
+    """(is_literal, text, span) per fragment, or None without a top-level
+    literal; the '+' cuts are found one character at a time."""
+    cuts = []
+    depth = 0
+    for i, c in enumerate(expr):
+        if mask[i]:
+            continue
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == "+" and depth == 0:
+            cuts.append(i)
+    pieces = []
+    prev = 0
+    for cut in cuts:
+        pieces.append((prev, cut))
+        prev = cut + 1
+    pieces.append((prev, len(expr)))
+    frags = []
+    saw_literal = False
+    for a, b in pieces:
+        piece = expr[a:b]
+        stripped = piece.strip()
+        if not stripped:
+            continue
+        lead = a + (len(piece) - len(piece.lstrip()))
+        if (stripped.startswith('"') and stripped.endswith('"')
+                and len(stripped) >= 2):
+            saw_literal = True
+            frags.append((True, stripped[1:-1],
+                          (lead + 1, lead + 1 + len(stripped) - 2)))
+        else:
+            frags.append((False, stripped, (lead, lead + len(stripped))))
+    return frags if saw_literal else None
+
+
+_FORMAT_FRAGMENTS = ["{", "}", "{}", "%", "%%", "%s", "%d", "%-5.2f", "%n",
+                     "%(", "%,d", "%08X", "%.3e", "a", " ", "+", "++", "(",
+                     ")", "[", "]", '"', "'", "\\", "x.y()", "é"]
+
+
+def test_format_splitting_matches_the_reference_scanners():
+    rng = random.Random(11)
+    texts = _finder_texts() + ["".join(rng.choices(_FORMAT_FRAGMENTS,
+                                                   k=rng.randrange(0, 30)))
+                               for _ in range(5_000)]
+    for text in texts:
+        assert [(p.kind, p.offset, p.text) for p in _scan_markers(text)
+                ] == _reference_markers(text), text
+        mask = lex(text).mask
+        frags = _split_format_expr(text, mask)
+        assert (None if frags is None
+                else [(f.is_literal, f.text, f.span) for f in frags]
+                ) == _reference_split_format_expr(text, mask), text
+
+
+def _reference_calls_by_method(method_spans, calls):
+    """The first attribution: every call against every method, keeping the
+    smallest body that holds the call."""
+    grouped = {}
+    for call in calls:
+        best = None
+        best_size = None
+        for i, ms in enumerate(method_spans):
+            if ms.open_brace < call.start and call.start < ms.close_brace:
+                size = ms.close_brace - ms.open_brace
+                if best_size is None or size < best_size:
+                    best, best_size = i, size
+        if best is not None:
+            grouped.setdefault(best, []).append(call)
+    return grouped
+
+
+def test_calls_go_to_the_innermost_method_as_the_reference_has_it():
+    nested = ("class A {\n  void outer() {\n    log.info(\"a\");\n"
+              "    Runnable r = new Runnable() {\n      public void run() {\n"
+              "        log.info(\"b\");\n      }\n    };\n"
+              "    log.info(\"c\");\n  }\n  void next() { log.warn(\"d\"); }\n}\n")
+    for text in _finder_texts() + [nested]:
+        lexed = lex(text)
+        spans = _scan_method_spans(lexed, "A.java", [])
+        calls = _scan_calls(lexed, ParserConfig())
+        assert _calls_by_method(spans, calls) == (
+            _reference_calls_by_method(spans, calls)), text
+    result = extract_file(nested, "A.java")
+    assert [(ctx.qualified_name, [p.statement.static_text for p in parsed])
+            for ctx, parsed in result.records] == [
+        ("A.outer", ["a", "c"]), ("A.run", ["b"]), ("A.next", ["d"])]
+
+
+@pytest.mark.parametrize("filler", [
+    '"' + "aB3x" * 7_500 + '"',  # a 30,000-character literal
+    "a1" * 15_000,               # a 30,000-character identifier
+])
+def test_extract_file_is_linear_in_the_longest_word(filler):
+    source = ("class A {\n    void run() {\n"
+              f"        Object o = {filler};\n"
+              '        log.info("ran {}", o);\n    }\n}\n')
+    began = time.perf_counter()
+    result = extract_file(source, "A.java")
+    assert time.perf_counter() - began < 0.5
+    assert [ctx.qualified_name for ctx, _ in result.records] == ["A.run"]
+
+
+def test_extract_file_is_linear_in_methods_times_calls():
+    # 10,000 empty methods and one with 2,000 calls: comparing every call
+    # with every method took 2 s, ten times what extraction takes now
+    lines = "".join(
+        "        " + " ".join(f'log.info("step {i} {j}");' for j in range(20))
+        + "\n" for i in range(100))
+    source = ("class A {\n"
+              + "".join(f"    void m{i}() {{ }}\n" for i in range(10_000))
+              + f"    void run() {{\n{lines}    }}\n}}\n")
+    began = time.perf_counter()
+    result = extract_file(source, "A.java")
+    assert time.perf_counter() - began < 1.0
+    [(ctx, parsed)] = result.records
+    assert ctx.qualified_name == "A.run" and len(parsed) == 2_000
 
 
 def test_comment_inside_argument_list_is_ignored():

@@ -1,22 +1,99 @@
 """Sub-word segmentation, casing markers, and vocabulary behavior."""
 
+import re
+import time
+
+from conftest import FIXTURES, fuzz_texts
 from logfix.tokenization import (
     CAPS_MARKER,
     Vocabulary,
     build_vocabulary,
     fit_vocabulary,
-    split_subwords,
     split_tokens,
     tokenize,
 )
 
 
-def test_split_subwords_camel_snake_and_digits():
-    assert split_subwords("fooBarBaz") == ["foo", "bar", "baz"]
-    assert split_subwords("foo_bar") == ["foo", "bar"]
-    assert split_subwords("maxRetries3") == ["max", "retries", "3"]
-    assert split_subwords("HTTPServer") == ["http", "server"]
-    assert split_subwords("x") == ["x"]
+def test_split_tokens_camel_snake_and_digits():
+    assert split_tokens("fooBarBaz") == ["foo", "bar", "baz"]
+    assert split_tokens("foo_bar") == ["foo", "bar"]
+    assert split_tokens("maxRetries3") == ["max", "retries", "3"]
+    assert split_tokens("HTTPServer") == ["http", "server"]
+    assert split_tokens("x") == ["x"]
+
+
+# The segmentation as first written: a Python loop over each word and each
+# character between words. split_tokens must give exactly its tokens.
+_REF_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+_REF_SUBWORD_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
+
+
+def _reference_split_subwords(word: str) -> list[str]:
+    out: list[str] = []
+    for chunk in word.split("_"):
+        for m in _REF_SUBWORD_RE.finditer(chunk):
+            out.append(m.group().lower())
+    return out
+
+
+def _reference_split_tokens(text: str) -> list[str]:
+    tokens: list[str] = []
+    pos = 0
+    for m in _REF_WORD_RE.finditer(text):
+        for ch in text[pos:m.start()]:
+            if not ch.isspace():
+                tokens.append(ch)
+        word = m.group()
+        if len(word) >= 2 and word.isupper():
+            tokens.append(CAPS_MARKER)
+        tokens.extend(_reference_split_subwords(word))
+        pos = m.end()
+    for ch in text[pos:]:
+        if not ch.isspace():
+            tokens.append(ch)
+    return tokens
+
+
+def _segmentation_texts() -> list[str]:
+    texts = list(fuzz_texts(10_000))
+    fixtures = sorted(FIXTURES.rglob("*.java"))
+    assert len(fixtures) >= 50
+    texts.extend(path.read_text(encoding="utf-8") for path in fixtures)
+    # casing and word-boundary corners, and each of the first 12,288 code
+    # points alone and inside a word (non-ASCII letters and case, Unicode
+    # spaces, control characters)
+    texts.extend(["_AB x", "A_", "a_B", "AB1", "1A", "__", "A1", "fooBAR",
+                  "fooBARBaz", "IO.x", "X_y", "ÀB", "BÀ", "\u0130x"])
+    texts.extend(chr(c) for c in range(0x3000))
+    texts.extend(f"aB{chr(c)}CD" for c in range(0x3000))
+    return texts
+
+
+def test_split_tokens_matches_the_reference_segmentation():
+    for text in _segmentation_texts():
+        assert split_tokens(text) == _reference_split_tokens(text), text
+
+
+def test_tokenize_ids_are_the_vocabulary_ids_of_the_tokens():
+    texts = list(fuzz_texts(2_000))
+    # a small vocabulary, so most texts hold out-of-vocabulary tokens
+    vocab = build_vocabulary(texts[:200], max_size=40, oov_buckets=7,
+                             max_tokens=25)
+    for text in texts:
+        tokens = split_tokens(text)
+        seq = tokenize(text, vocab)
+        assert seq.ids == tuple(vocab.id_of(t) for t in tokens[:25]), text
+        assert seq.truncated == (len(tokens) > 25)
+
+
+def test_split_tokens_is_linear_on_long_words():
+    # one 30,000-character word of letters and digits, and one literal-like
+    # run of mixed case; both take milliseconds
+    for text in ("a1" * 15_000, '"' + "aB3x" * 7_500 + '"'):
+        began = time.perf_counter()
+        tokens = split_tokens(text)
+        assert time.perf_counter() - began < 0.5
+        assert tokens == _reference_split_tokens(text)
 
 
 def test_split_tokens_marks_fully_uppercase_words():
