@@ -30,8 +30,8 @@ from .model import (
     LABEL_INDEX,
     LABELS,
     DefectLabel,
+    Detection,
     LoggingStatement,
-    MethodContext,
     UpdateResult,
     from_dict,
     method_record_from_dict,
@@ -327,17 +327,11 @@ def cmd_detect(args, config: ToolConfig) -> int:
     for d in read_jsonl(args.in_path):
         ctx, statements = method_record_from_dict(d)
         for stmt in statements:
-            label, confidence = _detect_one(ctx, stmt, model, head,
-                                            train_config.max_tokens)
-            records.append({
-                "method": to_dict(ctx),
-                "statement": to_dict(stmt),
-                "predicted_label": label.value,
-                "confidence": confidence,
-            })
-    write_jsonl(args.out, records)
+            records.append(Detection(ctx, stmt, *_detect_one(
+                ctx, stmt, model, head, train_config.max_tokens)))
+    write_jsonl(args.out, map(to_dict, records))
     defects = sum(1 for r in records
-                  if r["predicted_label"] != DefectLabel.NON_DEFECT.value)
+                  if r.predicted_label is not DefectLabel.NON_DEFECT)
     _note(f"detect: {len(records)} statements, {defects} flagged "
           f"-> {args.out}")
     return EXIT_OK
@@ -347,20 +341,16 @@ def _read_statement_items(path: str):
     """(context, statement, detection) items from detection records
     ({method, statement, predicted_label, confidence}) or extract records
     ({method, statements}). An item's detection is (label, confidence), or
-    None when its record carries no label."""
+    None for a statement of an extract record."""
     items = []
     for d in read_jsonl(path):
         if "statements" in d:
             ctx, statements = method_record_from_dict(d)
             items.extend((ctx, stmt, None) for stmt in statements)
         else:
-            detection = None
-            if "predicted_label" in d:
-                detection = (DefectLabel(d["predicted_label"]),
-                             float(d["confidence"]))
-            items.append((from_dict(MethodContext, d["method"]),
-                          from_dict(LoggingStatement, d["statement"]),
-                          detection))
+            r = from_dict(Detection, d)
+            items.append((r.method, r.statement,
+                          (r.predicted_label, r.confidence)))
     return items
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from operator import attrgetter
 from types import UnionType
 from typing import (Any, Callable, Iterable, Iterator, TypeVar, Union,
@@ -189,6 +189,16 @@ class EvaluationRecord:
 
 
 @dataclass(frozen=True)
+class Detection:
+    """The detector's verdict on one statement, as `detect` writes it."""
+
+    method: MethodContext
+    statement: LoggingStatement
+    predicted_label: DefectLabel
+    confidence: float
+
+
+@dataclass(frozen=True)
 class UpdateResult:
     """Outcome of running one statement through the repair pipeline."""
 
@@ -201,6 +211,19 @@ class UpdateResult:
     exemplars: tuple[LogCentricChange, ...] = ()
     updated_statement: LoggingStatement | None = None
     diagnostics: tuple[str, ...] = ()
+
+
+def statement_offset(context: MethodContext, stmt: LoggingStatement) -> int:
+    """Where `stmt`'s raw text starts in its method's source text, looked
+    for on the statement's own line, so that of two equal statements the
+    right one is found; -1 when the text is not there."""
+    line = stmt.location.start_line - context.location.start_line
+    lines = context.source_text.split("\n")
+    if not 0 <= line < len(lines):
+        return -1
+    start = sum(map(len, lines[:line])) + line
+    at = context.source_text.find(stmt.raw_text, start)
+    return at if start <= at < start + len(lines[line]) else -1
 
 
 def validate_sample(sample: LabeledSample) -> list[str]:
@@ -216,6 +239,8 @@ def validate_sample(sample: LabeledSample) -> list[str]:
     if not (ctx.location.start_line <= tgt.location.start_line
             and tgt.location.end_line <= ctx.location.end_line):
         problems.append("target statement lines fall outside the method's line span")
+    elif statement_offset(ctx, tgt) < 0:
+        problems.append("context does not hold the target's raw text at its line")
     prov = sample.provenance
     if prov.kind is ProvenanceKind.MUTATED:
         if sample.label is DefectLabel.NON_DEFECT:
@@ -274,9 +299,12 @@ def _converters(tp: Any) -> tuple[Callable | None, Callable | None,
         return (list if encode is None else lambda v: [encode(x) for x in v],
                 read, (list,), "a list")
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return attrgetter("value"), tp, (str,), "a string"
+        # a value no member has goes to the class, which rejects it
+        members = {member.value: member for member in tp}
+        return (attrgetter("_value_"), lambda v: members.get(v) or tp(v),
+                (str,), "a string")
     if is_dataclass(tp):
-        return to_dict, partial(from_dict, tp), (dict,), "an object"
+        return *_codec(tp), (dict,), "an object"
     if tp in _SCALARS:
         return None, None if tp in (str, int) else tp, *_SCALARS[tp]
     raise TypeError(f"no JSON form for {tp!r}")
@@ -287,23 +315,46 @@ def _show(value: Any) -> str:
 
 
 @cache
-def _plan(cls: type) -> tuple[tuple, ...]:
-    """(name, encode, decode, accepted JSON types, their description,
-    required) for each field of a dataclass."""
+def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]],
+                               Callable[[dict[str, Any]], Any]]:
+    """The encoder and the decoder of a dataclass, built once per class.
+    The decoder takes a dict; `from_dict` checks that the record is one."""
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, *_converters(hints[f.name]),
-         f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls))
+    encoders, readers = [], []
+    for f in fields(cls):
+        encode, decode, kinds, expected = _converters(hints[f.name])
+        encoders.append((f.name, encode))
+        readers.append((f.name, decode, kinds, expected,
+                        f.default is MISSING and f.default_factory is MISSING))
+
+    def encoder(obj: Any) -> dict[str, Any]:
+        return {name: getattr(obj, name) if encode is None
+                else encode(getattr(obj, name)) for name, encode in encoders}
+
+    def decoder(data: dict[str, Any]) -> Any:
+        kwargs = {}
+        for name, decode, kinds, expected, required in readers:
+            if name in data:
+                value = data[name]
+                if type(value) not in kinds:
+                    raise ValueError(f"{cls.__name__}.{name} must be "
+                                     f"{expected}, got {_show(value)}")
+                if decode is not None:
+                    try:
+                        value = decode(value)
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{cls.__name__}.{name}: {exc}") from None
+                kwargs[name] = value
+            elif required:
+                raise KeyError(name)
+        return cls(**kwargs)
+    return encoder, decoder
 
 
 def to_dict(obj: Any) -> dict[str, Any]:
     """The JSON object of a dataclass instance."""
-    out = {}
-    for name, encode, *_ in _plan(type(obj)):
-        value = getattr(obj, name)
-        out[name] = value if encode is None else encode(value)
-    return out
+    return _codec(type(obj))[0](obj)
 
 
 def from_dict(cls: type[T], data: dict[str, Any]) -> T:
@@ -312,22 +363,7 @@ def from_dict(cls: type[T], data: dict[str, Any]) -> T:
     a value of the wrong type (and the path to it, for a nested record)."""
     if type(data) is not dict:
         raise ValueError(f"{cls.__name__} must be an object, got {_show(data)}")
-    kwargs = {}
-    for name, _, decode, kinds, expected, required in _plan(cls):
-        if name in data:
-            value = data[name]
-            if type(value) not in kinds:
-                raise ValueError(f"{cls.__name__}.{name} must be {expected}, "
-                                 f"got {_show(value)}")
-            if decode is not None:
-                try:
-                    value = decode(value)
-                except ValueError as exc:
-                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
-            kwargs[name] = value
-        elif required:
-            raise KeyError(name)
-    return cls(**kwargs)
+    return _codec(cls)[1](data)
 
 
 statement_to_dict = to_dict  # the name perfbench/inputs.py imports

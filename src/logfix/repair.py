@@ -288,14 +288,19 @@ def run_pipeline_batch(
     backend: LlmBackend,
     config: RepairConfig | None = None,
 ) -> list[UpdateResult]:
-    """Run the pipeline over many (context, statement, detection) items
-    on `config.workers` threads that share `backend` and `pool`. Output
-    order matches input."""
+    """Run the pipeline over many (context, statement, detection) items.
+    Predicted defects run on `config.workers` threads that share `backend`
+    and `pool`; a statement predicted NON_DEFECT calls no backend, so its
+    result is built on the calling thread. Output order matches input."""
     config = config or RepairConfig()
-    with ThreadPoolExecutor(max_workers=config.workers) as executor:
-        futures = [
-            executor.submit(run_pipeline, ctx, stmt, detection, pool,
-                            backend, config)
-            for ctx, stmt, detection in items
-        ]
-        return [f.result() for f in futures]
+    results = [run_pipeline(*item, pool, backend, config)
+               if item[2][0] is DefectLabel.NON_DEFECT else None
+               for item in items]
+    defects = [i for i, result in enumerate(results) if result is None]
+    if defects:
+        with ThreadPoolExecutor(max_workers=config.workers) as executor:
+            futures = [executor.submit(run_pipeline, *items[i], pool,
+                                       backend, config) for i in defects]
+            for i, future in zip(defects, futures):
+                results[i] = future.result()
+    return results

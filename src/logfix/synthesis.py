@@ -25,6 +25,7 @@ from .model import (
     MethodContext,
     Provenance,
     ProvenanceKind,
+    statement_offset,
 )
 from .parser import (
     ParsedStatement,
@@ -134,9 +135,6 @@ def load_typo_lexicon(path: str | None = None) -> TypoLexicon:
     return TypoLexicon(entries=entries)
 
 
-_CONSONANT_RE = re.compile(r"[^aeiou]$")
-
-
 def _regular_forms(lemma: str) -> dict[Tense, str]:
     if lemma.endswith(("s", "x", "z", "ch", "sh")):
         third = lemma + "es"
@@ -241,15 +239,6 @@ class MutationStrategy(Enum):
     SEMANTIC_STATIC_DYNAMIC = "SEMANTIC_STATIC_DYNAMIC"
 
 
-STRATEGY_LABEL: dict[MutationStrategy, DefectLabel] = {
-    MutationStrategy.TYPO: DefectLabel.READABILITY,
-    MutationStrategy.CAPITALIZATION: DefectLabel.READABILITY,
-    MutationStrategy.TENSE: DefectLabel.TEMPORAL,
-    MutationStrategy.SEMANTIC_STATEMENT_CODE: DefectLabel.STATEMENT_CODE,
-    MutationStrategy.SEMANTIC_STATIC_DYNAMIC: DefectLabel.STATIC_DYNAMIC,
-}
-
-
 @dataclass(frozen=True)
 class MutationRecord:
     strategy: MutationStrategy
@@ -260,10 +249,6 @@ class MutationRecord:
     def __post_init__(self) -> None:
         if self.original == self.mutated:
             raise ValueError("mutation record with identical original/mutated")
-
-    @property
-    def label(self) -> DefectLabel:
-        return STRATEGY_LABEL[self.strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +422,10 @@ def mutate_readability(
 # ---------------------------------------------------------------------------
 # TEMPORAL mutations
 # ---------------------------------------------------------------------------
-def identify_main_verb(
-    static_text: str, lexicon: VerbLexicon | None = None
-) -> tuple[int, str, Tense] | None:
-    """Locate the message's main verb as (word index, lemma, tense).
-
-    The scan is leftmost-first over alphabetic words, which realizes the
-    preference order: a leading gerund/participle, then a leading imperative
-    base form, then any later verb form. Stop-set words never match.
-    """
-    lexicon = lexicon or default_verb_lexicon()
-    for i, m in enumerate(_WORD_RE.finditer(static_text)):
-        hit = lexicon.classify(m.group())
-        if hit is not None:
-            return (i, hit[0], hit[1])
-    return None
-
-
 def _main_verb_word(parsed: ParsedStatement,
                     lexicon: VerbLexicon) -> tuple[_EditableWord, str, Tense] | None:
+    """The main verb: the first editable word that is a verb form outside
+    the lexicon's stop set, with its lemma and tense."""
     for word in _editable_words(parsed):
         hit = lexicon.classify(word.text)
         if hit is not None:
@@ -721,7 +691,12 @@ MAX_RESAMPLE_ROUNDS = 64
 
 def _mutated_context(context: MethodContext, old: LoggingStatement,
                      new: LoggingStatement) -> MethodContext:
-    source = context.source_text.replace(old.raw_text, new.raw_text, 1)
+    at = statement_offset(context, old)
+    if at < 0:
+        raise ValueError(f"statement {old.id} is not at line "
+                         f"{old.location.start_line} of its method")
+    source = (context.source_text[:at] + new.raw_text
+              + context.source_text[at + len(old.raw_text):])
     ids = tuple(new.id if sid == old.id else sid for sid in context.statement_ids)
     return replace(context, source_text=source, statement_ids=ids)
 

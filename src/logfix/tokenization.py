@@ -102,12 +102,6 @@ def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
         for indices in index_lists]
 
 
-def build_vocabulary(texts: Iterable[str], max_size: int = 4096,
-                     oov_buckets: int = 32, max_tokens: int = 1024) -> Vocabulary:
-    """The vocabulary of `fit_vocabulary`."""
-    return fit_vocabulary(texts, max_size, oov_buckets, max_tokens)[0]
-
-
 def tokenize(text: str, vocab: Vocabulary, max_tokens: int | None = None) -> TokenSequence:
     """Segment, map through the vocabulary, and truncate to max_tokens."""
     limit = vocab.max_tokens if max_tokens is None else max_tokens

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from logfix import repair
 from logfix.detector import ClassifierHead, EncoderModel, TrainConfig, train
 from logfix.model import (
     DefectLabel,
@@ -165,3 +166,22 @@ def small_corpus(clean_samples: list[LabeledSample]) -> list[LabeledSample]:
 
 SMALL_CONFIG = TrainConfig(learning_rate=3e-3, epochs=2, dim=16,
                            vocab_size=256, batch_size=8)
+
+
+@pytest.fixture
+def executor_record(monkeypatch) -> dict:
+    """Counts the executors the repair pipeline starts, and lists the
+    statements submitted to them in submission order."""
+    record = {"executors": 0, "submitted": []}
+
+    class Recording(repair.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            record["executors"] += 1
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            record["submitted"].append(args[1])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(repair, "ThreadPoolExecutor", Recording)
+    return record

@@ -59,7 +59,7 @@ from logfix.synthesis import (
     mutate_tense,
     synthesize_corpus,
 )
-from logfix.tokenization import build_vocabulary, split_tokens
+from logfix.tokenization import fit_vocabulary, split_tokens
 
 DEFECTS = (DefectLabel.STATEMENT_CODE, DefectLabel.STATIC_DYNAMIC,
            DefectLabel.TEMPORAL, DefectLabel.READABILITY)
@@ -127,7 +127,7 @@ def test_2_analytic_gradients_match_finite_differences(capfd):
     with verdict(capfd, 2, "analytic gradients match finite differences"):
         t0 = time.perf_counter()
         dim, n, h, alpha = 16, 4, 1e-6, 0.5
-        vocab = build_vocabulary(["stub tokens"], max_size=16)
+        vocab, _ = fit_vocabulary(["stub tokens"], max_size=16)
         for trial in range(10):
             rng = np.random.default_rng(trial)
             model = init_model(vocab, dim, seed=trial)

@@ -31,7 +31,7 @@ from logfix.model import (
     write_samples,
 )
 from logfix.synthesis import synthesize_corpus
-from logfix.tokenization import build_vocabulary
+from logfix.tokenization import fit_vocabulary
 
 SMALL_TRAIN_SECTION = {
     "learning_rate": 3e-3,
@@ -76,7 +76,8 @@ def ws(tmp_path_factory):
 
     # A checkpoint whose head bias forces one label, whatever the input:
     # lets the repair commands run on statements that are defective by fiat.
-    vocab = build_vocabulary([s.target.raw_text for s in clean], max_size=64)
+    vocab, _ = fit_vocabulary([s.target.raw_text for s in clean],
+                              max_size=64)
     model = init_model(vocab, 16)
     head = init_head(16)
     head.bias[LABEL_INDEX[DefectLabel.STATEMENT_CODE]] = 5.0
@@ -604,6 +605,32 @@ class TestFix:
         assert ([(r["predicted_label"], r["confidence"]) for r in rows]
                 == [(d["predicted_label"], d["confidence"])
                     for d in detections])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("confidence", "0.9", 'Detection.confidence must be a number, '
+                              'got "0.9"'),
+        ("confidence", True, "Detection.confidence must be a number, "
+                             "got true"),
+        ("predicted_label", 3, "Detection.predicted_label must be a string, "
+                               "got 3"),
+        # a record that is neither a detection nor an extract record
+        ("predicted_label", None, "KeyError: 'predicted_label'"),
+    ])
+    def test_a_detection_field_of_the_wrong_type_is_a_data_error(
+            self, ws, tmp_path, capsys, field, value, message):
+        rows = list(read_jsonl(ws["detections"]))
+        rows[1][field] = value
+        if value is None:
+            del rows[1][field]
+        detections = tmp_path / "detections.jsonl"
+        write_jsonl(str(detections), rows)
+        out = tmp_path / "results.jsonl"
+        capsys.readouterr()
+        assert main(["fix", "--in", str(detections), "--lcc", ws["lcc"],
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_extract_records_need_a_model(self, ws, tmp_path):
         assert main(["fix", "--in", ws["methods"], "--lcc", ws["lcc"],

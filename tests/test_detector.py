@@ -40,7 +40,7 @@ from logfix.model import (
 from logfix.tokenization import (
     TokenSequence,
     Vocabulary,
-    build_vocabulary,
+    fit_vocabulary,
     split_tokens,
     tokenize,
 )
@@ -324,7 +324,7 @@ class TestPrediction:
             "    }\n"
             "}\n"
         )
-        vocab = build_vocabulary(["running step log info"], max_size=64)
+        vocab, _ = fit_vocabulary(["running step log info"], max_size=64)
         model = init_model(vocab, 8)
         label, probs = predict(ctx, stmts[0], model, init_head(8))
         assert label is DefectLabel.NON_DEFECT
@@ -338,7 +338,7 @@ class TestPrediction:
             "    }\n"
             "}\n"
         )
-        vocab = build_vocabulary(["running step"], max_size=64)
+        vocab, _ = fit_vocabulary(["running step"], max_size=64)
         model = init_model(vocab, 8)
         head = init_head(8)
         head.bias[LABEL_INDEX[DefectLabel.STATIC_DYNAMIC]] = 5.0
@@ -347,7 +347,7 @@ class TestPrediction:
         assert label is DefectLabel.STATIC_DYNAMIC
 
     def test_encode_is_deterministic(self):
-        vocab = build_vocabulary(["alpha beta gamma"], max_size=64)
+        vocab, _ = fit_vocabulary(["alpha beta gamma"], max_size=64)
         model = init_model(vocab, 8)
         seq = tokenize("alpha gamma", vocab)
         first = encode(seq, model)

@@ -314,15 +314,26 @@ class TestCodec:
                                              "object"):
             from_dict(SourceLocation, ["A.java", 1, 2])
 
-    def test_the_field_plan_is_worked_out_once_per_class(self):
-        model_module._plan.cache_clear()
+    def test_the_field_plan_is_worked_out_once_per_class(self, monkeypatch):
+        # Each class gets one encoder and one decoder, built on its first
+        # use; nested records call their class's closures directly.
+        model_module._codec.cache_clear()
+        built = []
+        hints = model_module.get_type_hints
+        monkeypatch.setattr(model_module, "get_type_hints",
+                            lambda cls: built.append(cls) or hints(cls))
         changes = [make_change("p", f"c{i}", 'log.info("a {}", x);',
                                'log.info("b {}", x);') for i in range(20)]
         records = [json.loads(json.dumps(to_dict(c))) for c in changes]
         assert [from_dict(LogCentricChange, r) for r in records] == changes
-        # LogCentricChange, LoggingStatement, Placeholder, SourceLocation,
-        # MethodContext
-        assert model_module._plan.cache_info().misses == 5
+        assert sorted(cls.__name__ for cls in built) == [
+            "LogCentricChange", "LoggingStatement", "MethodContext",
+            "Placeholder", "SourceLocation"]
+        # once built, a record costs one lookup, for its top-level class
+        before = model_module._codec.cache_info()
+        assert [from_dict(LogCentricChange, r) for r in records] == changes
+        after = model_module._codec.cache_info()
+        assert (after.hits - before.hits, after.misses) == (20, 5)
 
     def test_statement_to_dict_is_to_dict(self):
         stmt = statement_of('log.info("x");')
@@ -507,6 +518,28 @@ class TestValidateSample:
         )
         problems = validate_sample(dataclasses.replace(sample, target=displaced))
         assert any("line" in p for p in problems)
+
+    def test_detects_a_context_without_the_target_at_its_line(self):
+        sample = make_sample()
+        loc = sample.target.location
+        # line 4 of Cache.java is the method's closing brace
+        shifted = dataclasses.replace(sample.target, location=SourceLocation(
+            loc.path, loc.start_line + 1, loc.end_line + 1))
+        problems = validate_sample(dataclasses.replace(sample, target=shifted))
+        assert problems == [
+            "context does not hold the target's raw text at its line"]
+        # two equal statements: the one at the target's line is the target
+        ctx, stmts = single_method(
+            "class Pump {\n    void drain(int n) {\n"
+            '        log.info("draining {}", n);\n'
+            '        log.info("draining {}", n);\n    }\n}\n')
+        for stmt in stmts:
+            assert validate_sample(dataclasses.replace(
+                sample, context=ctx, target=stmt)) == []
+            edited = dataclasses.replace(ctx, source_text=ctx.source_text
+                                         .replace(stmt.raw_text, "x();", 1))
+            assert len(validate_sample(dataclasses.replace(
+                sample, context=edited, target=stmt))) == (stmt is stmts[0])
 
     def test_detects_empty_statement_list(self):
         sample = make_sample()

@@ -3,6 +3,7 @@ never-raising pipeline."""
 from __future__ import annotations
 
 import string
+import threading
 import time
 
 import pytest
@@ -463,3 +464,59 @@ class TestRunPipelineBatch:
         results = run_pipeline_batch(items, make_pool(), MockBackend())
         assert len(results) == 3
         assert time.perf_counter() - started < 5.0
+
+    @staticmethod
+    def interleaved_items():
+        """Nine items whose predicted labels alternate between each defect
+        type and NON_DEFECT."""
+        labels = ([DefectLabel.NON_DEFECT, *DEFECT_LABELS] * 2)[:9]
+        items = []
+        for i, label in enumerate(labels):
+            ctx, stmts = single_method(
+                f"class C{i} {{\n    void m{i}(int n) {{\n"
+                f'        log.info("loading {{}} entries {i}", n);\n'
+                "    }\n}\n", path=f"C{i}.java")
+            items.append((ctx, stmts[0], detected(label, 0.5 + i / 100)))
+        return items
+
+    def test_only_predicted_defects_reach_the_executor(self, executor_record):
+        items = self.interleaved_items()
+        backend = MockBackend()
+        results = run_pipeline_batch(items, make_pool(), backend,
+                                     RepairConfig(workers=2))
+        defects = [stmt for _, stmt, (label, _) in items
+                   if label is not DefectLabel.NON_DEFECT]
+        assert executor_record["executors"] == 1
+        assert executor_record["submitted"] == defects and len(defects) == 7
+        assert len(backend.calls) == 2 * len(defects)
+        assert [r.sample.target for r in results] == [s for _, s, _ in items]
+
+    def test_no_defects_start_no_threads(self, executor_record):
+        items = [(ctx, stmt, detected(DefectLabel.NON_DEFECT))
+                 for ctx, stmt, _ in self.interleaved_items()]
+        threads = threading.active_count()
+        backend = MockBackend()
+        results = run_pipeline_batch(items, make_pool(), backend)
+        assert executor_record == {"executors": 0, "submitted": []}
+        assert threading.active_count() == threads
+        assert backend.calls == []
+        assert [r.diagnostics for r in results] == [("backend-calls:0",)] * 9
+        assert run_pipeline_batch([], make_pool(), backend) == []
+
+    def test_results_and_call_order_do_not_depend_on_workers(self):
+        items = self.interleaved_items()
+        pool = make_pool()
+        runs = {}
+        for workers in (1, 2, 4):
+            backend = MockBackend()
+            results = run_pipeline_batch(items, pool, backend,
+                                         RepairConfig(workers=workers))
+            runs[workers] = [to_dict(r) for r in results], backend.calls
+        assert [r["sample"]["target"]["id"] for r in runs[1][0]] == [
+            stmt.id for _, stmt, _ in items]
+        assert runs[2][0] == runs[1][0] and runs[4][0] == runs[1][0]
+        # one worker calls the backend in input order, checker then updater
+        targets = [stmt.raw_text for _, stmt, (label, _) in items
+                   if label is not DefectLabel.NON_DEFECT]
+        assert [c.rsplit("Target statement:\n", 1)[1].split("\n")[0]
+                for c in runs[1][1]] == [t for t in targets for _ in "cu"]

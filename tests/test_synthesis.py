@@ -28,7 +28,6 @@ from logfix.synthesis import (
     default_antonym_table,
     default_typo_lexicon,
     default_verb_lexicon,
-    identify_main_verb,
     load_antonym_table,
     load_typo_lexicon,
     load_verb_lexicon,
@@ -245,18 +244,28 @@ class TestMutateReadability:
 # ---------------------------------------------------------------------------
 class TestMutateTense:
     def test_identify_main_verb(self):
-        assert identify_main_verb("starting the worker") == (
-            0, "start", Tense.PRESENT_PARTICIPLE,
-        )
-        assert identify_main_verb("worker starting") == (
-            1, "start", Tense.PRESENT_PARTICIPLE,
-        )
+        def main_verb(static_text):
+            result = mutate_tense(statement_of(f'log.info("{static_text}");'),
+                                  rng_seed=0)
+            if result is None:
+                return None
+            mutated, record = result
+            words = re.findall(r"[A-Za-z]+", static_text)
+            changed = [i for i, (a, b) in enumerate(zip(
+                words, re.findall(r"[A-Za-z]+", mutated.static_text)))
+                if a != b]
+            assert changed == [words.index(record.original)]
+            return changed[0], record.original, record.detail.split(" ->")[0]
+
+        assert main_verb("starting the worker") == (
+            0, "starting", "start: PRESENT_PARTICIPLE")
+        assert main_verb("worker starting") == (
+            1, "starting", "start: PRESENT_PARTICIPLE")
         # Stop forms (auxiliaries) never count as the main verb.
-        assert identify_main_verb("is starting") == (
-            1, "start", Tense.PRESENT_PARTICIPLE,
-        )
-        assert identify_main_verb("memory quota threshold") is None
-        assert identify_main_verb("") is None
+        assert main_verb("is starting") == (
+            1, "starting", "start: PRESENT_PARTICIPLE")
+        assert main_verb("memory quota threshold") is None
+        assert main_verb("") is None
 
     def test_rewrites_only_the_main_verb(self):
         stmt = statement_of('logger.info("starting worker {}", workerId);')
@@ -485,6 +494,30 @@ class TestSynthesizeCorpus:
             assert sample.target.raw_text in sample.context.source_text
             assert prov.original_raw_text not in sample.context.source_text
             assert sample.target.id in sample.context.statement_ids
+
+    def test_a_repeated_statement_is_mutated_at_its_own_line(self):
+        source = ("class Pump {\n"
+                  "    void drain(Channel ch, String remoteAddr) {\n"
+                  '        LOG.debug("closing channel {}", remoteAddr);\n'
+                  "        ch.close();\n"
+                  '        LOG.debug("closing channel {}", remoteAddr);\n'
+                  "    }\n}\n")
+        ctx, stmts = single_method(source, path="Pump.java")
+        assert stmts[0].raw_text == stmts[1].raw_text
+        for copy, stmt in enumerate(stmts):
+            clean = LabeledSample(
+                context=ctx, target=stmt, label=DefectLabel.NON_DEFECT,
+                provenance=Provenance(kind=ProvenanceKind.WELL_MAINTAINED))
+            out = synthesize_corpus([clean], 1, seed=0)
+            assert len(out) == len(DEFECT_LABELS)
+            for sample in out:
+                assert validate_sample(sample) == []
+                lines = sample.context.source_text.split("\n")
+                # the method's text starts on its line 2; statements sit
+                # on lines 3 and 5
+                assert [lines[1].strip(), lines[3].strip()] == [
+                    sample.target.raw_text if i == copy else stmt.raw_text
+                    for i in range(2)]
 
     def test_strategy_matches_label(self, clean_samples):
         out = synthesize_corpus(clean_samples[:15], 2, seed=5)

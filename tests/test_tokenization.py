@@ -7,7 +7,6 @@ from conftest import FIXTURES, fuzz_texts
 from logfix.tokenization import (
     CAPS_MARKER,
     Vocabulary,
-    build_vocabulary,
     fit_vocabulary,
     split_tokens,
     tokenize,
@@ -77,8 +76,8 @@ def test_split_tokens_matches_the_reference_segmentation():
 def test_tokenize_ids_are_the_vocabulary_ids_of_the_tokens():
     texts = list(fuzz_texts(2_000))
     # a small vocabulary, so most texts hold out-of-vocabulary tokens
-    vocab = build_vocabulary(texts[:200], max_size=40, oov_buckets=7,
-                             max_tokens=25)
+    vocab, _ = fit_vocabulary(texts[:200], max_size=40, oov_buckets=7,
+                              max_tokens=25)
     for text in texts:
         tokens = split_tokens(text)
         seq = tokenize(text, vocab)
@@ -119,30 +118,30 @@ def test_split_tokens_trailing_punctuation_after_last_word():
     assert split_tokens("done!!") == ["done", "!", "!"]
 
 
-def test_build_vocabulary_ranks_by_frequency_then_alphabetically():
-    vocab = build_vocabulary(["b b a a c"])
+def test_fit_vocabulary_ranks_by_frequency_then_alphabetically():
+    vocab, _ = fit_vocabulary(["b b a a c"])
     # a and b tie at 2, alphabetical order puts a first; c trails at 1
     assert vocab.token_to_id == {"a": 0, "b": 1, "c": 2}
 
 
-def test_build_vocabulary_respects_max_size():
-    vocab = build_vocabulary(["b b a a c"], max_size=2)
+def test_fit_vocabulary_respects_max_size():
+    vocab, _ = fit_vocabulary(["b b a a c"], max_size=2)
     assert vocab.token_to_id == {"a": 0, "b": 1}
 
 
 def test_vocabulary_size_includes_oov_buckets():
-    vocab = build_vocabulary(["alpha beta"], oov_buckets=8)
+    vocab, _ = fit_vocabulary(["alpha beta"], oov_buckets=8)
     assert vocab.size == len(vocab.token_to_id) + 8
 
 
 def test_oov_ids_are_stable_and_live_after_known_tokens():
-    vocab = build_vocabulary(["alpha beta"], oov_buckets=8)
+    vocab, _ = fit_vocabulary(["alpha beta"], oov_buckets=8)
     known = len(vocab.token_to_id)
     first = vocab.id_of("gamma")
     assert known <= first < vocab.size
     assert vocab.id_of("gamma") == first
     # a second construction gives the same bucket (hash is process-stable)
-    again = build_vocabulary(["alpha beta"], oov_buckets=8)
+    again, _ = fit_vocabulary(["alpha beta"], oov_buckets=8)
     assert again.id_of("gamma") == first
 
 
@@ -153,7 +152,7 @@ def test_known_tokens_resolve_to_their_rank():
 
 
 def test_tokenize_truncates_and_flags():
-    vocab = build_vocabulary(["a b c d e"], max_tokens=3)
+    vocab, _ = fit_vocabulary(["a b c d e"], max_tokens=3)
     seq = tokenize("a b c d e", vocab)
     assert seq.truncated
     assert len(seq.ids) == 3
@@ -165,18 +164,18 @@ def test_tokenize_truncates_and_flags():
 
 
 def test_tokenize_empty_text():
-    vocab = build_vocabulary(["a"])
+    vocab, _ = fit_vocabulary(["a"])
     seq = tokenize("", vocab)
     assert seq.ids == ()
     assert not seq.truncated
 
 
-def test_fit_vocabulary_equals_build_vocabulary_then_tokenize():
+def test_fit_vocabulary_sequences_are_tokenize_through_it():
     texts = ["LOG.info(\"Starting worker {}\", id);", "b b a a c",
              "void run() { log.warn(\"retrying\"); }", ""]
     vocab, seqs = fit_vocabulary(texts, max_size=6, oov_buckets=4,
                                  max_tokens=5)
-    assert vocab == build_vocabulary(texts, max_size=6, oov_buckets=4,
-                                     max_tokens=5)
+    assert (vocab.oov_buckets, vocab.max_tokens) == (4, 5)
+    assert len(vocab.token_to_id) == 6
     assert seqs == [tokenize(text, vocab) for text in texts]
     assert [seq.truncated for seq in seqs] == [True, False, True, False]
