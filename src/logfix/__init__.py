@@ -15,7 +15,6 @@ from logfix.model import (
     LoggingStatement,
     LogLevel,
     MethodContext,
-    parse_level,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "LoggingStatement",
     "LogLevel",
     "MethodContext",
-    "parse_level",
 ]

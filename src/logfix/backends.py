@@ -14,9 +14,12 @@ import os
 import re
 import threading
 import time
+from dataclasses import astuple, dataclass
 from typing import Protocol, runtime_checkable
 
 import requests
+
+from .model import from_dict
 
 TOKEN_ENV_VAR = "LOGFIX_LLM_TOKEN"
 # Seconds between the starts of two requests from one HttpBackend.
@@ -35,11 +38,20 @@ class LlmBackend(Protocol):
         ...
 
 
+@dataclass(frozen=True)
+class TranscriptEntry:
+    pattern: str  # a regex searched for in the prompt
+    reply: str
+
+
 def load_transcript(path: str) -> list[tuple[str, str]]:
-    """A transcript file is a JSON list of {"pattern": regex, "reply": text}."""
+    """A transcript file is a JSON list of TranscriptEntry objects."""
     with open(path, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
-    return [(e["pattern"], e["reply"]) for e in entries]
+    if type(entries) is not list:
+        raise ValueError(f"transcript {path!r} must be a list of "
+                         f"TranscriptEntry objects")
+    return [astuple(from_dict(TranscriptEntry, e)) for e in entries]
 
 
 _TARGET_LINE_RE = re.compile(r"Target statement:\s*\n(.+)")
@@ -88,12 +100,13 @@ class HttpBackend:
     threads that share the instance; the first one is not delayed.
     """
 
-    def __init__(self, endpoint: str, model: str, timeout_seconds: float = 60.0,
-                 name: str = "http"):
+    name = "http"
+
+    def __init__(self, endpoint: str, model: str,
+                 timeout_seconds: float = 60.0):
         self.endpoint = endpoint
         self.model = model
         self.timeout_seconds = timeout_seconds
-        self.name = name
         self._pace_lock = threading.Lock()
         self._next_at = 0.0
 

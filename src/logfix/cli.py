@@ -12,9 +12,11 @@ import argparse
 import fnmatch
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .backends import (
     BackendError,
@@ -31,12 +33,10 @@ from .model import (
     LABELS,
     DefectLabel,
     Detection,
-    LoggingStatement,
+    MethodRecord,
+    TruthRecord,
     UpdateResult,
     from_dict,
-    method_record_from_dict,
-    method_record_to_dict,
-    parse_level,
     read_changes,
     read_jsonl,
     read_samples,
@@ -114,48 +114,15 @@ class ToolConfig:
     paths: LexiconPaths
 
 
-# JSON types accepted for a field whose default has the given type
-_SCALAR_KINDS = {
-    str: ((str,), "a string"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-}
-
-
-def _config_value(value, default, where: str):
-    """`value` from the JSON file, checked against the type of the field's
-    default and converted to it (lists to frozensets, level names to
-    levels)."""
-    if isinstance(default, frozenset):
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return frozenset(value)
-        expected = "a list of strings"
-    elif isinstance(default, dict):
-        if (isinstance(value, dict)
-                and all(isinstance(v, str) for v in value.values())):
-            return {key: parse_level(v) for key, v in value.items()}
-        expected = "an object of level names"
-    else:
-        kinds, expected = _SCALAR_KINDS[type(default)]
-        if isinstance(value, kinds) and not isinstance(value, bool):
-            return value
-    raise DataError(f"{where} must be {expected}, got {json.dumps(value)}")
-
-
 def _strict_section(raw: object, name: str, cls):
-    if not isinstance(raw, dict):
-        raise DataError(f"config section {name!r} must be an object")
-    defaults = vars(cls())
-    unknown = sorted(set(raw) - set(defaults))
+    try:
+        section = from_dict(cls, raw)
+    except ValueError as exc:
+        raise DataError(f"config section {name!r}: {exc}") from exc
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise DataError(f"config section {name!r}: unknown keys {unknown}")
-    try:
-        return cls(**{
-            key: _config_value(value, defaults[key],
-                               f"config section {name!r}: {key!r}")
-            for key, value in raw.items()})
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"config section {name!r}: {exc}") from exc
+    return section
 
 
 def load_config(path: str | None) -> ToolConfig:
@@ -175,19 +142,12 @@ def load_config(path: str | None) -> ToolConfig:
             raise DataError(f"config {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataError(f"config {path!r} must contain a JSON object")
-    known = {"parser", "train", "retrieval", "backend", "paths"}
-    unknown = sorted(set(raw) - known)
+    sections = get_type_hints(ToolConfig)
+    unknown = sorted(set(raw) - set(sections))
     if unknown:
         raise DataError(f"config: unknown top-level keys {unknown}")
-    return ToolConfig(
-        parser=_strict_section(raw.get("parser", {}), "parser", ParserConfig),
-        train=_strict_section(raw.get("train", {}), "train", TrainConfig),
-        retrieval=_strict_section(raw.get("retrieval", {}), "retrieval",
-                                  RetrievalSettings),
-        backend=_strict_section(raw.get("backend", {}), "backend",
-                                BackendSettings),
-        paths=_strict_section(raw.get("paths", {}), "paths", LexiconPaths),
-    )
+    return ToolConfig(**{name: _strict_section(raw.get(name, {}), name, cls)
+                         for name, cls in sections.items()})
 
 
 def make_backend(settings: BackendSettings,
@@ -196,7 +156,11 @@ def make_backend(settings: BackendSettings,
     if kind == "mock":
         transcript = (load_transcript(settings.transcript)
                       if settings.transcript else None)
-        return MockBackend(transcript)
+        try:
+            return MockBackend(transcript)
+        except re.error as exc:  # not a ValueError
+            raise DataError(f"{settings.transcript}: TranscriptEntry.pattern "
+                            f"{exc.pattern!r}: {exc}") from exc
     if kind == "http":
         if not settings.endpoint or not settings.model:
             raise DataError(
@@ -240,11 +204,11 @@ def cmd_extract(args, config: ToolConfig) -> int:
         for err in result.errors:
             _note(f"extract: {err}")
         for ctx, parsed in result.records:
-            records.append(method_record_to_dict(
-                ctx, [p.statement for p in parsed]))
+            records.append(MethodRecord(
+                ctx, tuple(p.statement for p in parsed)))
             methods += 1
             statements += len(parsed)
-    write_jsonl(args.out, records)
+    write_jsonl(args.out, map(to_dict, records))
     _note(f"extract: {len(paths)} files -> {methods} methods, "
           f"{statements} statements -> {args.out}")
     return EXIT_OK
@@ -325,10 +289,10 @@ def cmd_detect(args, config: ToolConfig) -> int:
     model, head, train_config = load_checkpoint(args.model)
     records = []
     for d in read_jsonl(args.in_path):
-        ctx, statements = method_record_from_dict(d)
-        for stmt in statements:
-            records.append(Detection(ctx, stmt, *_detect_one(
-                ctx, stmt, model, head, train_config.max_tokens)))
+        r = from_dict(MethodRecord, d)
+        for stmt in r.statements:
+            records.append(Detection(r.method, stmt, *_detect_one(
+                r.method, stmt, model, head, train_config.max_tokens)))
     write_jsonl(args.out, map(to_dict, records))
     defects = sum(1 for r in records
                   if r.predicted_label is not DefectLabel.NON_DEFECT)
@@ -344,9 +308,9 @@ def _read_statement_items(path: str):
     None for a statement of an extract record."""
     items = []
     for d in read_jsonl(path):
-        if "statements" in d:
-            ctx, statements = method_record_from_dict(d)
-            items.extend((ctx, stmt, None) for stmt in statements)
+        if type(d) is dict and "statements" in d:
+            m = from_dict(MethodRecord, d)
+            items.extend((m.method, stmt, None) for stmt in m.statements)
         else:
             r = from_dict(Detection, d)
             items.append((r.method, r.statement,
@@ -390,25 +354,20 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
     results = [from_dict(UpdateResult, d) for d in read_jsonl(args.results)]
     if not results:
         raise DataError(f"no results in {args.results!r}")
-    truth = {}
-    for d in read_jsonl(args.truth):
-        truth[d["statement_id"]] = (
-            DefectLabel(d["label"]),
-            from_dict(LoggingStatement, d["statement"]),
-        )
+    truth = {t.statement_id: t for t in
+             (from_dict(TruthRecord, d) for d in read_jsonl(args.truth))}
     preds, golds, per_sample = [], [], []
     for result in results:
         target = result.sample.target
-        entry = truth.get(target.id)
-        if entry is None:
+        gold = truth.get(target.id)
+        if gold is None:
             raise DataError(f"no ground truth for statement {target.id} "
                             f"({target.raw_text!r})")
-        gold_label, gold_stmt = entry
         preds.append(result.predicted_label)
-        golds.append(gold_label)
-        if gold_label is not DefectLabel.NON_DEFECT:
+        golds.append(gold.label)
+        if gold.label is not DefectLabel.NON_DEFECT:
             per_sample.append(evaluate_update(
-                target, result.updated_statement, gold_stmt))
+                target, result.updated_statement, gold.statement))
     detection = detection_metrics(preds, golds)
     report = {
         "detection": {

@@ -187,13 +187,6 @@ def _bag(sequences: list[TokenSequence], vocab_size: int) -> np.ndarray:
             / np.maximum(lengths, 1)[:, None])
 
 
-def encode(seq: TokenSequence, model: EncoderModel) -> np.ndarray:
-    """Mean-pooled, projected vector for one token sequence (inference
-    mode: no dropout)."""
-    _, projected = _project(model, _pool(model, [seq]))
-    return projected[0]
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -510,59 +503,71 @@ def predict(
 CHECKPOINT_FORMAT = "log-defect-model/1"
 
 
-def _encode_tensor(a: np.ndarray) -> dict:
-    data = np.ascontiguousarray(a, dtype="<f8")
-    return {
-        "shape": list(a.shape),
-        "dtype": "float64",
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
+@dataclass(frozen=True)
+class Tensor:
+    """An array as a checkpoint holds it: little-endian float64 bytes, in
+    base64."""
+
+    shape: tuple[int, ...]
+    dtype: str
+    data: str
+
+    def __post_init__(self) -> None:
+        if self.dtype != "float64":
+            raise ValueError(f"Tensor.dtype must be float64, got {self.dtype!r}")
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> Tensor:
+        data = np.ascontiguousarray(a, dtype="<f8")
+        return cls(a.shape, "float64",
+                   base64.b64encode(data.tobytes()).decode("ascii"))
+
+    def array(self) -> np.ndarray:
+        raw = base64.b64decode(self.data)
+        return np.frombuffer(raw, dtype="<f8").reshape(self.shape).copy()
 
 
-def _decode_tensor(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(d["shape"]).copy()
+@dataclass(frozen=True)
+class SavedVocabulary:
+    tokens: tuple[str, ...]  # in id order
+    oov_buckets: int
+    max_tokens: int
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    format: str
+    config: TrainConfig
+    vocabulary: SavedVocabulary
+    tensors: dict[str, Tensor]
 
 
 def save_checkpoint(path: str, model: EncoderModel, head: ClassifierHead,
                     config: TrainConfig) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "config": to_dict(config),
-        "vocabulary": {
-            "tokens": [t for t, _ in sorted(
-                model.vocabulary.token_to_id.items(), key=lambda kv: kv[1])],
-            "oov_buckets": model.vocabulary.oov_buckets,
-            "max_tokens": model.vocabulary.max_tokens,
-        },
-        "tensors": {name: _encode_tensor(value)
-                    for name, value in {**model.parameters(),
-                                        **head.parameters()}.items()},
-    }
+    vocab = model.vocabulary
+    checkpoint = Checkpoint(
+        CHECKPOINT_FORMAT, config,
+        SavedVocabulary(tuple(sorted(vocab.token_to_id,
+                                     key=vocab.token_to_id.__getitem__)),
+                        vocab.oov_buckets, vocab.max_tokens),
+        {name: Tensor.of(value) for name, value in
+         {**model.parameters(), **head.parameters()}.items()})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(to_dict(checkpoint), fh)
 
 
 def load_checkpoint(path: str) -> tuple[EncoderModel, ClassifierHead, TrainConfig]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognized checkpoint file: {path}")
-    config = from_dict(TrainConfig, payload["config"])
-    vocab_info = payload["vocabulary"]
-    vocab = Vocabulary(
-        token_to_id={t: i for i, t in enumerate(vocab_info["tokens"])},
-        oov_buckets=vocab_info["oov_buckets"],
-        max_tokens=vocab_info["max_tokens"],
-    )
-    tensors = {name: _decode_tensor(d)
-               for name, d in payload["tensors"].items()}
-    model = EncoderModel(
-        vocabulary=vocab,
-        embedding=tensors["embedding"],
-        w1=tensors["w1"], b1=tensors["b1"],
-        w2=tensors["w2"], b2=tensors["b2"],
-    )
-    head = ClassifierHead(weight=tensors["head_weight"],
-                          bias=tensors["head_bias"])
-    return model, head, config
+    if type(payload) is not dict or payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a recognized checkpoint file: {path} "
+                         f"(Checkpoint.format must be {CHECKPOINT_FORMAT!r})")
+    checkpoint = from_dict(Checkpoint, payload)
+    saved = checkpoint.vocabulary
+    vocab = Vocabulary({token: i for i, token in enumerate(saved.tokens)},
+                       saved.oov_buckets, saved.max_tokens)
+    t = {name: tensor.array() for name, tensor in checkpoint.tensors.items()}
+    model = EncoderModel(vocab, t["embedding"], t["w1"], t["b1"], t["w2"],
+                         t["b2"])
+    head = ClassifierHead(t["head_weight"], t["head_bias"])
+    return model, head, checkpoint.config

@@ -22,11 +22,10 @@ from typing import (Any, Callable, Iterable, Iterator, TypeVar, Union,
 T = TypeVar("T")
 
 
-class UnknownLevel(ValueError):
-    """A string that does not name one of the recognized log levels."""
-
-
 class LogLevel(Enum):
+    """A log level; `LogLevel(name)` reads a name case-insensitively, and the
+    canonical form is uppercase."""
+
     TRACE = "TRACE"
     DEBUG = "DEBUG"
     INFO = "INFO"
@@ -34,13 +33,11 @@ class LogLevel(Enum):
     ERROR = "ERROR"
     FATAL = "FATAL"
 
-
-def parse_level(text: str) -> LogLevel:
-    """Parse a level name case-insensitively; canonical form is uppercase."""
-    try:
-        return LogLevel[text.strip().upper()]
-    except KeyError:
-        raise UnknownLevel(f"not a log level: {text!r}") from None
+    @classmethod
+    def _missing_(cls, value: object) -> LogLevel | None:
+        # None makes Enum raise "'LOUD' is not a valid LogLevel"
+        return (cls.__members__.get(value.strip().upper())
+                if isinstance(value, str) else None)
 
 
 class DefectLabel(Enum):
@@ -199,6 +196,24 @@ class Detection:
 
 
 @dataclass(frozen=True)
+class MethodRecord:
+    """A method and its logging statements, as `extract` writes them."""
+
+    method: MethodContext
+    statements: tuple[LoggingStatement, ...]
+
+
+@dataclass(frozen=True)
+class TruthRecord:
+    """The true label of one statement and the statement as it should read
+    (itself, if it is clean); `evaluate` scores results against these."""
+
+    statement_id: str
+    label: DefectLabel
+    statement: LoggingStatement
+
+
+@dataclass(frozen=True)
 class UpdateResult:
     """Outcome of running one statement through the repair pipeline."""
 
@@ -258,7 +273,8 @@ def validate_sample(sample: LabeledSample) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON (de)serialization. A record's keys are its dataclass fields, in
 # declaration order: an Enum is written as its value, a tuple as a list, a
-# nested dataclass as an object and None as null. Reading ignores keys the
+# frozenset as a sorted list, a dict or a nested dataclass as an object and
+# None as null. Reading ignores keys the
 # class lacks, gives a missing key its field's default, reads a JSON integer
 # into a float field and 0/1 into a bool field, and rejects a value of the
 # wrong JSON type with a ValueError that names the class and the field.
@@ -278,7 +294,8 @@ def _converters(tp: Any) -> tuple[Callable | None, Callable | None,
     """(encode, decode, accepted JSON types, their description) for values
     of type `tp`; encode/decode are None where the JSON value is the value
     itself."""
-    if get_origin(tp) in (Union, UnionType):  # X | None
+    origin = get_origin(tp)
+    if origin in (Union, UnionType):  # X | None
         (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
         encode, decode, kinds, expected = _converters(inner)
         return (None if encode is None
@@ -286,18 +303,30 @@ def _converters(tp: Any) -> tuple[Callable | None, Callable | None,
                 None if decode is None
                 else lambda v: None if v is None else decode(v),
                 (*kinds, type(None)), f"{expected} or null")
-    if get_origin(tp) is tuple:  # tuple[X, ...]
-        encode, decode, kinds, expected = _converters(get_args(tp)[0])
+    # tuple[X, ...] and frozenset[X] are lists of X, dict[str, X] an object
+    if origin in (tuple, frozenset, dict):
+        item = get_args(tp)[1 if origin is dict else 0]
+        encode, decode, kinds, expected = _converters(item)
         kinds_set = frozenset(kinds)
 
-        def read(items: list) -> tuple:
+        def checked(items: Iterable) -> Iterable:
             if not kinds_set.issuperset(map(type, items)):
                 wrong = next(x for x in items if type(x) not in kinds)
                 raise ValueError(
                     f"each item must be {expected}, got {_show(wrong)}")
-            return tuple(items if decode is None else map(decode, items))
+            return items if decode is None else map(decode, items)
+        if origin is dict:
+            return (dict if encode is None
+                    else lambda v: {k: encode(x) for k, x in v.items()},
+                    lambda v: dict(zip(v, checked(v.values()))),
+                    (dict,), "an object")
+        if origin is frozenset:
+            # written sorted, as the order of a set differs from run to run
+            return (sorted if encode is None
+                    else lambda v: sorted(map(encode, v)),
+                    lambda v: frozenset(checked(v)), (list,), "a list")
         return (list if encode is None else lambda v: [encode(x) for x in v],
-                read, (list,), "a list")
+                lambda v: tuple(checked(v)), (list,), "a list")
     if isinstance(tp, type) and issubclass(tp, Enum):
         # a value no member has goes to the class, which rejects it
         members = {member.value: member for member in tp}
@@ -410,13 +439,3 @@ def write_changes(path: str, changes: Iterable[LogCentricChange]) -> int:
 def read_changes(path: str) -> list[LogCentricChange]:
     return [from_dict(LogCentricChange, d) for d in read_jsonl(path)]
 
-
-def method_record_to_dict(context: MethodContext,
-                          statements: Iterable[LoggingStatement]) -> dict[str, Any]:
-    return {"method": to_dict(context),
-            "statements": [to_dict(s) for s in statements]}
-
-
-def method_record_from_dict(d: dict[str, Any]) -> tuple[MethodContext, list[LoggingStatement]]:
-    return (from_dict(MethodContext, d["method"]),
-            [from_dict(LoggingStatement, s) for s in d["statements"]])

@@ -732,7 +732,6 @@ def synthesize_corpus(
     verb_lexicon: VerbLexicon | None = None,
     antonyms: AntonymTable | None = None,
     parser_config: ParserConfig | None = None,
-    max_rounds: int = MAX_RESAMPLE_ROUNDS,
 ) -> list[LabeledSample]:
     """Build a defect corpus: `per_type_count` unique samples per defect type.
 
@@ -761,7 +760,7 @@ def synthesize_corpus(
         picked: list[LabeledSample] = []
         round_no = 0
         while len(picked) < per_type_count:
-            if round_no >= max_rounds:
+            if round_no >= MAX_RESAMPLE_ROUNDS:
                 raise InsufficientInputs(
                     f"{label.value}: {len(picked)}/{per_type_count} unique "
                     f"samples after {round_no} rounds")

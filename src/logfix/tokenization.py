@@ -55,6 +55,12 @@ class Vocabulary:
     oov_buckets: int
     max_tokens: int = 1024
 
+    def __post_init__(self) -> None:
+        for key in ("oov_buckets", "max_tokens"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"Vocabulary.{key} must be >= 1, "
+                                 f"got {getattr(self, key)}")
+
     @property
     def size(self) -> int:
         """Total id space: known tokens followed by the OOV buckets."""

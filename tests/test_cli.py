@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface and its config handling."""
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
+import re
 import subprocess
 
 import pytest
@@ -22,7 +24,7 @@ from logfix.detector import TrainConfig, init_head, init_model, save_checkpoint
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
-    method_record_to_dict,
+    MethodRecord,
     read_jsonl,
     read_samples,
     to_dict,
@@ -424,6 +426,44 @@ class TestSynthesize:
                      "--per-type", "1"]) == 2
 
 
+class TestLexiconPaths:
+    def synthesize(self, ws, out, *extra) -> int:
+        return main(["synthesize", "--in", ws["clean"], "--out", str(out),
+                     "--per-type", "3", "--seed", "1", *extra])
+
+    def test_typo_lexicon_from_config_reaches_synthesize(self, ws, tmp_path):
+        # every word of the clean statements gets one misspelling: "<word>qq"
+        words = {w.lower() for s in read_samples(ws["clean"])
+                 for w in re.findall(r"[A-Za-z]{3,}", s.target.static_text)}
+        lexicon = tmp_path / "typos.tsv"
+        lexicon.write_text("".join(f"{w}\t{w}qq\n" for w in sorted(words)),
+                           encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"typos": str(lexicon)}}),
+                          encoding="utf-8")
+        typos = {}
+        for name, extra in (("default", ()), ("custom", ("--config",
+                                                         str(config)))):
+            out = tmp_path / f"{name}.jsonl"
+            assert self.synthesize(ws, out, *extra) == 0
+            typos[name] = [s.target.raw_text for s in read_samples(str(out))
+                           if s.label is DefectLabel.READABILITY
+                           and "qq" in s.target.raw_text]
+        assert typos["default"] == [] and typos["custom"]
+
+    @pytest.mark.parametrize("key", ["typos", "verbs", "antonyms"])
+    def test_a_missing_lexicon_file_is_a_data_error(self, ws, tmp_path,
+                                                    capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {
+            key: str(tmp_path / "absent.tsv")}}), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert self.synthesize(ws, out, "--config", str(config)) == 2
+        assert "absent.tsv" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainAndDetect:
     def test_detection_record_shape(self, ws):
         records = list(read_jsonl(ws["detections"]))
@@ -563,7 +603,7 @@ class TestFix:
             '        log.info("only statement");\n    }\n}\n'
         )
         one = tmp_path / "one.jsonl"
-        write_jsonl(str(one), [method_record_to_dict(ctx, stmts)])
+        write_jsonl(str(one), [to_dict(MethodRecord(ctx, tuple(stmts)))])
         out = tmp_path / "results.jsonl"
         assert main(["fix", "--in", str(one), "--model", ws["rigged"],
                      "--config", str(config), "--out", str(out)]) == 3
@@ -835,3 +875,108 @@ class TestEvaluate:
         assert main(["evaluate", "--results", str(empty),
                      "--truth", str(truth),
                      "--out", str(tmp_path / "r.json")]) == 2
+
+
+def _with(*keys, value):
+    """A change to a loaded JSON document: a copy with `value` at `keys`."""
+    def change(doc):
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return doc
+    return change
+
+
+class TestMalformedInput:
+    """Every file logfix reads is decoded by `from_dict`: a malformed one is
+    a data error (exit 2) whose message names the class and the field."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, ws, tmp_path_factory):
+        """A valid document of each input kind, loaded, and the argv that
+        reads a file of that kind."""
+        results = str(tmp_path_factory.mktemp("malformed") / "results.jsonl")
+        assert main(["fix", "--in", ws["detections"], "--lcc", ws["lcc"],
+                     "--out", results]) == 0
+        with open(ws["model"], encoding="utf-8") as fh:
+            checkpoint = json.load(fh)
+        methods = list(read_jsonl(ws["methods"]))
+        truth = [{"statement_id": s["id"], "label": "NON_DEFECT",
+                  "statement": s}
+                 for record in methods for s in record["statements"]]
+        return {
+            "checkpoint": (checkpoint, lambda path: [
+                "detect", "--in", ws["methods"], "--model", path]),
+            "truth": (truth, lambda path: [
+                "evaluate", "--results", results, "--truth", path]),
+            "detect": (methods, lambda path: [
+                "detect", "--in", path, "--model", ws["model"]]),
+            "fix": (methods, lambda path: [
+                "fix", "--in", path, "--model", ws["model"]]),
+            "transcript": ([], lambda path: [
+                "fix", "--in", ws["detections"], "--config",
+                _write_json(os.path.dirname(path), "config.json",
+                            {"backend": {"transcript": path}})]),
+        }
+
+    @pytest.mark.parametrize("kind, change, named", [
+        ("checkpoint", _with("vocabulary", "tokens", value=5),
+         "SavedVocabulary.tokens must be a list, got 5"),
+        ("checkpoint", _with("tensors", "w1", "shape", value="x"),
+         'Tensor.shape must be a list, got "x"'),
+        ("checkpoint", _with("vocabulary", value=[1]),
+         "Checkpoint.vocabulary must be an object, got [1]"),
+        ("checkpoint", lambda doc: [1], "Checkpoint.format must be"),
+        ("checkpoint", _with("vocabulary", "max_tokens", value="9"),
+         'SavedVocabulary.max_tokens must be an integer, got "9"'),
+        ("checkpoint", _with("vocabulary", "oov_buckets", value=0),
+         "Vocabulary.oov_buckets must be >= 1, got 0"),
+        ("checkpoint", _with("tensors", "b1", "dtype", value="float32"),
+         "Tensor.dtype must be float64, got 'float32'"),
+        ("truth", _with(0, "statement_id", value=["x"]),
+         'TruthRecord.statement_id must be a string, got ["x"]'),
+        ("truth", lambda rows: [[1, 2], *rows],
+         "TruthRecord must be an object, got [1, 2]"),
+        *((kind, change, named.format(record)) for kind, record in (
+            ("detect", "MethodRecord"), ("fix", "Detection"))
+          for change, named in (
+            (_with(0, "statements", value=5),
+             "MethodRecord.statements must be a list, got 5"),
+            (lambda rows: [[1]], "{} must be an object, got [1]"),
+            (lambda rows: [5], "{} must be an object, got 5"))),
+        ("transcript", lambda entries: [1],
+         "TranscriptEntry must be an object, got 1"),
+        ("transcript", lambda entries: {},
+         "must be a list of TranscriptEntry objects"),
+        ("transcript", lambda entries: [{"pattern": "(", "reply": "x"}],
+         "TranscriptEntry.pattern '(': missing ), unterminated subpattern"),
+    ], ids=[*(f"checkpoint-{name}" for name in (
+        "tokens", "shape", "vocabulary", "top-level", "max_tokens",
+        "oov_buckets", "dtype")), "truth-statement_id", "truth-row",
+        *(f"{kind}-{name}" for kind in ("detect", "fix")
+          for name in ("statements", "row-list", "row-int")),
+        "transcript-entry", "transcript-object", "transcript-pattern"])
+    def test_is_a_data_error_naming_the_field(self, valid, tmp_path, capsys,
+                                              kind, change, named):
+        doc, argv = valid[kind]
+        doc = change(doc)
+        if kind in ("checkpoint", "transcript"):
+            path = _write_json(str(tmp_path), "input.json", doc)
+        else:
+            path = str(tmp_path / "input.jsonl")
+            write_jsonl(path, doc)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _write_json(directory: str, name: str, doc) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path

@@ -20,7 +20,6 @@ from logfix.detector import (
     _bag,
     _pool,
     composite_loss,
-    encode,
     init_head,
     init_model,
     load_checkpoint,
@@ -42,7 +41,6 @@ from logfix.tokenization import (
     Vocabulary,
     fit_vocabulary,
     split_tokens,
-    tokenize,
 )
 
 
@@ -345,14 +343,6 @@ class TestPrediction:
         head.bias[LABEL_INDEX[DefectLabel.TEMPORAL]] = 5.0
         label, _ = predict(ctx, stmts[0], model, head)
         assert label is DefectLabel.STATIC_DYNAMIC
-
-    def test_encode_is_deterministic(self):
-        vocab, _ = fit_vocabulary(["alpha beta gamma"], max_size=64)
-        model = init_model(vocab, 8)
-        seq = tokenize("alpha gamma", vocab)
-        first = encode(seq, model)
-        assert first.shape == (8,)
-        assert np.array_equal(first, encode(seq, model))
 
 
 class TestStratifiedSplit:

@@ -24,11 +24,10 @@ from logfix.model import (
     Detection,
     LabeledSample,
     LogCentricChange,
+    MethodRecord,
     UpdateResult,
     dumps_line,
     from_dict,
-    method_record_from_dict,
-    method_record_to_dict,
     read_jsonl,
     to_dict,
     write_jsonl,
@@ -96,16 +95,13 @@ def test_every_record_round_trips_byte_for_byte(chain):
              "detections.jsonl": Detection,
              "results-1.jsonl": UpdateResult,
              "corpus.jsonl": LabeledSample,
-             "clean.jsonl": LabeledSample}
+             "clean.jsonl": LabeledSample,
+             "methods.jsonl": MethodRecord}
     for name, cls in kinds.items():
         assert lines(name), name
         for line in lines(name):
             assert dumps_line(to_dict(from_dict(cls, json.loads(line)))) \
                 == line, name
-    for line in lines("methods.jsonl"):
-        record = method_record_to_dict(
-            *method_record_from_dict(json.loads(line)))
-        assert dumps_line(record) == line
     config = TrainConfig(learning_rate=3e-3, epochs=4)
     line = dumps_line(to_dict(config))
     assert dumps_line(to_dict(from_dict(TrainConfig, json.loads(line)))) \

@@ -10,6 +10,7 @@ import pytest
 from conftest import make_change, single_method, statement_of
 from logfix import model as model_module
 from logfix.detector import TrainConfig
+from logfix.parser import ParserConfig
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
@@ -19,20 +20,17 @@ from logfix.model import (
     LoggingStatement,
     LogLevel,
     MethodContext,
+    MethodRecord,
     NUM_CLASSES,
     Placeholder,
     PlaceholderKind,
     Provenance,
     ProvenanceKind,
     SourceLocation,
-    UnknownLevel,
     UpdateResult,
     content_hash,
     dumps_line,
     from_dict,
-    method_record_from_dict,
-    method_record_to_dict,
-    parse_level,
     read_changes,
     read_jsonl,
     read_samples,
@@ -73,18 +71,25 @@ class TestLabelSpace:
 
 
 class TestLevels:
-    def test_parse_level_is_case_insensitive(self):
-        assert parse_level("info") is LogLevel.INFO
-        assert parse_level("WARN") is LogLevel.WARN
-        assert parse_level(" Error ") is LogLevel.ERROR
-        assert parse_level("fatal") is LogLevel.FATAL
+    def test_level_names_are_case_insensitive(self):
+        assert LogLevel("info") is LogLevel.INFO
+        assert LogLevel("WARN") is LogLevel.WARN
+        assert LogLevel(" Error ") is LogLevel.ERROR
+        assert LogLevel("fatal") is LogLevel.FATAL
 
-    def test_parse_level_unknown(self):
-        with pytest.raises(UnknownLevel):
-            parse_level("loud")
-        # Method-name aliases belong to the source parser, not this function.
-        with pytest.raises(UnknownLevel):
-            parse_level("warning")
+    def test_unknown_level_name(self):
+        with pytest.raises(ValueError, match="'loud' is not a valid LogLevel"):
+            LogLevel("loud")
+        # Method-name aliases belong to the source parser, not the level.
+        with pytest.raises(ValueError):
+            LogLevel("warning")
+        with pytest.raises(ValueError):
+            LogLevel(3)
+
+    def test_records_read_level_names_case_insensitively(self):
+        d = to_dict(statement_of('log.warn("x");'))
+        assert (from_dict(LoggingStatement, {**d, "level": "warn"})
+                == from_dict(LoggingStatement, d))
 
 
 class TestHashing:
@@ -300,6 +305,23 @@ class TestCodec:
         with pytest.raises(ValueError, match=re.escape(message)):
             from_dict(LoggingStatement, d)
 
+    def test_sets_and_string_keyed_maps_round_trip(self):
+        config = ParserConfig(logger_receivers=frozenset({"log", "bus", "a"}),
+                              level_methods={"say": LogLevel.INFO})
+        d = to_dict(config)
+        assert d["logger_receivers"] == ["a", "bus", "log"]  # sorted
+        assert d["level_methods"] == {"say": "INFO"}
+        assert from_dict(ParserConfig, json.loads(json.dumps(d))) == config
+        for field, value, message in (
+                ("logger_receivers", ["log", 1], "ParserConfig.logger_"
+                 "receivers: each item must be a string, got 1"),
+                ("level_methods", {"say": 3}, "ParserConfig.level_methods: "
+                 "each item must be a string, got 3"),
+                ("level_methods", ["say"], "ParserConfig.level_methods "
+                 'must be an object, got ["say"]')):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                from_dict(ParserConfig, {field: value})
+
     def test_a_wrong_type_in_a_nested_record_names_the_path(self):
         d = to_dict(make_sample())
         d["target"]["location"]["start_line"] = None
@@ -463,7 +485,8 @@ class TestPreviousFormat:
                        "label": "TEMPORAL", "statement": OLD_STATEMENT}),
             ("sample", OLD_SAMPLE), ("change", OLD_CHANGE),
             ("result", OLD_RESULT)]}
-        assert method_record_from_dict(lines["extract"]) == (ctx, stmts)
+        assert (from_dict(MethodRecord, lines["extract"])
+                == MethodRecord(ctx, tuple(stmts)))
         assert from_dict(MethodContext, lines["detect"]["method"]) == ctx
         for kind in ("detect", "truth"):
             assert (from_dict(LoggingStatement, lines[kind]["statement"])
@@ -483,7 +506,7 @@ class TestPreviousFormat:
                           OLD_CONFIG)]:
             assert dumps_line(to_dict(obj)) == dumps_line(
                 without_unread_keys(old))
-        assert dumps_line(method_record_to_dict(ctx, stmts)) == dumps_line(
+        assert dumps_line(to_dict(MethodRecord(ctx, tuple(stmts)))) == dumps_line(
             without_unread_keys({"method": OLD_METHOD,
                                  "statements": [OLD_STATEMENT]}))
 
@@ -618,9 +641,6 @@ class TestJsonl:
 class TestMethodRecord:
     def test_round_trip(self):
         ctx, stmts = single_method(METHOD_SOURCE)
-        d = method_record_to_dict(ctx, stmts)
-        restored_ctx, restored_stmts = method_record_from_dict(
-            json.loads(json.dumps(d))
-        )
-        assert restored_ctx == ctx
-        assert restored_stmts == stmts
+        record = MethodRecord(ctx, tuple(stmts))
+        assert from_dict(MethodRecord,
+                         json.loads(json.dumps(to_dict(record)))) == record

@@ -3,6 +3,8 @@
 import re
 import time
 
+import pytest
+
 from conftest import FIXTURES, fuzz_texts
 from logfix.tokenization import (
     CAPS_MARKER,
@@ -149,6 +151,13 @@ def test_known_tokens_resolve_to_their_rank():
     vocab = Vocabulary(token_to_id={"x": 0, "y": 1}, oov_buckets=4)
     assert vocab.id_of("x") == 0
     assert vocab.id_of("y") == 1
+
+
+@pytest.mark.parametrize("key", ["oov_buckets", "max_tokens"])
+def test_a_vocabulary_needs_a_bucket_and_a_token(key):
+    # with no bucket, an unknown token would divide by zero in `id_of`
+    with pytest.raises(ValueError, match=f"Vocabulary.{key} must be >= 1"):
+        Vocabulary(token_to_id={"x": 0}, **{"oov_buckets": 4, key: 0})
 
 
 def test_tokenize_truncates_and_flags():

@@ -37,7 +37,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from logfix.model import DefectLabel, dumps_line, to_dict
+from logfix.model import DefectLabel, TruthRecord, dumps_line, to_dict
 from logfix.parser import extract_file
 from logfix.synthesis import (
     Tense,
@@ -414,11 +414,8 @@ def write_e2e() -> None:
         with open(os.path.join(src_dir, file_name), "w",
                   encoding="utf-8") as fh:
             fh.write(final_source)
-        truth_lines.append(dumps_line({
-            "statement_id": final_stmt.id,
-            "label": label.value,
-            "statement": to_dict(truth_stmt),
-        }))
+        truth_lines.append(dumps_line(to_dict(
+            TruthRecord(final_stmt.id, label, truth_stmt))))
     with open(os.path.join(E2E_DIR, "truth.jsonl"), "w",
               encoding="utf-8") as fh:
         fh.write("\n".join(truth_lines) + "\n")
