@@ -1,17 +1,22 @@
-"""Byte-level pins on what the pipeline writes for the e2e fixtures, and on
-the fix stage's use of threads over the benchmark's audit tree.
+"""Byte-level pins on what the pipeline writes for the e2e fixtures and the
+clean pool, and on the fix stage's use of threads over the benchmark's
+audit tree.
 
-The chain runs extract, mine and fix with the mock backend. Fix reads
-detection records made here from the truth file's labels with a fixed
-confidence, so no detector (and no numpy) is in the path. A change to the
-record codec or the repair flow that moves one byte of these files fails
-here; change a digest only with a deliberate change of the file format.
+The chain runs extract, mine, fix and evaluate with the mock backend. Fix
+reads detection records made here from the truth file's labels with a fixed
+confidence, so no detector (and no numpy) is in the path. Synthesis runs
+over the whole clean pool, by rules alone and with a mock backend whose
+transcript answers some of the semantic prompts. A change to the record
+codec, the repair flow or the mutation rules that moves one byte of these
+files fails here; change a digest only with a deliberate change of the file
+format or of what a rule writes.
 """
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -43,7 +48,42 @@ DIGESTS = {
         "55e0d43fe1ae9c24ac20a43cfae604b2fee090089303624e60d8dcb4655d10bf",
     "results.jsonl":
         "0f04f6e36b2249951145ebcf8ce01298dd332b658d8fd9ae15e88e73d886bceb",
+    "report.json":
+        "ed7e80167115614bf3601d0dbaa7bfa6c2f45f0694840918cce6466063402201",
+    "corpus-rules.jsonl":
+        "4037538c1eb939f690ff8d6e72ebb9a60c9c519ef1b7606897ecfc827f3b980d",
+    "corpus-mock.jsonl":
+        "5f65eb858941c1a11823c093659bfdb1606ae5ca7edfa1f60d362c77bb8d4357",
 }
+# (goal, statement the prompt asks to rewrite, reply) for the mock backend:
+# two usable rewrites, then a reply without tags, one that leaves the
+# statement as it was and one that is no logger call, which all fall back
+# to the rules.
+SEMANTIC_REPLIES = (
+    ("opposite action",
+     'logger.trace("Loading listener {} after inbound segment {}", '
+     'listenerSlot, segmentId);',
+     '<MUTATED>logger.trace("Unloading listener {} after inbound segment '
+     '{}", listenerSlot, segmentId);</MUTATED>'),
+    ("different variable",
+     'log.error("Subscribing remote bundle {} for primary executor {}", '
+     'bundleKey, executorOrdinal);',
+     '<MUTATED>log.error("Subscribing remote bundle {} for primary executor '
+     '{}", executorOrdinal, bundleKey);</MUTATED>'),
+    ("opposite action",
+     'logger.warn("Registering threshold {} after online ballot {}", '
+     'thresholdId, ballotCode);',
+     "I would rather not."),
+    ("opposite action",
+     'logger.info("Registering session {} on internal manifest {}", '
+     'sessionOrdinal, manifestKey);',
+     '<MUTATED>logger.info("Registering session {} on internal manifest '
+     '{}", sessionOrdinal, manifestKey);</MUTATED>'),
+    ("different variable",
+     'logger.trace("Opening cursor {} after online pipeline {}", cursorId, '
+     'pipelineCode);',
+     "<MUTATED>cursorId = pipelineCode;</MUTATED>"),
+)
 
 
 def detection_records(methods: Path, truth_path: Path) -> list[dict]:
@@ -69,9 +109,33 @@ def chain(tmp_path_factory) -> Path:
         assert main(["fix", "--in", str(out / "detections.jsonl"),
                      "--lcc", str(out / "changes.jsonl"), "--jobs", jobs,
                      "--out", str(out / f"results-{jobs}.jsonl")]) == 0
+    assert main(["evaluate", "--results", str(out / "results-1.jsonl"),
+                 "--truth", str(E2E_TRUTH),
+                 "--out", str(out / "report.json")]) == 0
     write_samples(str(out / "clean.jsonl"), load_clean_samples()[:20])
     assert main(["synthesize", "--in", str(out / "clean.jsonl"),
                  "--out", str(out / "corpus.jsonl"), "--per-type", "3"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("corpora")
+    write_samples(str(out / "pool.jsonl"), load_clean_samples())
+    transcript = [{"pattern": rf"{goal}.*Statement to rewrite:\n"
+                              rf"{re.escape(stmt)}\n",
+                   "reply": reply}
+                  for goal, stmt, reply in SEMANTIC_REPLIES]
+    (out / "transcript.json").write_text(json.dumps(transcript),
+                                         encoding="utf-8")
+    (out / "config.json").write_text(json.dumps(
+        {"backend": {"transcript": str(out / "transcript.json")}}),
+        encoding="utf-8")
+    synthesize = ["synthesize", "--in", str(out / "pool.jsonl"),
+                  "--per-type", "50"]
+    assert main([*synthesize, "--out", str(out / "corpus-rules.jsonl")]) == 0
+    assert main([*synthesize, "--out", str(out / "corpus-mock.jsonl"),
+                 "--llm", "mock", "--config", str(out / "config.json")]) == 0
     return out
 
 
@@ -85,6 +149,23 @@ def test_outputs_match_their_digests(chain):
     for jobs in ("1", "2", "4"):
         assert (sha256(chain / f"results-{jobs}.jsonl")
                 == DIGESTS["results.jsonl"]), jobs
+    assert sha256(chain / "report.json") == DIGESTS["report.json"]
+
+
+def test_corpora_match_their_digests(corpora):
+    for name in ("corpus-rules.jsonl", "corpus-mock.jsonl"):
+        assert sha256(corpora / name) == DIGESTS[name], name
+
+
+def test_the_mock_corpus_holds_the_transcript_rewrites(corpora):
+    def targets(name):
+        return {d["target"]["raw_text"]
+                for d in read_jsonl(str(corpora / name))}
+
+    written = targets("corpus-mock.jsonl") - targets("corpus-rules.jsonl")
+    rewrites = {re.search("<MUTATED>(.*)</MUTATED>", reply).group(1)
+                for _, _, reply in SEMANTIC_REPLIES[:2]}
+    assert rewrites <= written
 
 
 def test_every_record_round_trips_byte_for_byte(chain):
