@@ -21,6 +21,7 @@ import numpy as np
 
 from .metrics import f1_macro
 from .model import (
+    LABEL_INDEX,
     LABELS,
     NUM_CLASSES,
     DefectLabel,
@@ -193,6 +194,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _forward(model: EncoderModel, head: ClassifierHead,
+             pooled_stmt: np.ndarray, pooled_ctx: np.ndarray):
+    """Both encodings of a batch, each as (hidden layer, vector), then the
+    concatenated vectors and the head's class probabilities."""
+    stmt_enc = _project(model, pooled_stmt)
+    ctx_enc = _project(model, pooled_ctx)
+    concat = np.concatenate([stmt_enc[1], ctx_enc[1]], axis=1)
+    return stmt_enc, ctx_enc, concat, _softmax(concat @ head.weight + head.bias)
+
+
 def loss_and_grads(
     model: EncoderModel,
     head: ClassifierHead,
@@ -210,11 +221,8 @@ def loss_and_grads(
         pooled_stmt = pooled_stmt * dropout_masks[0]
         pooled_ctx = pooled_ctx * dropout_masks[1]
     n = pooled_stmt.shape[0]
-    hid_l, vec_l = _project(model, pooled_stmt)
-    hid_s, vec_s = _project(model, pooled_ctx)
-    concat = np.concatenate([vec_l, vec_s], axis=1)
-    logits = concat @ head.weight + head.bias
-    probs = _softmax(logits)
+    (hid_l, vec_l), (hid_s, vec_s), concat, probs = _forward(
+        model, head, pooled_stmt, pooled_ctx)
     batch = TrainingBatch(statement_vectors=vec_l, context_vectors=vec_s,
                           labels=labels, probabilities=probs)
     loss = composite_loss(batch, alpha)
@@ -333,18 +341,6 @@ def _sample_texts(corpus: list[LabeledSample]) -> list[str]:
     return texts
 
 
-def _tokenize_pair(sample: LabeledSample, vocab: Vocabulary,
-                   max_tokens: int) -> tuple[TokenSequence, TokenSequence]:
-    return (tokenize(sample.target.raw_text, vocab, max_tokens),
-            tokenize(sample.context.source_text, vocab, max_tokens))
-
-
-def _one_hot(labels: list[DefectLabel]) -> np.ndarray:
-    out = np.zeros((len(labels), NUM_CLASSES))
-    for i, label in enumerate(labels):
-        out[i, LABELS.index(label)] = 1.0
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Training
@@ -384,23 +380,6 @@ class _Adam:
             value -= np.divide(num, den, out=num)
 
 
-def _predict_encoded(model: EncoderModel, head: ClassifierHead,
-                     pooled_stmt: np.ndarray,
-                     pooled_ctx: np.ndarray) -> np.ndarray:
-    _, vec_l = _project(model, pooled_stmt)
-    _, vec_s = _project(model, pooled_ctx)
-    logits = np.concatenate([vec_l, vec_s], axis=1) @ head.weight + head.bias
-    return _softmax(logits)
-
-
-def _argmax_label(probs: np.ndarray) -> DefectLabel:
-    best = probs.max()
-    for i, value in enumerate(probs):
-        if value == best:
-            return LABELS[i]
-    return LABELS[0]
-
-
 def train(
     corpus: list[LabeledSample],
     config: TrainConfig | None = None,
@@ -416,10 +395,12 @@ def train(
     head = init_head(config.dim)
     rng = np.random.default_rng(config.seed + 1)
 
-    train_seqs = list(zip(seqs[0::2], seqs[1::2]))
-    train_labels = _one_hot([s.label for s in train_set])
-    val_stmts, val_ctxs = map(list, zip(*[
-        _tokenize_pair(s, vocab, config.max_tokens) for s in val_set]))
+    train_stmts, train_ctxs = seqs[0::2], seqs[1::2]
+    train_labels = np.eye(NUM_CLASSES)[[LABEL_INDEX[s.label]
+                                        for s in train_set]]
+    val_seqs = [tokenize(text, vocab, config.max_tokens)
+                for text in _sample_texts(val_set)]
+    val_stmts, val_ctxs = val_seqs[0::2], val_seqs[1::2]
     val_golds = [s.label for s in val_set]
 
     params = {**model.parameters(), **head.parameters()}
@@ -435,8 +416,8 @@ def train(
         batches = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            seq_l = [train_seqs[i][0] for i in idx]
-            seq_s = [train_seqs[i][1] for i in idx]
+            seq_l = [train_stmts[i] for i in idx]
+            seq_s = [train_ctxs[i] for i in idx]
             pooled_l = _pool(model, seq_l)
             pooled_s = _pool(model, seq_s)
             labels = train_labels[idx]
@@ -458,10 +439,10 @@ def train(
             epoch_loss += loss
             batches += 1
 
-        val_probs = _predict_encoded(model, head, _pool(model, val_stmts),
-                                     _pool(model, val_ctxs))
-        val_preds = [_argmax_label(row) for row in val_probs]
-        val_f1 = f1_macro(val_preds, val_golds)
+        val_probs = _forward(model, head, _pool(model, val_stmts),
+                             _pool(model, val_ctxs))[3]
+        val_f1 = f1_macro([LABELS[i] for i in val_probs.argmax(axis=1)],
+                          val_golds)
         history.append({
             "epoch": epoch,
             "train_loss": epoch_loss / max(batches, 1),
@@ -471,9 +452,7 @@ def train(
             best = (val_f1, epoch)
             best_state = {k: v.copy() for k, v in params.items()}
 
-    for name, value in model.parameters().items():
-        value[...] = best_state[name]
-    for name, value in head.parameters().items():
+    for name, value in params.items():
         value[...] = best_state[name]
     return model, head, history
 
@@ -492,9 +471,9 @@ def predict(
     (class 0), then ascending class index."""
     seq_l = tokenize(stmt.raw_text, model.vocabulary, max_tokens)
     seq_s = tokenize(context.source_text, model.vocabulary, max_tokens)
-    probs = _predict_encoded(model, head, _pool(model, [seq_l]),
-                             _pool(model, [seq_s]))[0]
-    return _argmax_label(probs), probs
+    probs = _forward(model, head, _pool(model, [seq_l]),
+                     _pool(model, [seq_s]))[3][0]
+    return LABELS[int(probs.argmax())], probs
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from logfix.model import (
     LoggingStatement,
@@ -259,14 +260,15 @@ class _Call:
     arg_spans: tuple[tuple[int, int], ...]
 
 
-def _build_call_re(config: ParserConfig) -> re.Pattern[str]:
-    # Each receiver checks that no identifier character precedes it after
-    # matching it, so the pattern starts with a literal and `re` skips ahead
-    # to the receivers' first letters instead of trying every offset. An
-    # empty receiver set matches a bare `.method(`, as the empty alternation
-    # always did.
+@cache
+def _call_re(receivers: frozenset[str]) -> re.Pattern[str]:
+    # Built once per receiver set. Each receiver checks that no identifier
+    # character precedes it after matching it, so the pattern starts with a
+    # literal and `re` skips ahead to the receivers' first letters instead
+    # of trying every offset. An empty receiver set matches a bare
+    # `.method(`, as the empty alternation always did.
     recv = "|".join(rf"{re.escape(r)}(?<![\w$]{re.escape(r)})"
-                    for r in sorted(config.logger_receivers) or [""])
+                    for r in sorted(receivers) or [""])
     return re.compile(rf"(?:{recv})\s*\.\s*([A-Za-z_$][\w$]*)\s*\(")
 
 
@@ -277,7 +279,7 @@ _ARG_STOP_RE = re.compile(r"[()\[\]{},]")
 def _scan_calls(lexed: Lexed, config: ParserConfig) -> list[_Call]:
     stripped, mask = lexed.stripped, lexed.mask
     calls: list[_Call] = []
-    call_re = _build_call_re(config)
+    call_re = _call_re(frozenset(config.logger_receivers))
     pos = 0
     n = len(stripped)
     while pos < n:

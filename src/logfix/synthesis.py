@@ -268,11 +268,25 @@ def _parse_for_edit(stmt: LoggingStatement,
 @dataclass(frozen=True)
 class _EditableWord:
     match: re.Match
-    fragment: tuple[int, int, int, int]
+    span: tuple[int, int] | None  # in raw_text; None where it is not found
 
     @property
     def text(self) -> str:
         return self.match.group()
+
+
+def _word_span(raw: str, word: re.Match,
+               fragment: tuple[int, int, int, int]) -> tuple[int, int] | None:
+    """The raw_text span of a static_text word that lies in `fragment`."""
+    ss, se, rs, re_ = fragment
+    if (se - ss) == (re_ - rs):
+        # No escape sequences inside this literal: offsets map linearly.
+        start = rs + (word.start() - ss)
+    else:
+        start = raw.find(word.group(), rs, re_)
+        if start < 0:
+            return None
+    return start, start + len(word.group())
 
 
 def _editable_words(parsed: ParsedStatement) -> list[_EditableWord]:
@@ -288,40 +302,28 @@ def _editable_words(parsed: ParsedStatement) -> list[_EditableWord]:
             continue
         for frag in parsed.literal_fragments:
             if frag[0] <= m.start() and m.end() <= frag[1]:
-                out.append(_EditableWord(match=m, fragment=frag))
+                out.append(_EditableWord(m, _word_span(stmt.raw_text, m, frag)))
                 break
     return out
 
 
-def _splice_static(parsed: ParsedStatement, word: _EditableWord,
-                   replacement: str) -> str:
-    """Rewrite raw_text so the word's static_text span becomes `replacement`."""
-    ss, se, rs, re_ = word.fragment
+def _rewrite(stmt: LoggingStatement, parsed: ParsedStatement,
+             span: tuple[int, int] | None, mutated: str,
+             strategy: MutationStrategy, detail: str,
+             config: ParserConfig | None) -> tuple[LoggingStatement,
+                                                   MutationRecord]:
+    """`stmt` with the raw_text `span` replaced by `mutated`, re-parsed and
+    put where `stmt` sits, with the record of the edit."""
     raw = parsed.statement.raw_text
-    if (se - ss) == (re_ - rs):
-        # No escape sequences inside this literal: offsets map linearly.
-        a = rs + (word.match.start() - ss)
-        b = rs + (word.match.end() - ss)
-        return raw[:a] + replacement + raw[b:]
-    segment = raw[rs:re_]
-    pos = segment.find(word.text)
-    if pos < 0:
-        raise NoCandidate(f"cannot locate {word.text!r} in raw text")
-    return raw[:rs] + segment[:pos] + replacement + segment[pos + len(word.text):] + raw[re_:]
-
-
-def _splice_variable(parsed: ParsedStatement, index: int, replacement: str) -> str:
-    start, end = parsed.variable_spans[index]
-    raw = parsed.statement.raw_text
-    return raw[:start] + replacement + raw[end:]
-
-
-def _rebuild(stmt: LoggingStatement, new_raw: str,
-             config: ParserConfig | None = None) -> LoggingStatement:
-    parsed = parse_statement_text(new_raw, config)
-    if parsed is None:
+    if span is None:
+        raise NoCandidate(f"cannot locate the edited word in {raw!r}")
+    start, end = span
+    record = MutationRecord(strategy, raw[start:end], mutated, detail)
+    new_raw = raw[:start] + mutated + raw[end:]
+    reparsed = parse_statement_text(new_raw, config)
+    if reparsed is None:
         raise NoCandidate(f"mutated text no longer parses: {new_raw!r}")
-    return relocate(parsed.statement, stmt)
+    return relocate(reparsed.statement, stmt), record
 
 
 def _match_casing(model: str, word: str) -> str:
@@ -378,34 +380,19 @@ def mutate_readability(
 
     def apply_caps() -> tuple[LoggingStatement, MutationRecord]:
         target = rng.choice(caps_targets)
-        mutated_word = target.text.upper()
-        record = MutationRecord(
-            strategy=MutationStrategy.CAPITALIZATION,
-            original=target.text,
-            mutated=mutated_word,
-            detail="uppercase",
-        )
-        return _rebuild(stmt, _splice_static(parsed, target, mutated_word),
-                        config), record
+        return _rewrite(stmt, parsed, target.span, target.text.upper(),
+                        MutationStrategy.CAPITALIZATION, "uppercase", config)
 
     def apply_typo() -> tuple[LoggingStatement, MutationRecord]:
         if lexicon_targets:
             target = rng.choice(lexicon_targets)
             misspelling = rng.choice(lexicon.entries[target.text.lower()])
-            mutated_word = _match_casing(target.text, misspelling)
-            detail = "lexicon"
+            mutated, detail = _match_casing(target.text, misspelling), "lexicon"
         else:
             target = rng.choice(words)
-            mutated_word = _random_edit(target.text, rng)
-            detail = "random-edit"
-        record = MutationRecord(
-            strategy=MutationStrategy.TYPO,
-            original=target.text,
-            mutated=mutated_word,
-            detail=detail,
-        )
-        return _rebuild(stmt, _splice_static(parsed, target, mutated_word),
-                        config), record
+            mutated, detail = _random_edit(target.text, rng), "random-edit"
+        return _rewrite(stmt, parsed, target.span, mutated,
+                        MutationStrategy.TYPO, detail, config)
 
     if prefer_caps:
         if caps_targets:
@@ -461,14 +448,10 @@ def mutate_tense(
         return None
     rng = random.Random(rng_seed)
     target_tense, target_surface = rng.choice(alternatives)
-    mutated_word = _match_casing(word.text, target_surface)
-    record = MutationRecord(
-        strategy=MutationStrategy.TENSE,
-        original=word.text,
-        mutated=mutated_word,
-        detail=f"{lemma}: {tense.name} -> {target_tense.name}",
-    )
-    return _rebuild(stmt, _splice_static(parsed, word, mutated_word), config), record
+    return _rewrite(stmt, parsed, word.span,
+                    _match_casing(word.text, target_surface),
+                    MutationStrategy.TENSE,
+                    f"{lemma}: {tense.name} -> {target_tense.name}", config)
 
 
 # ---------------------------------------------------------------------------
@@ -621,59 +604,31 @@ def mutate_semantic(
         except (MalformedReply, NotALoggingStatement):
             mutated = None
         if mutated is not None and mutated.raw_text != stmt.raw_text:
-            return mutated, MutationRecord(
-                strategy=strategy,
-                original=stmt.raw_text,
-                mutated=mutated.raw_text,
-                detail=f"llm:{backend.name}",
-            )
+            return mutated, MutationRecord(strategy, stmt.raw_text,
+                                           mutated.raw_text,
+                                           f"llm:{backend.name}")
 
     rng = random.Random(rng_seed) if rng_seed is not None else None
     antonyms = antonyms or default_antonym_table()
     verb_lexicon = verb_lexicon or default_verb_lexicon()
 
     if kind is DefectLabel.STATEMENT_CODE:
-        candidates = _antonym_candidates(parsed, antonyms, verb_lexicon)
-        if not candidates:
-            raise NoCandidate(
-                f"no event word with a known opposite in {stmt.static_text!r}")
-        word, mutated_word = rng.choice(candidates) if rng else candidates[0]
-        record = MutationRecord(
-            strategy=strategy,
-            original=word.text,
-            mutated=mutated_word,
-            detail=f"antonym {word.text.lower()} -> {mutated_word.lower()}",
-        )
-        return _rebuild(stmt, _splice_static(parsed, word, mutated_word),
-                        config), record
-
-    swaps = _variable_swap_candidates(stmt, context)
-    if swaps:
-        index, alt = rng.choice(swaps) if rng else swaps[0]
-        original_var = stmt.variables[index]
-        record = MutationRecord(
-            strategy=strategy,
-            original=original_var,
-            mutated=alt,
-            detail="variable-swap",
-        )
-        return _rebuild(stmt, _splice_variable(parsed, index, alt),
-                        config), record
-    descriptions = _description_swap_candidates(parsed)
-    if descriptions:
-        word, mutated_word = (rng.choice(descriptions) if rng
-                              else descriptions[0])
-        record = MutationRecord(
-            strategy=strategy,
-            original=word.text,
-            mutated=mutated_word,
-            detail="description-swap",
-        )
-        return _rebuild(stmt, _splice_static(parsed, word, mutated_word),
-                        config), record
-    raise NoCandidate(
-        "no alternative in-scope variable or placeholder description "
-        f"available for {stmt.raw_text!r}")
+        candidates = [(w.span, mutated,
+                       f"antonym {w.text.lower()} -> {mutated.lower()}")
+                      for w, mutated in _antonym_candidates(
+                          parsed, antonyms, verb_lexicon)]
+        missing = f"no event word with a known opposite in {stmt.static_text!r}"
+    else:
+        candidates = ([(parsed.variable_spans[i], alt, "variable-swap")
+                       for i, alt in _variable_swap_candidates(stmt, context)]
+                      or [(w.span, mutated, "description-swap")
+                          for w, mutated in _description_swap_candidates(parsed)])
+        missing = ("no alternative in-scope variable or placeholder "
+                   f"description available for {stmt.raw_text!r}")
+    if not candidates:
+        raise NoCandidate(missing)
+    span, mutated, detail = rng.choice(candidates) if rng else candidates[0]
+    return _rewrite(stmt, parsed, span, mutated, strategy, detail, config)
 
 
 # ---------------------------------------------------------------------------
