@@ -33,7 +33,10 @@ from .model import (
     LABELS,
     DefectLabel,
     Detection,
+    LabeledSample,
     MethodRecord,
+    Provenance,
+    ProvenanceKind,
     TruthRecord,
     UpdateResult,
     from_dict,
@@ -243,8 +246,29 @@ def cmd_mine(args, config: ToolConfig) -> int:
     return EXIT_OK
 
 
+def _is_method_record(d) -> bool:
+    """Whether a JSONL row is an extract record ({method, statements})."""
+    return type(d) is dict and "statements" in d
+
+
+def _read_clean_samples(path: str) -> list[LabeledSample]:
+    """Clean samples from labeled-sample records, or from extract records:
+    each statement of one is a well-maintained NON_DEFECT sample."""
+    clean = []
+    for d in read_jsonl(path):
+        if _is_method_record(d):
+            m = from_dict(MethodRecord, d)
+            clean.extend(LabeledSample(
+                m.method, stmt, DefectLabel.NON_DEFECT,
+                Provenance(ProvenanceKind.WELL_MAINTAINED))
+                for stmt in m.statements)
+        else:
+            clean.append(from_dict(LabeledSample, d))
+    return clean
+
+
 def cmd_synthesize(args, config: ToolConfig) -> int:
-    clean = read_samples(args.in_path)
+    clean = _read_clean_samples(args.in_path)
     if not clean:
         raise DataError(f"no samples in {args.in_path!r}")
     backend = make_backend(config.backend, args.llm) if args.llm else None
@@ -308,7 +332,7 @@ def _read_statement_items(path: str):
     None for a statement of an extract record."""
     items = []
     for d in read_jsonl(path):
-        if type(d) is dict and "statements" in d:
+        if _is_method_record(d):
             m = from_dict(MethodRecord, d)
             items.extend((m.method, stmt, None) for stmt in m.statements)
         else:
@@ -424,7 +448,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synthesize", parents=[common, seeded],
                        help="mutate clean statements into a defect corpus")
     p.add_argument("--in", dest="in_path", required=True,
-                   help="clean-sample JSONL")
+                   help="clean-sample JSONL, or methods JSONL from extract")
     p.add_argument("--out", required=True,
                    help="training corpus JSONL (clean + mutants)")
     p.add_argument("--per-type", dest="per_type", type=int, required=True,

@@ -542,10 +542,33 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, ClassifierHead, TrainConfi
         raise ValueError(f"not a recognized checkpoint file: {path} "
                          f"(Checkpoint.format must be {CHECKPOINT_FORMAT!r})")
     checkpoint = from_dict(Checkpoint, payload)
-    saved = checkpoint.vocabulary
+    saved, dim = checkpoint.vocabulary, checkpoint.config.dim
     vocab = Vocabulary({token: i for i, token in enumerate(saved.tokens)},
                        saved.oov_buckets, saved.max_tokens)
-    t = {name: tensor.array() for name, tensor in checkpoint.tensors.items()}
+    if len(vocab.token_to_id) < len(saved.tokens):
+        repeated = next(token for i, token in enumerate(saved.tokens)
+                        if vocab.token_to_id[token] != i)
+        raise ValueError(f"Checkpoint.vocabulary.tokens repeats {repeated!r}")
+    # every shape follows from the vocabulary and config.dim
+    shapes = {"embedding": (vocab.size, dim), "w1": (dim, dim), "b1": (dim,),
+              "w2": (dim, dim), "b2": (dim,),
+              "head_weight": (2 * dim, NUM_CLASSES),
+              "head_bias": (NUM_CLASSES,)}
+    if checkpoint.tensors.keys() != shapes.keys():
+        raise ValueError(f"Checkpoint.tensors must be {sorted(shapes)}, "
+                         f"got {sorted(checkpoint.tensors)}")
+    t = {}
+    for name, shape in shapes.items():
+        tensor = checkpoint.tensors[name]
+        if tensor.shape != shape:
+            raise ValueError(
+                f"Checkpoint.tensors.{name}.shape must be {list(shape)} for "
+                f"{len(saved.tokens)} tokens, {saved.oov_buckets} OOV buckets "
+                f"and dim {dim}, got {list(tensor.shape)}")
+        try:
+            t[name] = tensor.array()
+        except ValueError as exc:
+            raise ValueError(f"Checkpoint.tensors.{name}.data: {exc}") from None
     model = EncoderModel(vocab, t["embedding"], t["w1"], t["b1"], t["w2"],
                          t["b2"])
     head = ClassifierHead(t["head_weight"], t["head_bias"])

@@ -376,7 +376,7 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]],
                             f"{cls.__name__}.{name}: {exc}") from None
                 kwargs[name] = value
             elif required:
-                raise KeyError(name)
+                raise ValueError(f"{cls.__name__}.{name} is missing")
         return cls(**kwargs)
     return encoder, decoder
 
@@ -387,9 +387,9 @@ def to_dict(obj: Any) -> dict[str, Any]:
 
 
 def from_dict(cls: type[T], data: dict[str, Any]) -> T:
-    """The `cls` instance a JSON object holds. KeyError names a missing key
-    whose field has no default; ValueError names the class and the field of
-    a value of the wrong type (and the path to it, for a nested record)."""
+    """The `cls` instance a JSON object holds. A ValueError names the class
+    and the field of a missing key whose field has no default, or of a value
+    of the wrong type (and the path to it, for a nested record)."""
     if type(data) is not dict:
         raise ValueError(f"{cls.__name__} must be an object, got {_show(data)}")
     return _codec(cls)[1](data)

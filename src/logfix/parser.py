@@ -67,6 +67,17 @@ class UnbalancedBraces(Exception):
         self.what = what
 
 
+class MethodTooLong(Exception):
+    """A method longer than ParserConfig.max_method_lines, skipped.
+    Collected, not raised, by extraction."""
+
+    def __init__(self, path: str, line: int, name: str, lines: int, cap: int):
+        super().__init__(f"{path}:{line}: method {name} has {lines} lines, "
+                         f"over the line cap of {cap}; skipped")
+        self.path = path
+        self.line = line
+
+
 # ---------------------------------------------------------------------------
 # Lexing
 # ---------------------------------------------------------------------------
@@ -567,7 +578,7 @@ def decode_source(data: bytes) -> str:
 @dataclass
 class ExtractionResult:
     records: list[tuple[MethodContext, list[ParsedStatement]]]
-    errors: list[UnbalancedBraces]
+    errors: list[UnbalancedBraces | MethodTooLong]
 
 
 def extract_file(source: str, path: str, config: ParserConfig | None = None,
@@ -579,7 +590,7 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     """
     config = config or ParserConfig()
     lexed = lex(source)
-    errors: list[UnbalancedBraces] = []
+    errors: list[UnbalancedBraces | MethodTooLong] = []
 
     method_spans = _scan_method_spans(lexed, path, errors)
     class_spans = _scan_class_spans(lexed)
@@ -592,8 +603,9 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
         start_line = lexed.line_of(ms.header_start)
         end_line = lexed.line_of(ms.close_brace)
         if end_line - start_line + 1 > config.max_method_lines:
-            errors.append(UnbalancedBraces(
-                path, start_line, f"method {ms.name} exceeds line cap, skipped"))
+            errors.append(MethodTooLong(path, start_line, ms.name,
+                                        end_line - start_line + 1,
+                                        config.max_method_lines))
             continue
         source_text = source[ms.header_start:ms.close_brace + 1]
         enclosing = [name for name, o, c in class_spans

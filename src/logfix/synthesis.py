@@ -26,6 +26,7 @@ from .model import (
     Provenance,
     ProvenanceKind,
     statement_offset,
+    validate_sample,
 )
 from .parser import (
     ParsedStatement,
@@ -646,10 +647,8 @@ MAX_RESAMPLE_ROUNDS = 64
 
 def _mutated_context(context: MethodContext, old: LoggingStatement,
                      new: LoggingStatement) -> MethodContext:
+    # a valid sample's statement is at its line (validate_sample)
     at = statement_offset(context, old)
-    if at < 0:
-        raise ValueError(f"statement {old.id} is not at line "
-                         f"{old.location.start_line} of its method")
     source = (context.source_text[:at] + new.raw_text
               + context.source_text[at + len(old.raw_text):])
     ids = tuple(new.id if sid == old.id else sid for sid in context.statement_ids)
@@ -694,13 +693,18 @@ def synthesize_corpus(
     across the whole corpus. The pool is walked in a seeded shuffled order,
     repeatedly, with a fresh per-sample random stream each round, until each
     type reaches its count; a round that adds nothing raises
-    InsufficientInputs.
+    InsufficientInputs. A clean sample that fails `validate_sample` raises
+    ValueError; a mutant that fails it is dropped.
     """
     for sample in clean:
         if sample.label is not DefectLabel.NON_DEFECT:
             raise ValueError(
                 f"clean pool contains a {sample.label.value} sample "
                 f"({sample.target.id})")
+        problems = validate_sample(sample)
+        if problems:
+            raise ValueError(f"clean sample {sample.target.id}: "
+                             + "; ".join(problems))
     if per_type_count < 0:
         raise ValueError("per_type_count must be >= 0")
     typo_lexicon = typo_lexicon or default_typo_lexicon()
@@ -739,19 +743,21 @@ def synthesize_corpus(
                 key = (sample.context.source_text, new_stmt.raw_text)
                 if key in seen:
                     continue
-                seen.add(key)
-                provenance = Provenance(
-                    kind=ProvenanceKind.MUTATED,
-                    strategy=record.strategy.name,
-                    original_raw_text=sample.target.raw_text,
-                )
-                picked.append(LabeledSample(
+                mutant = LabeledSample(
                     context=_mutated_context(sample.context, sample.target,
                                              new_stmt),
                     target=new_stmt,
                     label=label,
-                    provenance=provenance,
-                ))
+                    provenance=Provenance(
+                        kind=ProvenanceKind.MUTATED,
+                        strategy=record.strategy.name,
+                        original_raw_text=sample.target.raw_text,
+                    ),
+                )
+                if validate_sample(mutant):
+                    continue
+                seen.add(key)
+                picked.append(mutant)
                 progressed = True
             if not progressed and len(picked) < per_type_count:
                 raise InsufficientInputs(

@@ -11,6 +11,8 @@ import subprocess
 import pytest
 
 from conftest import (
+    CLEAN_DIR,
+    CLEAN_PROJECT,
     E2E_SRC_DIR,
     HISTORY_DIR,
     load_clean_samples,
@@ -418,6 +420,38 @@ class TestSynthesize:
                      "--per-type", "1", "--llm", "mock"]) == 0
         assert len(read_samples(str(out))) == 15 + 4
 
+    def test_extract_records_are_read_as_clean_samples(self, tmp_path):
+        # README's step 3: extract a clean tree, then synthesize from it
+        methods = tmp_path / "methods.jsonl"
+        assert main(["extract", "--root", str(CLEAN_DIR), "--project",
+                     CLEAN_PROJECT, "--out", str(methods)]) == 0
+        samples = tmp_path / "samples.jsonl"
+        write_samples(str(samples), load_clean_samples())
+        corpora = []
+        for clean in (methods, samples):
+            out = tmp_path / f"corpus-{clean.stem}.jsonl"
+            assert main(["synthesize", "--in", str(clean), "--out", str(out),
+                         "--per-type", "5", "--seed", "3"]) == 0
+            corpora.append(out.read_bytes())
+        assert corpora[0] == corpora[1]
+        assert len(corpora[0].splitlines()) == 250 + 4 * 5
+
+    def test_a_clean_sample_outside_its_method_is_a_data_error(
+            self, tmp_path, capsys):
+        clean = [to_dict(s) for s in load_clean_samples()[:3]]
+        location = clean[1]["target"]["location"]
+        location["start_line"] += 100
+        location["end_line"] += 100
+        path, out = tmp_path / "clean.jsonl", tmp_path / "corpus.jsonl"
+        write_jsonl(str(path), clean)
+        capsys.readouterr()
+        assert main(["synthesize", "--in", str(path), "--out", str(out),
+                     "--per-type", "1"]) == 2
+        err = capsys.readouterr().err
+        assert (f"clean sample {clean[1]['target']['id']}: target statement "
+                "lines fall outside the method's line span") in err
+        assert not out.exists()
+
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -654,7 +688,7 @@ class TestFix:
         ("predicted_label", 3, "Detection.predicted_label must be a string, "
                                "got 3"),
         # a record that is neither a detection nor an extract record
-        ("predicted_label", None, "KeyError: 'predicted_label'"),
+        ("predicted_label", None, "Detection.predicted_label is missing"),
     ])
     def test_a_detection_field_of_the_wrong_type_is_a_data_error(
             self, ws, tmp_path, capsys, field, value, message):
@@ -829,7 +863,8 @@ class TestEvaluate:
         assert main(["evaluate", "--results", str(results),
                      "--truth", str(truth),
                      "--out", str(tmp_path / "r.json")]) == 2
-        assert "KeyError: 'raw_text'" in capsys.readouterr().err
+        assert ("TruthRecord.statement: LoggingStatement.raw_text is missing"
+                in capsys.readouterr().err)
 
     def test_record_value_of_the_wrong_type_is_a_data_error(
             self, ws, tmp_path, capsys):
@@ -952,12 +987,43 @@ class TestMalformedInput:
          "must be a list of TranscriptEntry objects"),
         ("transcript", lambda entries: [{"pattern": "(", "reply": "x"}],
          "TranscriptEntry.pattern '(': missing ), unterminated subpattern"),
+        # a checkpoint is checked as a whole: unique tokens, all seven
+        # tensors, and the shapes the vocabulary and config.dim give
+        ("checkpoint", lambda doc: _with("vocabulary", "tokens", 1,
+                                         value=doc["vocabulary"]["tokens"][0]
+                                         )(doc),
+         "Checkpoint.vocabulary.tokens repeats"),
+        ("checkpoint", _with("tensors", "b1", "shape", value=[-1]),
+         "Checkpoint.tensors.b1.shape must be [16] for"),
+        ("checkpoint", _with("tensors", "w1", "shape", value=[8, 32]),
+         "Checkpoint.tensors.w1.shape must be [16, 16] for"),
+        ("checkpoint", lambda doc: _with("vocabulary", "tokens",
+                                         value=doc["vocabulary"]["tokens"][1:]
+                                         )(doc),
+         "Checkpoint.tensors.embedding.shape must be ["),
+        ("checkpoint", lambda doc: {**doc, "tensors": {
+            k: v for k, v in doc["tensors"].items() if k != "head_bias"}},
+         "Checkpoint.tensors must be ['b1', 'b2', 'embedding', "
+         "'head_bias', 'head_weight', 'w1', 'w2'], got ['b1', 'b2', "
+         "'embedding', 'head_weight', 'w1', 'w2']"),
+        ("checkpoint", _with("tensors", "b2", "data", value="AAAA"),
+         "Checkpoint.tensors.b2.data: "),
+        # a missing key names its class and field, and the path to it
+        ("transcript", lambda entries: [{}],
+         "TranscriptEntry.pattern is missing"),
+        ("truth", lambda rows: [{k: v for k, v in rows[0].items()
+                                 if k != "statement"}, *rows[1:]],
+         "TruthRecord.statement is missing"),
     ], ids=[*(f"checkpoint-{name}" for name in (
         "tokens", "shape", "vocabulary", "top-level", "max_tokens",
         "oov_buckets", "dtype")), "truth-statement_id", "truth-row",
         *(f"{kind}-{name}" for kind in ("detect", "fix")
           for name in ("statements", "row-list", "row-int")),
-        "transcript-entry", "transcript-object", "transcript-pattern"])
+        "transcript-entry", "transcript-object", "transcript-pattern",
+        *(f"checkpoint-{name}" for name in (
+            "repeated-token", "negative-shape", "w1-shape", "embedding-rows",
+            "missing-tensor", "data-size")),
+        "transcript-missing-key", "truth-missing-key"])
     def test_is_a_data_error_naming_the_field(self, valid, tmp_path, capsys,
                                               kind, change, named):
         doc, argv = valid[kind]

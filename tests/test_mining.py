@@ -15,7 +15,7 @@ from logfix.mining import (
     diff_lines,
     extract_lccs,
 )
-from logfix.parser import extract_file
+from logfix.parser import ParserConfig, extract_file
 
 from conftest import HISTORY_DIR
 
@@ -447,6 +447,16 @@ def test_a_non_source_change_rejects_the_commit_before_parsing(monkeypatch,
             for c in changes] == [
         ("c3", 'log.info("started worker");', 'log.info("worker started");')]
     assert parsed == ["Service.java", "Service.java"]
+
+
+def test_a_method_over_the_line_cap_rejects_the_commit():
+    before = java('log.info("starting worker");')
+    after = java('log.info("started worker");')
+    # the method spans three lines
+    assert len(extract_lccs([pair_of("c1", before, after)],
+                            ParserConfig(max_method_lines=3), "proj")) == 1
+    assert extract_lccs([pair_of("c1", before, after)],
+                        ParserConfig(max_method_lines=2), "proj") == []
 
 
 def test_extract_lccs_rejects_code_line_changes():

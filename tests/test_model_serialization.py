@@ -27,6 +27,7 @@ from logfix.model import (
     Provenance,
     ProvenanceKind,
     SourceLocation,
+    TruthRecord,
     UpdateResult,
     content_hash,
     dumps_line,
@@ -262,9 +263,18 @@ class TestCodec:
                 == Placeholder(PlaceholderKind.PERCENT, 3, ""))
         assert from_dict(TrainConfig, {"epochs": 4}) == TrainConfig(epochs=4)
 
-    def test_a_missing_key_without_a_default_raises_key_error(self):
-        with pytest.raises(KeyError, match="end_line"):
+    def test_a_missing_key_without_a_default_names_class_and_field(self):
+        with pytest.raises(ValueError,
+                           match=r"^SourceLocation\.end_line is missing$"):
             from_dict(SourceLocation, {"path": "A.java", "start_line": 1})
+        # a nested record's path, as a value of the wrong type has it
+        statement = to_dict(statement_of('log.info("x");'))
+        del statement["raw_text"]
+        with pytest.raises(ValueError, match=(
+                r"^TruthRecord\.statement: LoggingStatement\.raw_text "
+                r"is missing$")):
+            from_dict(TruthRecord, {"statement_id": "s", "label": "NON_DEFECT",
+                                    "statement": statement})
 
     def test_int_float_and_bool_fields_take_only_their_json_types(self):
         # an int field takes a JSON integer only: no float, however whole,

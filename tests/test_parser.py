@@ -714,8 +714,11 @@ def test_method_line_cap_skips_method():
     config = ParserConfig(max_method_lines=10)
     result = extract_file(src, "A.java", config, "")
     assert result.records == []
-    assert result.errors
+    assert [str(e) for e in result.errors] == [
+        "A.java:1: method m has 33 lines, over the line cap of 10; skipped"]
     assert "line cap" in str(result.errors[0])
+    assert "unbalanced" not in str(result.errors[0])
+    assert not isinstance(result.errors[0], UnbalancedBraces)
 
 
 # ---------------------------------------------------------------------------

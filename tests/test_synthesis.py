@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import JAVA_DIR, single_method, statement_of
+from logfix import synthesis
 from logfix.backends import MockBackend
 from logfix.parser import extract_file
 from logfix.model import (
@@ -558,6 +560,38 @@ class TestSynthesizeCorpus:
         mutants = synthesize_corpus(clean_samples[:15], 1, seed=0)
         with pytest.raises(ValueError):
             synthesize_corpus(mutants[:1], 1, seed=0)
+
+    def test_a_clean_sample_that_fails_validation_is_rejected(
+            self, clean_samples):
+        sample = clean_samples[1]
+        loc = sample.target.location
+        outside = replace(sample, target=replace(sample.target, location=replace(
+            loc, start_line=loc.start_line + 100,
+            end_line=loc.end_line + 100)))
+        with pytest.raises(ValueError, match=(
+                rf"^clean sample {sample.target.id}: target statement lines "
+                "fall outside the method's line span$")):
+            synthesize_corpus([clean_samples[0], outside], 1, seed=0)
+
+    def test_an_invalid_mutant_is_dropped(self, clean_samples, monkeypatch):
+        mutate_tense = synthesis.mutate_tense
+        invalid = []
+
+        def first_three_invalid(*args):
+            mutated = mutate_tense(*args)
+            if mutated is not None and len(invalid) < 3:
+                stmt, record = mutated
+                mutated = replace(stmt, method_id="elsewhere"), record
+                invalid.append(mutated[0])
+            return mutated
+
+        monkeypatch.setattr(synthesis, "mutate_tense", first_three_invalid)
+        out = synthesize_corpus(clean_samples[:15], 4, seed=5)
+        assert len(invalid) == 3
+        assert Counter(s.label for s in out) == {
+            label: 4 for label in DEFECT_LABELS}
+        assert all(validate_sample(s) == [] for s in out)
+        assert not {s.target for s in out} & set(invalid)
 
     def test_insufficient_inputs(self, clean_samples):
         with pytest.raises(InsufficientInputs):
