@@ -341,7 +341,6 @@ def _sample_texts(corpus: list[LabeledSample]) -> list[str]:
     return texts
 
 
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------

@@ -71,12 +71,6 @@ class MethodTooLong(Exception):
     """A method longer than ParserConfig.max_method_lines, skipped.
     Collected, not raised, by extraction."""
 
-    def __init__(self, path: str, line: int, name: str, lines: int, cap: int):
-        super().__init__(f"{path}:{line}: method {name} has {lines} lines, "
-                         f"over the line cap of {cap}; skipped")
-        self.path = path
-        self.line = line
-
 
 # ---------------------------------------------------------------------------
 # Lexing
@@ -602,10 +596,11 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
         ms = method_spans[i]
         start_line = lexed.line_of(ms.header_start)
         end_line = lexed.line_of(ms.close_brace)
-        if end_line - start_line + 1 > config.max_method_lines:
-            errors.append(MethodTooLong(path, start_line, ms.name,
-                                        end_line - start_line + 1,
-                                        config.max_method_lines))
+        lines = end_line - start_line + 1
+        if lines > config.max_method_lines:
+            errors.append(MethodTooLong(
+                f"{path}:{start_line}: method {ms.name} has {lines} lines, "
+                f"over the line cap of {config.max_method_lines}; skipped"))
             continue
         source_text = source[ms.header_start:ms.close_brace + 1]
         enclosing = [name for name, o, c in class_spans
