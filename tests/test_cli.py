@@ -1008,12 +1008,9 @@ class TestMalformedInput:
          "'embedding', 'head_weight', 'w1', 'w2']"),
         ("checkpoint", _with("tensors", "b2", "data", value="AAAA"),
          "Checkpoint.tensors.b2.data: "),
-        # a missing key names its class and field, and the path to it
+        # a missing key names its class and field
         ("transcript", lambda entries: [{}],
          "TranscriptEntry.pattern is missing"),
-        ("truth", lambda rows: [{k: v for k, v in rows[0].items()
-                                 if k != "statement"}, *rows[1:]],
-         "TruthRecord.statement is missing"),
     ], ids=[*(f"checkpoint-{name}" for name in (
         "tokens", "shape", "vocabulary", "top-level", "max_tokens",
         "oov_buckets", "dtype")), "truth-statement_id", "truth-row",
@@ -1023,7 +1020,7 @@ class TestMalformedInput:
         *(f"checkpoint-{name}" for name in (
             "repeated-token", "negative-shape", "w1-shape", "embedding-rows",
             "missing-tensor", "data-size")),
-        "transcript-missing-key", "truth-missing-key"])
+        "transcript-missing-key"])
     def test_is_a_data_error_naming_the_field(self, valid, tmp_path, capsys,
                                               kind, change, named):
         doc, argv = valid[kind]

@@ -561,18 +561,6 @@ class TestSynthesizeCorpus:
         with pytest.raises(ValueError):
             synthesize_corpus(mutants[:1], 1, seed=0)
 
-    def test_a_clean_sample_that_fails_validation_is_rejected(
-            self, clean_samples):
-        sample = clean_samples[1]
-        loc = sample.target.location
-        outside = replace(sample, target=replace(sample.target, location=replace(
-            loc, start_line=loc.start_line + 100,
-            end_line=loc.end_line + 100)))
-        with pytest.raises(ValueError, match=(
-                rf"^clean sample {sample.target.id}: target statement lines "
-                "fall outside the method's line span$")):
-            synthesize_corpus([clean_samples[0], outside], 1, seed=0)
-
     def test_an_invalid_mutant_is_dropped(self, clean_samples, monkeypatch):
         mutate_tense = synthesis.mutate_tense
         invalid = []
