@@ -16,7 +16,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
+from typing import Iterable, get_type_hints
 
 from .backends import (
     BackendError,
@@ -302,44 +302,34 @@ def cmd_train(args, config: ToolConfig) -> int:
     return EXIT_OK
 
 
-def _detect_one(ctx, stmt, model, head,
-                max_tokens: int) -> tuple[DefectLabel, float]:
-    """The predicted label of one statement and its probability."""
-    label, probs = predict(ctx, stmt, model, head, max_tokens)
-    return label, float(probs[LABEL_INDEX[label]])
+def _detections(records: Iterable[MethodRecord | Detection],
+                checkpoint: str) -> list[Detection]:
+    """The records as detections, in input order: a detection record as it
+    is, and each statement of an extract record labelled by the checkpoint,
+    which is loaded before the first record is read."""
+    model, head, train_config = load_checkpoint(checkpoint)
+    detections = []
+    for r in records:
+        if isinstance(r, Detection):
+            detections.append(r)
+            continue
+        for stmt in r.statements:
+            label, probs = predict(r.method, stmt, model, head,
+                                   train_config.max_tokens)
+            detections.append(Detection(r.method, stmt, label,
+                                        float(probs[LABEL_INDEX[label]])))
+    return detections
 
 
 def cmd_detect(args, config: ToolConfig) -> int:
-    model, head, train_config = load_checkpoint(args.model)
-    records = []
-    for d in read_jsonl(args.in_path):
-        r = from_dict(MethodRecord, d)
-        for stmt in r.statements:
-            records.append(Detection(r.method, stmt, *_detect_one(
-                r.method, stmt, model, head, train_config.max_tokens)))
-    write_jsonl(args.out, map(to_dict, records))
-    defects = sum(1 for r in records
-                  if r.predicted_label is not DefectLabel.NON_DEFECT)
-    _note(f"detect: {len(records)} statements, {defects} flagged "
+    detections = _detections((from_dict(MethodRecord, d)
+                              for d in read_jsonl(args.in_path)), args.model)
+    write_jsonl(args.out, map(to_dict, detections))
+    defects = sum(1 for d in detections
+                  if d.predicted_label is not DefectLabel.NON_DEFECT)
+    _note(f"detect: {len(detections)} statements, {defects} flagged "
           f"-> {args.out}")
     return EXIT_OK
-
-
-def _read_statement_items(path: str):
-    """(context, statement, detection) items from detection records
-    ({method, statement, predicted_label, confidence}) or extract records
-    ({method, statements}). An item's detection is (label, confidence), or
-    None for a statement of an extract record."""
-    items = []
-    for d in read_jsonl(path):
-        if _is_method_record(d):
-            m = from_dict(MethodRecord, d)
-            items.extend((m.method, stmt, None) for stmt in m.statements)
-        else:
-            r = from_dict(Detection, d)
-            items.append((r.method, r.statement,
-                          (r.predicted_label, r.confidence)))
-    return items
 
 
 def cmd_fix(args, config: ToolConfig) -> int:
@@ -348,21 +338,20 @@ def cmd_fix(args, config: ToolConfig) -> int:
         raise DataError(f"exemplars per prompt must be >= 1, got {k}")
     if args.jobs < 1:
         raise DataError(f"--jobs must be >= 1, got {args.jobs}")
-    items = _read_statement_items(args.in_path)
-    if any(detection is None for _, _, detection in items):
+    detections = [from_dict(MethodRecord, d) if _is_method_record(d)
+                  else from_dict(Detection, d)
+                  for d in read_jsonl(args.in_path)]
+    # only extract records need the checkpoint
+    if any(isinstance(r, MethodRecord) for r in detections):
         if args.model is None:
             raise DataError("records without predicted labels need --model")
-        model, head, train_config = load_checkpoint(args.model)
-        max_tokens = train_config.max_tokens
-        items = [(ctx, stmt,
-                  detection or _detect_one(ctx, stmt, model, head, max_tokens))
-                 for ctx, stmt, detection in items]
+        detections = _detections(detections, args.model)
     lccs = read_changes(args.lcc) if args.lcc else []
     pool = build_pool(lccs, config.retrieval.k1, config.retrieval.b)
     backend = make_backend(config.backend, args.backend)
     repair_config = RepairConfig(exemplar_count=k, workers=args.jobs,
                                  parser_config=config.parser)
-    results = run_pipeline_batch(items, pool, backend, repair_config)
+    results = run_pipeline_batch(detections, pool, backend, repair_config)
     write_jsonl(args.out, map(to_dict, results))
     updated = sum(1 for r in results if r.updated_statement is not None)
     failed = sum(1 for r in results

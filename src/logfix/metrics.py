@@ -264,38 +264,23 @@ def evaluate_update(
     `updated=None` (no rewrite produced) scores the update as the unchanged
     original.
     """
-    if updated is None:
-        updated = original
     ref = static_text_tokens(truth)
-    orig_tokens = static_text_tokens(original)
-    upd_tokens = static_text_tokens(updated)
-    records: list[EvaluationRecord] = []
 
-    def text_metric(name: str, fn) -> None:
-        m_origin = fn(orig_tokens, ref)
-        m_updated = fn(upd_tokens, ref)
-        records.append(EvaluationRecord(
-            metric_name=name, m_origin=m_origin, m_updated=m_updated,
-            ic=_ic_or_none(m_origin, m_updated)))
+    def scores(stmt: LoggingStatement) -> list[float]:
+        """`stmt`'s score on each metric, in UPDATE_METRIC_NAMES order."""
+        tokens = static_text_tokens(stmt)
+        return [bleu_k(tokens, ref, 1), bleu_k(tokens, ref, 2),
+                bleu_k(tokens, ref, 4), rouge_k(tokens, ref, 1),
+                rouge_k(tokens, ref, 2), rouge_l(tokens, ref),
+                *variable_prf(VariableSets.of(stmt.variables,
+                                              truth.variables))]
 
-    text_metric("bleu-1", lambda c, r: bleu_k(c, r, 1))
-    text_metric("bleu-2", lambda c, r: bleu_k(c, r, 2))
-    text_metric("bleu-4", lambda c, r: bleu_k(c, r, 4))
-    text_metric("rouge-1", lambda c, r: rouge_k(c, r, 1))
-    text_metric("rouge-2", lambda c, r: rouge_k(c, r, 2))
-    text_metric("rouge-l", rouge_l)
-
-    origin_prf = variable_prf(VariableSets.of(original.variables,
-                                              truth.variables))
-    updated_prf = variable_prf(VariableSets.of(updated.variables,
-                                               truth.variables))
-    for name, m_origin, m_updated in zip(
-            ("var-precision", "var-recall", "var-f1"),
-            origin_prf, updated_prf):
-        records.append(EvaluationRecord(
-            metric_name=name, m_origin=m_origin, m_updated=m_updated,
-            ic=_ic_or_none(m_origin, m_updated)))
-    return records
+    return [EvaluationRecord(metric_name=name, m_origin=m_origin,
+                             m_updated=m_updated,
+                             ic=_ic_or_none(m_origin, m_updated))
+            for name, m_origin, m_updated in zip(
+                UPDATE_METRIC_NAMES, scores(original),
+                scores(updated or original))]
 
 
 def aggregate_update_records(

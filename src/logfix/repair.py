@@ -13,6 +13,7 @@ from importlib import resources
 from .backends import BackendError, LlmBackend
 from .model import (
     DefectLabel,
+    Detection,
     LabeledSample,
     LogCentricChange,
     LoggingStatement,
@@ -188,118 +189,92 @@ class RepairConfig:
 
 
 def run_pipeline(
-    context: MethodContext,
-    stmt: LoggingStatement,
-    detection: tuple[DefectLabel, float],
+    detection: Detection,
     pool: ExemplarPool,
     backend: LlmBackend,
     config: RepairConfig | None = None,
 ) -> UpdateResult:
-    """Confirm and rewrite one statement whose detected (label, confidence)
-    is `detection`. Never raises: backend and format failures become
-    diagnostics on the result."""
+    """Confirm and rewrite one detected statement. Never raises: backend
+    and format failures become diagnostics on the result."""
     config = config or RepairConfig()
-    predicted, confidence = detection
+    context, stmt = detection.method, detection.statement
+    label = detection.predicted_label
     diagnostics: list[str] = []
     calls = 0
+    verdict = updated = None
+    exemplars: list[LogCentricChange] = []
 
-    sample = LabeledSample(
-        context=context, target=stmt, label=predicted,
-        provenance=Provenance(kind=ProvenanceKind.MINED))
-
-    def result(checker_confirmed=False, rationale="", semantics="",
-               exemplars=(), updated=None) -> UpdateResult:
-        diagnostics.append(f"backend-calls:{calls}")
-        return UpdateResult(
-            sample=sample,
-            predicted_label=predicted,
-            confidence=confidence,
-            checker_confirmed=checker_confirmed,
-            checker_rationale=rationale,
-            checker_semantics=semantics,
-            exemplars=tuple(exemplars),
-            updated_statement=updated,
-            diagnostics=tuple(diagnostics),
-        )
-
-    if predicted is DefectLabel.NON_DEFECT:
-        return result()
-
-    def call(prompt: str) -> str:
+    def ask(prompt: str, parse, role: str):
+        """The parsed reply to `prompt`, or None. A malformed reply is
+        asked again once; a reply that is no logger call is not."""
         nonlocal calls
-        calls += 1
-        return backend.complete(prompt)
-
-    checker_prompt = build_checker_prompt(stmt, context, predicted)
-    verdict = None
-    for attempt in range(2):
-        try:
-            verdict = parse_checker_reply(call(checker_prompt))
-            break
-        except BackendError as exc:
-            diagnostics.append(f"backend-error:{exc}")
-            return result()
-        except MalformedReply as exc:
-            diagnostics.append(f"checker-malformed:{exc}")
-    if verdict is None:
-        return result()
-    if not verdict.confirmed:
-        return result(rationale=verdict.rationale,
-                      semantics=verdict.semantic_notes)
+        for _ in range(2):
+            calls += 1
+            try:
+                return parse(backend.complete(prompt))
+            except NotALoggingStatement as exc:
+                diagnostics.append(f"{role}-invalid:{exc}")
+                return None
+            except MalformedReply as exc:
+                diagnostics.append(f"{role}-malformed:{exc}")
+        return None
 
     try:
-        exemplars = select_exemplars(
-            stmt, predicted, pool, config.exemplar_count,
-            project_id=context.project_id)
-    except EmptyPool:
-        exemplars = []
-        diagnostics.append("empty-exemplar-pool")
-
-    updater_prompt = build_updater_prompt(
-        stmt, context, predicted, verdict, exemplars)
-    updated = None
-    for attempt in range(2):
-        try:
-            updated = parse_tagged_reply(call(updater_prompt), "UPDATED",
-                                         stmt, config.parser_config)
-            break
-        except BackendError as exc:
-            diagnostics.append(f"backend-error:{exc}")
-            return result(True, verdict.rationale, verdict.semantic_notes,
-                          exemplars)
-        except NotALoggingStatement as exc:
-            diagnostics.append(f"updater-invalid:{exc}")
-            break
-        except MalformedReply as exc:
-            diagnostics.append(f"updater-malformed:{exc}")
+        if label is not DefectLabel.NON_DEFECT:
+            verdict = ask(build_checker_prompt(stmt, context, label),
+                          parse_checker_reply, "checker")
+        if verdict is not None and verdict.confirmed:
+            try:
+                exemplars = select_exemplars(
+                    stmt, label, pool, config.exemplar_count,
+                    project_id=context.project_id)
+            except EmptyPool:
+                diagnostics.append("empty-exemplar-pool")
+            updated = ask(
+                build_updater_prompt(stmt, context, label, verdict, exemplars),
+                lambda reply: parse_tagged_reply(reply, "UPDATED", stmt,
+                                                 config.parser_config),
+                "updater")
+    except BackendError as exc:
+        diagnostics.append(f"backend-error:{exc}")
     if updated is not None and updated.arity_mismatch:
         diagnostics.append(
             "structural-mismatch: "
             f"{len(updated.placeholders)} placeholders vs "
             f"{len(updated.variables)} variables")
-    return result(True, verdict.rationale, verdict.semantic_notes,
-                  exemplars, updated)
+    diagnostics.append(f"backend-calls:{calls}")
+    return UpdateResult(
+        sample=LabeledSample(context, stmt, label,
+                             Provenance(kind=ProvenanceKind.MINED)),
+        predicted_label=label,
+        confidence=detection.confidence,
+        checker_confirmed=verdict is not None and verdict.confirmed,
+        checker_rationale=verdict.rationale if verdict else "",
+        checker_semantics=verdict.semantic_notes if verdict else "",
+        exemplars=tuple(exemplars),
+        updated_statement=updated,
+        diagnostics=tuple(diagnostics),
+    )
 
 
 def run_pipeline_batch(
-    items: list[tuple[MethodContext, LoggingStatement,
-                      tuple[DefectLabel, float]]],
+    detections: list[Detection],
     pool: ExemplarPool,
     backend: LlmBackend,
     config: RepairConfig | None = None,
 ) -> list[UpdateResult]:
-    """Run the pipeline over many (context, statement, detection) items.
-    Predicted defects run on `config.workers` threads that share `backend`
-    and `pool`; a statement predicted NON_DEFECT calls no backend, so its
-    result is built on the calling thread. Output order matches input."""
+    """Run the pipeline over many detections. Predicted defects run on
+    `config.workers` threads that share `backend` and `pool`; a statement
+    predicted NON_DEFECT calls no backend, so its result is built on the
+    calling thread. Output order matches input."""
     config = config or RepairConfig()
-    results = [run_pipeline(*item, pool, backend, config)
-               if item[2][0] is DefectLabel.NON_DEFECT else None
-               for item in items]
+    results = [run_pipeline(d, pool, backend, config)
+               if d.predicted_label is DefectLabel.NON_DEFECT else None
+               for d in detections]
     defects = [i for i, result in enumerate(results) if result is None]
     if defects:
         with ThreadPoolExecutor(max_workers=config.workers) as executor:
-            futures = [executor.submit(run_pipeline, *items[i], pool,
+            futures = [executor.submit(run_pipeline, detections[i], pool,
                                        backend, config) for i in defects]
             for i, future in zip(defects, futures):
                 results[i] = future.result()

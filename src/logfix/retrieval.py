@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,38 +31,17 @@ class EmptyPool(LookupError):
     zero-exemplar prompting."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bm25Index:
     """Okapi BM25 over one pool of changes. `postings` maps each term to
     the ascending positions of the documents holding it and, per document,
     the term's whole contribution idf·tf·(k1+1)/(tf+norm) to its score."""
 
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    changes: list[LogCentricChange] = field(default_factory=list)
-    doc_lengths: list[int] = field(default_factory=list)
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    avg_length: float = 0.0
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict)
+    changes: list[LogCentricChange]
+    postings: dict[str, tuple[np.ndarray, np.ndarray]]
     # each position's rank in (commit_id, change_id, position) order, which
     # breaks score ties
-    tie_rank: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.intp))
-    _position: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return len(self.changes)
-
-    def idf(self, token: str) -> float:
-        df = self.doc_freq.get(token, 0)
-        return math.log((self.size - df + 0.5) / (df + 0.5) + 1.0)
-
-
-def query_tokens(text: str) -> list[str]:
-    """Tokenization used on both the indexed documents and queries."""
-    return split_tokens(text)
+    tie_rank: np.ndarray
 
 
 def build_index(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
@@ -70,53 +49,49 @@ def build_index(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
                 tokens: Sequence[list[str]] | None = None) -> Bm25Index:
     """Index every change by its before-statement text (the query side is a
     defective statement, so symmetry puts like with like). `tokens`, when
-    given, holds each change's `query_tokens` of that text, in order."""
+    given, holds each change's `split_tokens` of that text, in order."""
     # Outside these bounds a term weight can turn negative or divide by zero.
     if k1 < 0:
         raise ValueError(f"BM25 k1 must be >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"BM25 b must lie in [0, 1], got {b}")
-    index = Bm25Index(k1=k1, b=b, changes=list(lccs))
+    changes = list(lccs)
+    size = len(changes)
     if tokens is None:
-        tokens = [query_tokens(c.before.raw_text) for c in index.changes]
-    doc_counts = []
-    for position, (change, doc) in enumerate(zip(index.changes, tokens)):
-        counts = Counter(doc)
-        index._position[change.change_id] = position
-        doc_counts.append(counts)
-        index.doc_lengths.append(len(doc))
+        tokens = [split_tokens(c.before.raw_text) for c in changes]
+    doc_counts = [Counter(doc) for doc in tokens]
+    doc_freq: dict[str, int] = {}
+    for counts in doc_counts:
         for token in counts:
-            index.doc_freq[token] = index.doc_freq.get(token, 0) + 1
-    if index.changes:
-        index.avg_length = sum(index.doc_lengths) / len(index.changes)
-    avg = index.avg_length or 1.0
-    idf = {token: index.idf(token) for token in index.doc_freq}
+            doc_freq[token] = doc_freq.get(token, 0) + 1
+    avg = (sum(map(len, tokens)) / size if size else 0) or 1.0
+    idf = {token: math.log((size - df + 0.5) / (df + 0.5) + 1.0)
+           for token, df in doc_freq.items()}
     postings: dict[str, tuple[list[int], list[float]]] = {}
-    for position, counts in enumerate(doc_counts):
-        length = index.doc_lengths[position]
-        norm = k1 * (1.0 - b + b * length / avg)
+    for position, (doc, counts) in enumerate(zip(tokens, doc_counts)):
+        norm = k1 * (1.0 - b + b * len(doc) / avg)
         for token, tf in counts.items():
             positions, weights = postings.setdefault(token, ([], []))
             positions.append(position)
             weights.append(idf[token] * tf * (k1 + 1.0) / (tf + norm))
-    index.postings = {
+    order = sorted(range(size), key=lambda p: (changes[p].commit_id,
+                                               changes[p].change_id))
+    tie_rank = np.empty(size, dtype=np.intp)
+    tie_rank[order] = np.arange(size)
+    return Bm25Index(changes, {
         token: (np.array(positions, dtype=np.intp),
                 np.array(weights, dtype=np.float64))
-        for token, (positions, weights) in postings.items()}
-    order = sorted(range(index.size), key=lambda p: (
-        index.changes[p].commit_id, index.changes[p].change_id))
-    index.tie_rank = np.empty(index.size, dtype=np.intp)
-    index.tie_rank[order] = np.arange(index.size)
-    return index
+        for token, (positions, weights) in postings.items()}, tie_rank)
 
 
 def bm25_score(query: str | list[str], doc_id: str, index: Bm25Index) -> float:
     """Okapi BM25 score of one document for the query; every query-token
     occurrence contributes its term's weight."""
-    if doc_id not in index._position:
+    position = next((p for p, change in enumerate(index.changes)
+                     if change.change_id == doc_id), None)
+    if position is None:
         raise UnknownDocument(doc_id)
-    position = index._position[doc_id]
-    tokens = query_tokens(query) if isinstance(query, str) else query
+    tokens = split_tokens(query) if isinstance(query, str) else query
     score = 0.0
     for token in tokens:
         if token not in index.postings:
@@ -143,7 +118,7 @@ def build_pool(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
                b: float = DEFAULT_B) -> ExemplarPool:
     """Index every retrieval scope of `lccs` once; each change is tokenized
     once for all of its scopes."""
-    tokens = [query_tokens(c.before.raw_text) for c in lccs]
+    tokens = [split_tokens(c.before.raw_text) for c in lccs]
     projects: dict[str, tuple[list[LogCentricChange], list[list[str]]]] = {}
     for change, doc in zip(lccs, tokens):
         changes, docs = projects.setdefault(change.project_id, ([], []))
@@ -185,13 +160,13 @@ def select_exemplars(
         index = pool.by_project.get(project_id)
     else:
         index = pool.all_projects
-    if index is None or index.size == 0:
+    if index is None or not index.changes:
         raise EmptyPool(
             f"no candidate changes in scope for {label.value}")
     # One addition per (query token, document) in query-token order, as
     # bm25_score does, so the scores equal its scores bit for bit.
-    scores = np.zeros(index.size)
-    for token in query_tokens(target.raw_text):
+    scores = np.zeros(len(index.changes))
+    for token in split_tokens(target.raw_text):
         if token in index.postings:
             positions, weights = index.postings[token]
             scores[positions] += weights

@@ -180,7 +180,7 @@ def executor_record(monkeypatch) -> dict:
             super().__init__(*args, **kwargs)
 
         def submit(self, fn, /, *args, **kwargs):
-            record["submitted"].append(args[1])
+            record["submitted"].append(args[0].statement)
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(repair, "ThreadPoolExecutor", Recording)

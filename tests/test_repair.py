@@ -12,6 +12,7 @@ from conftest import make_change, single_method
 from logfix.backends import BackendError, MockBackend
 from logfix.model import (
     DefectLabel,
+    Detection,
     statement_id,
     to_dict,
 )
@@ -52,12 +53,6 @@ YES_REPLY = (
     "RATIONALE: the message contradicts the code\n"
     "SEMANTICS: the method tears a channel down\n"
 )
-
-
-def detected(label: DefectLabel, confidence: float = 0.9):
-    """The (label, confidence) that detect reports for a statement,
-    making pipeline behavior independent of the input text."""
-    return label, confidence
 
 
 def make_changes(project: str = "proj", n: int = 4):
@@ -251,9 +246,9 @@ class TestRunPipeline:
     def test_non_defect_short_circuits(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend()
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.NON_DEFECT),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.NON_DEFECT, 0.9),
+            make_pool(), backend)
         assert result.predicted_label is DefectLabel.NON_DEFECT
         assert result.checker_confirmed is False
         assert result.updated_statement is None
@@ -264,9 +259,9 @@ class TestRunPipeline:
     def test_happy_path_two_calls(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend()
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.predicted_label is DefectLabel.STATEMENT_CODE
         assert result.confidence == 0.9
         assert result.checker_confirmed is True
@@ -286,9 +281,9 @@ class TestRunPipeline:
             "VERDICT: NO\nRATIONALE: message matches the code\n"
             "SEMANTICS: channel teardown\n",
         )])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.checker_confirmed is False
         assert result.checker_rationale == "message matches the code"
         assert result.checker_semantics == "channel teardown"
@@ -299,9 +294,9 @@ class TestRunPipeline:
     def test_checker_malformed_retries_once(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend(transcript=[("VERDICT", "gibberish")])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.READABILITY),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.READABILITY, 0.9),
+            make_pool(), backend)
         malformed = [d for d in result.diagnostics
                      if d.startswith("checker-malformed:")]
         assert len(malformed) == 2
@@ -316,9 +311,9 @@ class TestRunPipeline:
             YES_REPLY,
             '<UPDATED>LOG.debug("channel {} opened", remoteAddr);</UPDATED>',
         ])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.checker_confirmed is True
         assert result.updated_statement is not None
         assert result.updated_statement.raw_text == (
@@ -331,9 +326,9 @@ class TestRunPipeline:
     def test_checker_backend_error_stops_the_run(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = QueueBackend([BackendError("boom")])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.checker_confirmed is False
         assert result.updated_statement is None
         assert any(d.startswith("backend-error:") for d in result.diagnostics)
@@ -342,9 +337,9 @@ class TestRunPipeline:
     def test_updater_backend_error_keeps_checker_output(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = QueueBackend([YES_REPLY, BackendError("boom")])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.checker_confirmed is True
         assert result.checker_semantics
         assert len(result.exemplars) == 3
@@ -357,9 +352,9 @@ class TestRunPipeline:
         backend = MockBackend(transcript=[(
             "<UPDATED>", "<UPDATED>this is prose, not code</UPDATED>",
         )])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.checker_confirmed is True
         assert result.updated_statement is None
         assert sum(d.startswith("updater-invalid:")
@@ -369,9 +364,9 @@ class TestRunPipeline:
     def test_updater_malformed_retries_once(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend(transcript=[("<UPDATED>", "no sentinels here")])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.updated_statement is None
         assert sum(d.startswith("updater-malformed:")
                    for d in result.diagnostics) == 2
@@ -384,9 +379,9 @@ class TestRunPipeline:
             '<UPDATED>LOG.debug("channel {} closed {}", remoteAddr);'
             "</UPDATED>",
         )])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.updated_statement is not None
         assert result.updated_statement.arity_mismatch is True
         assert any(d.startswith("structural-mismatch:")
@@ -395,9 +390,9 @@ class TestRunPipeline:
     def test_empty_exemplar_pool_is_survivable(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = MockBackend()
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.TEMPORAL),
-                              build_pool([]), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.TEMPORAL, 0.9),
+            build_pool([]), backend)
         assert "empty-exemplar-pool" in result.diagnostics
         assert result.exemplars == ()
         assert result.updated_statement is not None
@@ -408,18 +403,18 @@ class TestRunPipeline:
         ctx, stmts = single_method(CHANNEL_SOURCE)  # project "proj"
         pool = build_pool(make_changes(project="proj", n=2)
                           + make_changes(project="other", n=5))
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.READABILITY),
-                              pool, MockBackend())
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.READABILITY, 0.9),
+            pool, MockBackend())
         assert result.exemplars
         assert all(e.project_id == "proj" for e in result.exemplars)
 
     def test_never_raises_even_on_unexpected_backend_reply(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
         backend = QueueBackend([YES_REPLY, "", "", ""])
-        result = run_pipeline(ctx, stmts[0],
-                              detected(DefectLabel.STATEMENT_CODE),
-                              make_pool(), backend)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), backend)
         assert result.updated_statement is None
         assert result.diagnostics[-1].startswith("backend-calls:")
 
@@ -437,15 +432,15 @@ class TestRunPipelineBatch:
         items = []
         for i, source in enumerate(sources):
             ctx, stmts = single_method(source, path=f"S{i}.java")
-            items.append((ctx, stmts[0],
-                          detected(DefectLabel.STATEMENT_CODE)))
+            items.append(Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE,
+                                   0.9))
         return items
 
     def test_order_matches_input(self):
         items = self.make_items()
         results = run_pipeline_batch(items, make_pool(), MockBackend())
         assert [r.sample.target.id for r in results] == [
-            stmt.id for _, stmt, _ in items
+            d.statement.id for d in items
         ]
 
     def test_parallel_equals_serial(self):
@@ -476,7 +471,7 @@ class TestRunPipelineBatch:
                 f"class C{i} {{\n    void m{i}(int n) {{\n"
                 f'        log.info("loading {{}} entries {i}", n);\n'
                 "    }\n}\n", path=f"C{i}.java")
-            items.append((ctx, stmts[0], detected(label, 0.5 + i / 100)))
+            items.append(Detection(ctx, stmts[0], label, 0.5 + i / 100))
         return items
 
     def test_only_predicted_defects_reach_the_executor(self, executor_record):
@@ -484,16 +479,17 @@ class TestRunPipelineBatch:
         backend = MockBackend()
         results = run_pipeline_batch(items, make_pool(), backend,
                                      RepairConfig(workers=2))
-        defects = [stmt for _, stmt, (label, _) in items
-                   if label is not DefectLabel.NON_DEFECT]
+        defects = [d.statement for d in items
+                   if d.predicted_label is not DefectLabel.NON_DEFECT]
         assert executor_record["executors"] == 1
         assert executor_record["submitted"] == defects and len(defects) == 7
         assert len(backend.calls) == 2 * len(defects)
-        assert [r.sample.target for r in results] == [s for _, s, _ in items]
+        assert [r.sample.target for r in results] == [d.statement
+                                                      for d in items]
 
     def test_no_defects_start_no_threads(self, executor_record):
-        items = [(ctx, stmt, detected(DefectLabel.NON_DEFECT))
-                 for ctx, stmt, _ in self.interleaved_items()]
+        items = [Detection(d.method, d.statement, DefectLabel.NON_DEFECT, 0.9)
+                 for d in self.interleaved_items()]
         threads = threading.active_count()
         backend = MockBackend()
         results = run_pipeline_batch(items, make_pool(), backend)
@@ -513,10 +509,10 @@ class TestRunPipelineBatch:
                                          RepairConfig(workers=workers))
             runs[workers] = [to_dict(r) for r in results], backend.calls
         assert [r["sample"]["target"]["id"] for r in runs[1][0]] == [
-            stmt.id for _, stmt, _ in items]
+            d.statement.id for d in items]
         assert runs[2][0] == runs[1][0] and runs[4][0] == runs[1][0]
         # one worker calls the backend in input order, checker then updater
-        targets = [stmt.raw_text for _, stmt, (label, _) in items
-                   if label is not DefectLabel.NON_DEFECT]
+        targets = [d.statement.raw_text for d in items
+                   if d.predicted_label is not DefectLabel.NON_DEFECT]
         assert [c.rsplit("Target statement:\n", 1)[1].split("\n")[0]
                 for c in runs[1][1]] == [t for t in targets for _ in "cu"]

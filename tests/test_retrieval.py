@@ -19,9 +19,9 @@ from logfix.retrieval import (
     bm25_score,
     build_index,
     build_pool,
-    query_tokens,
     select_exemplars,
 )
+from logfix.tokenization import split_tokens
 
 DOC_TEXTS = [
     'log.info("starting worker {}", id);',
@@ -40,13 +40,13 @@ def make_pool(texts=DOC_TEXTS, project="proj"):
 
 def brute_force_score(query: str, doc_text: str, pool_texts: list[str],
                       k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
-    docs = [query_tokens(t) for t in pool_texts]
-    counts = Counter(query_tokens(doc_text))
-    length = len(query_tokens(doc_text))
+    docs = [split_tokens(t) for t in pool_texts]
+    counts = Counter(split_tokens(doc_text))
+    length = len(split_tokens(doc_text))
     avg = sum(len(d) for d in docs) / len(docs)
     n = len(docs)
     score = 0.0
-    for token in query_tokens(query):
+    for token in split_tokens(query):
         tf = counts.get(token, 0)
         if tf == 0:
             continue
@@ -60,18 +60,17 @@ class TestIndex:
     def test_statistics(self):
         pool = make_pool()
         index = build_index(pool)
-        assert index.size == 4
-        assert index.avg_length == pytest.approx(
-            sum(len(query_tokens(t)) for t in DOC_TEXTS) / 4
-        )
+        assert index.changes == pool
         # "worker" appears in two documents, "log" in all four.
-        assert index.doc_freq["worker"] == 2
-        assert index.doc_freq["log"] == 4
+        assert index.postings["worker"][0].tolist() == [0, 1]
+        assert index.postings["log"][0].tolist() == [0, 1, 2, 3]
+        assert index.tie_rank.tolist() == [0, 1, 2, 3]
 
     def test_empty_index(self):
         index = build_index([])
-        assert index.size == 0
-        assert index.avg_length == 0.0
+        assert index.changes == []
+        assert index.postings == {}
+        assert index.tie_rank.size == 0
 
 
 class TestScoring:
@@ -102,7 +101,7 @@ class TestScoring:
         doc_id = pool[1].change_id
         text = "worker failed again"
         assert bm25_score(text, doc_id, index) == pytest.approx(
-            bm25_score(query_tokens(text), doc_id, index)
+            bm25_score(split_tokens(text), doc_id, index)
         )
 
     def test_repeated_query_token_counts_each_occurrence(self):
@@ -234,7 +233,7 @@ def reference_build_index(lccs, k1, b) -> ReferenceIndex:
     index = ReferenceIndex(k1=k1, b=b)
     total = 0
     for change in lccs:
-        tokens = query_tokens(change.before.raw_text)
+        tokens = split_tokens(change.before.raw_text)
         counts = Counter(tokens)
         doc_id = change.change_id
         index.position[doc_id] = len(index.doc_ids)
@@ -272,7 +271,7 @@ def reference_select_exemplars(target, label, lccs, k, *, project_id,
     if not pool:
         raise EmptyPool(label.value)
     index = reference_build_index(pool, k1, b)
-    tokens = query_tokens(target.raw_text)
+    tokens = split_tokens(target.raw_text)
     scored = [
         (reference_bm25_score(tokens, change.change_id, index), change)
         for change in pool
@@ -341,7 +340,7 @@ def test_stored_weights_sum_to_the_reference_score_exactly():
     index = build_index(changes)
     reference = reference_build_index(changes, DEFAULT_K1, DEFAULT_B)
     for query in [c.before.raw_text for c in changes[:10]] + ["zqx vbn"]:
-        tokens = query_tokens(query)
+        tokens = split_tokens(query)
         for change in changes:
             assert (bm25_score(tokens, change.change_id, index)
                     == reference_bm25_score(tokens, change.change_id,
@@ -367,9 +366,7 @@ def test_build_pool_splits_each_change_once(monkeypatch):
     assert set(scopes) == set(fresh)
     for name, index in scopes.items():
         assert index.changes == fresh[name].changes
-        assert index.doc_lengths == fresh[name].doc_lengths
-        assert index.doc_freq == fresh[name].doc_freq
-        assert index.avg_length == fresh[name].avg_length
+        assert index.tie_rank.tobytes() == fresh[name].tie_rank.tobytes()
         assert list(index.postings) == list(fresh[name].postings)
         for token, (positions, weights) in index.postings.items():
             assert positions.tobytes() == fresh[name].postings[token][0].tobytes()
