@@ -338,20 +338,19 @@ def cmd_fix(args, config: ToolConfig) -> int:
         raise DataError(f"exemplars per prompt must be >= 1, got {k}")
     if args.jobs < 1:
         raise DataError(f"--jobs must be >= 1, got {args.jobs}")
-    detections = [from_dict(MethodRecord, d) if _is_method_record(d)
-                  else from_dict(Detection, d)
-                  for d in read_jsonl(args.in_path)]
+    records = [from_dict(MethodRecord, d) if _is_method_record(d)
+               else from_dict(Detection, d) for d in read_jsonl(args.in_path)]
     # only extract records need the checkpoint
-    if any(isinstance(r, MethodRecord) for r in detections):
+    if any(isinstance(r, MethodRecord) for r in records):
         if args.model is None:
             raise DataError("records without predicted labels need --model")
-        detections = _detections(detections, args.model)
+        records = _detections(records, args.model)
     lccs = read_changes(args.lcc) if args.lcc else []
     pool = build_pool(lccs, config.retrieval.k1, config.retrieval.b)
     backend = make_backend(config.backend, args.backend)
     repair_config = RepairConfig(exemplar_count=k, workers=args.jobs,
                                  parser_config=config.parser)
-    results = run_pipeline_batch(detections, pool, backend, repair_config)
+    results = run_pipeline_batch(records, pool, backend, repair_config)
     write_jsonl(args.out, map(to_dict, results))
     updated = sum(1 for r in results if r.updated_statement is not None)
     failed = sum(1 for r in results

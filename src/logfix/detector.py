@@ -464,7 +464,7 @@ def predict(
     stmt: LoggingStatement,
     model: EncoderModel,
     head: ClassifierHead,
-    max_tokens: int = 1024,
+    max_tokens: int = TrainConfig.max_tokens,
 ) -> tuple[DefectLabel, np.ndarray]:
     """Classify one statement in its method; ties break toward NON_DEFECT
     (class 0), then ascending class index."""
@@ -509,7 +509,6 @@ class Tensor:
 class SavedVocabulary:
     tokens: tuple[str, ...]  # in id order
     oov_buckets: int
-    max_tokens: int
 
 
 @dataclass(frozen=True)
@@ -527,7 +526,7 @@ def save_checkpoint(path: str, model: EncoderModel, head: ClassifierHead,
         CHECKPOINT_FORMAT, config,
         SavedVocabulary(tuple(sorted(vocab.token_to_id,
                                      key=vocab.token_to_id.__getitem__)),
-                        vocab.oov_buckets, vocab.max_tokens),
+                        vocab.oov_buckets),
         {name: Tensor.of(value) for name, value in
          {**model.parameters(), **head.parameters()}.items()})
     with open(path, "w", encoding="utf-8") as fh:
@@ -542,8 +541,11 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, ClassifierHead, TrainConfi
                          f"(Checkpoint.format must be {CHECKPOINT_FORMAT!r})")
     checkpoint = from_dict(Checkpoint, payload)
     saved, dim = checkpoint.vocabulary, checkpoint.config.dim
-    vocab = Vocabulary({token: i for i, token in enumerate(saved.tokens)},
-                       saved.oov_buckets, saved.max_tokens)
+    try:
+        vocab = Vocabulary({token: i for i, token in enumerate(saved.tokens)},
+                           saved.oov_buckets)
+    except ValueError as exc:
+        raise ValueError(f"Checkpoint.vocabulary: {exc}") from None
     if len(vocab.token_to_id) < len(saved.tokens):
         repeated = next(token for i, token in enumerate(saved.tokens)
                         if vocab.token_to_id[token] != i)

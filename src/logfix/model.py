@@ -417,11 +417,19 @@ def write_jsonl(path: str, dicts: Iterable[dict[str, Any]]) -> int:
 
 
 def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
+    """Each non-blank line's JSON value; a line that is not JSON is a
+    ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {number} is not JSON: "
+                                 f"{exc.msg}: column {exc.colno}") from None
+            yield value
 
 
 def write_samples(path: str, samples: Iterable[LabeledSample]) -> int:

@@ -53,13 +53,11 @@ class Vocabulary:
 
     token_to_id: dict[str, int]
     oov_buckets: int
-    max_tokens: int = 1024
 
     def __post_init__(self) -> None:
-        for key in ("oov_buckets", "max_tokens"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"Vocabulary.{key} must be >= 1, "
-                                 f"got {getattr(self, key)}")
+        if self.oov_buckets < 1:
+            raise ValueError(f"Vocabulary.oov_buckets must be >= 1, "
+                             f"got {self.oov_buckets}")
 
     @property
     def size(self) -> int:
@@ -99,7 +97,6 @@ def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
     vocab = Vocabulary(
         token_to_id={tok: i for i, tok in enumerate(ranked)},
         oov_buckets=oov_buckets,
-        max_tokens=max_tokens,
     )
     ids = [vocab.id_of(tok) for tok in first_seen]
     return vocab, [
@@ -108,13 +105,12 @@ def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
         for indices in index_lists]
 
 
-def tokenize(text: str, vocab: Vocabulary, max_tokens: int | None = None) -> TokenSequence:
+def tokenize(text: str, vocab: Vocabulary, max_tokens: int) -> TokenSequence:
     """Segment, map through the vocabulary, and truncate to max_tokens."""
-    limit = vocab.max_tokens if max_tokens is None else max_tokens
     toks = split_tokens(text)
     known = vocab.token_to_id.get
     return TokenSequence(
         ids=tuple([i if (i := known(t)) is not None else vocab.id_of(t)
-                   for t in toks[:limit]]),
-        truncated=len(toks) > limit,
+                   for t in toks[:max_tokens]]),
+        truncated=len(toks) > max_tokens,
     )

@@ -45,6 +45,22 @@ def test_traced_audit_workload_runs_clean(tmp_path):
     assert record["problems"] == []
     assert set(record["exits"].values()) == {0}
     assert record["missing_patch_points"] == ["logfix.repair.predict"]
+    # the online layers' call counts: 250 statements, 8 predicted defects
+    # (a checker and an updater call each) and three index builds, one
+    # over all projects and one per project
+    layers = record["layers"]
+    assert {name: layers[name] for name in (
+        "backends.complete.calls", "retrieval.select_exemplars.calls",
+        "retrieval.builds_per_query", "detector.predict.calls",
+        "tokenization.tokenize.calls", "parser.parse_statement_text.calls",
+    )} == {
+        "backends.complete.calls": 16,
+        "retrieval.select_exemplars.calls": 8,
+        "retrieval.builds_per_query": 0.375,
+        "detector.predict.calls": 250,
+        "tokenization.tokenize.calls": 500,
+        "parser.parse_statement_text.calls": 8,
+    }
 
 
 def test_traced_train_workload_runs_clean(tmp_path):

@@ -727,6 +727,37 @@ class TestFix:
         assert len(outputs[0].splitlines()) == 20
         assert all(output == outputs[0] for output in outputs[1:])
 
+    def test_mixed_records_give_the_results_of_their_detections(
+            self, ws, tmp_path, monkeypatch):
+        detections = tmp_path / "detections.jsonl"
+        assert main(["detect", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--out", str(detections)]) == 0
+        # the odd methods as extract records, the even ones as the detection
+        # records of their statements
+        labelled = iter(read_jsonl(str(detections)))
+        mixed = []
+        for i, record in enumerate(read_jsonl(ws["methods"])):
+            own = [next(labelled) for _ in record["statements"]]
+            mixed.extend([record] if i % 2 else own)
+        kinds = ["statements" in row for row in mixed]
+        assert kinds.count(True) >= 2 and kinds.count(False) >= 2
+        mixed_path = tmp_path / "mixed.jsonl"
+        write_jsonl(str(mixed_path), mixed)
+        loads = []
+        real = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(path) or real(path))
+        outputs = []
+        for records in (detections, mixed_path):
+            out = tmp_path / f"results-{len(outputs)}.jsonl"
+            assert main(["fix", "--in", str(records), "--model", ws["rigged"],
+                         "--lcc", ws["lcc"], "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == 20
+        assert outputs[1] == outputs[0]
+        # the detections file needs no checkpoint; the mixed one loads it once
+        assert loads == [ws["rigged"]]
+
     def test_each_retrieval_scope_is_indexed_once_per_run(
             self, ws, tmp_path, monkeypatch):
         detections = tmp_path / "detections.jsonl"
@@ -964,10 +995,12 @@ class TestMalformedInput:
         ("checkpoint", _with("vocabulary", value=[1]),
          "Checkpoint.vocabulary must be an object, got [1]"),
         ("checkpoint", lambda doc: [1], "Checkpoint.format must be"),
-        ("checkpoint", _with("vocabulary", "max_tokens", value="9"),
-         'SavedVocabulary.max_tokens must be an integer, got "9"'),
+        ("checkpoint", _with("config", "max_tokens", value="9"),
+         'Checkpoint.config: TrainConfig.max_tokens must be an integer, '
+         'got "9"'),
         ("checkpoint", _with("vocabulary", "oov_buckets", value=0),
-         "Vocabulary.oov_buckets must be >= 1, got 0"),
+         "Checkpoint.vocabulary: Vocabulary.oov_buckets must be >= 1, "
+         "got 0"),
         ("checkpoint", _with("tensors", "b1", "dtype", value="float32"),
          "Tensor.dtype must be float64, got 'float32'"),
         ("truth", _with(0, "statement_id", value=["x"]),
@@ -1035,6 +1068,24 @@ class TestMalformedInput:
         assert main([*argv(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["detect", "fix"])
+    def test_a_line_that_is_not_json_names_its_file_and_line(
+            self, valid, tmp_path, capsys, kind):
+        rows, argv = valid[kind]
+        lines = [json.dumps(row) for row in rows[:3]]
+        # a blank line counts; the third record is cut off mid-string
+        path = tmp_path / "input.jsonl"
+        path.write_text(f"{lines[0]}\n\n{lines[1]}\n{lines[2][:60]}\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv(str(path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"{path}: line 4 is not JSON: Unterminated string starting "
+                "at: column 60") in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -150,7 +150,7 @@ class TestLossAndGrads:
     @staticmethod
     def setup_forward(dim: int = 4, n: int = 3, seed: int = 0):
         rng = np.random.default_rng(seed)
-        vocab = Vocabulary(token_to_id={}, oov_buckets=8, max_tokens=64)
+        vocab = Vocabulary(token_to_id={}, oov_buckets=8)
         model = init_model(vocab, dim, seed)
         head = ClassifierHead(
             weight=rng.normal(0.0, 0.5, size=(2 * dim, NUM_CLASSES)),
@@ -237,7 +237,7 @@ class TestEmbeddingGradient:
         # repeated id on either side and an id that only the context uses.
         rng = np.random.default_rng(11)
         dim = 4
-        vocab = Vocabulary(token_to_id={}, oov_buckets=6, max_tokens=64)
+        vocab = Vocabulary(token_to_id={}, oov_buckets=6)
         model = init_model(vocab, dim, seed=3)
         model.embedding[...] = rng.normal(0.0, 0.5, size=model.embedding.shape)
         # Non-zero biases give the empty statement a non-zero encoding, so
@@ -425,6 +425,26 @@ class TestCheckpoints:
                            loaded_model, loaded_head)
             assert orig[0] is redo[0]
             assert np.allclose(orig[1], redo[1])
+
+    def test_an_older_checkpoint_with_a_vocabulary_limit_still_loads(
+            self, small_corpus, tmp_path):
+        # the limit is config.max_tokens; vocabulary.max_tokens, which older
+        # checkpoints also wrote, is neither written nor read
+        model, head, _ = train(small_corpus, SMALL_CONFIG)
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), model, head, SMALL_CONFIG)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert list(doc["vocabulary"]) == ["tokens", "oov_buckets"]
+        doc["vocabulary"]["max_tokens"] = 3
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded_model, loaded_head, loaded_config = load_checkpoint(str(path))
+        assert loaded_config.max_tokens == SMALL_CONFIG.max_tokens
+        for sample in small_corpus[:10]:
+            orig = predict(sample.context, sample.target, model, head)
+            redo = predict(sample.context, sample.target,
+                           loaded_model, loaded_head)
+            assert orig[0] is redo[0]
+            assert orig[1].tobytes() == redo[1].tobytes()
 
     def test_same_seed_checkpoints_are_byte_identical(self, small_corpus,
                                                        tmp_path):

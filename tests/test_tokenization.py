@@ -78,11 +78,10 @@ def test_split_tokens_matches_the_reference_segmentation():
 def test_tokenize_ids_are_the_vocabulary_ids_of_the_tokens():
     texts = list(fuzz_texts(2_000))
     # a small vocabulary, so most texts hold out-of-vocabulary tokens
-    vocab, _ = fit_vocabulary(texts[:200], max_size=40, oov_buckets=7,
-                              max_tokens=25)
+    vocab, _ = fit_vocabulary(texts[:200], max_size=40, oov_buckets=7)
     for text in texts:
         tokens = split_tokens(text)
-        seq = tokenize(text, vocab)
+        seq = tokenize(text, vocab, 25)
         assert seq.ids == tuple(vocab.id_of(t) for t in tokens[:25]), text
         assert seq.truncated == (len(tokens) > 25)
 
@@ -153,20 +152,19 @@ def test_known_tokens_resolve_to_their_rank():
     assert vocab.id_of("y") == 1
 
 
-@pytest.mark.parametrize("key", ["oov_buckets", "max_tokens"])
-def test_a_vocabulary_needs_a_bucket_and_a_token(key):
+def test_a_vocabulary_needs_a_bucket():
     # with no bucket, an unknown token would divide by zero in `id_of`
-    with pytest.raises(ValueError, match=f"Vocabulary.{key} must be >= 1"):
-        Vocabulary(token_to_id={"x": 0}, **{"oov_buckets": 4, key: 0})
+    with pytest.raises(ValueError,
+                       match="Vocabulary.oov_buckets must be >= 1, got 0"):
+        Vocabulary(token_to_id={"x": 0}, oov_buckets=0)
 
 
 def test_tokenize_truncates_and_flags():
-    vocab, _ = fit_vocabulary(["a b c d e"], max_tokens=3)
-    seq = tokenize("a b c d e", vocab)
+    vocab, _ = fit_vocabulary(["a b c d e"])
+    seq = tokenize("a b c d e", vocab, 3)
     assert seq.truncated
     assert len(seq.ids) == 3
-    assert not tokenize("a b", vocab).truncated
-    # an explicit limit overrides the vocabulary default
+    assert not tokenize("a b", vocab, 3).truncated
     full = tokenize("a b c d e", vocab, max_tokens=10)
     assert not full.truncated
     assert len(full.ids) == 5
@@ -174,7 +172,7 @@ def test_tokenize_truncates_and_flags():
 
 def test_tokenize_empty_text():
     vocab, _ = fit_vocabulary(["a"])
-    seq = tokenize("", vocab)
+    seq = tokenize("", vocab, 1)
     assert seq.ids == ()
     assert not seq.truncated
 
@@ -184,7 +182,7 @@ def test_fit_vocabulary_sequences_are_tokenize_through_it():
              "void run() { log.warn(\"retrying\"); }", ""]
     vocab, seqs = fit_vocabulary(texts, max_size=6, oov_buckets=4,
                                  max_tokens=5)
-    assert (vocab.oov_buckets, vocab.max_tokens) == (4, 5)
+    assert vocab.oov_buckets == 4
     assert len(vocab.token_to_id) == 6
-    assert seqs == [tokenize(text, vocab) for text in texts]
+    assert seqs == [tokenize(text, vocab, 5) for text in texts]
     assert [seq.truncated for seq in seqs] == [True, False, True, False]
