@@ -9,7 +9,6 @@ from config files or flags.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -19,7 +18,7 @@ from typing import Protocol, runtime_checkable
 
 import requests
 
-from .model import from_dict
+from .model import from_dict, read_json
 
 TOKEN_ENV_VAR = "LOGFIX_LLM_TOKEN"
 # Seconds between the starts of two requests from one HttpBackend.
@@ -46,8 +45,7 @@ class TranscriptEntry:
 
 def load_transcript(path: str) -> list[tuple[str, str]]:
     """A transcript file is a JSON list of TranscriptEntry objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(path)
     if type(entries) is not list:
         raise ValueError(f"transcript {path!r} must be a list of "
                          f"TranscriptEntry objects")

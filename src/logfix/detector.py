@@ -29,9 +29,11 @@ from .model import (
     LoggingStatement,
     MethodContext,
     from_dict,
+    read_json,
     to_dict,
 )
-from .tokenization import TokenSequence, Vocabulary, fit_vocabulary, tokenize
+from .tokenization import (DEFAULT_MAX_TOKENS, TokenSequence, Vocabulary,
+                           fit_vocabulary, tokenize)
 
 
 class ClassUnderflow(ValueError):
@@ -82,7 +84,7 @@ class TrainConfig:
     dropout: float = 0.1
     epochs: int = 10
     alpha: float = 0.5
-    max_tokens: int = 1024
+    max_tokens: int = DEFAULT_MAX_TOKENS
     batch_size: int = 32
     seed: int = 0
     dim: int = 128
@@ -166,26 +168,31 @@ def _project(model: EncoderModel, pooled: np.ndarray) -> tuple[np.ndarray, np.nd
     return hidden, hidden @ model.w2 + model.b2
 
 
-def _pool(model: EncoderModel, sequences: list[TokenSequence]) -> np.ndarray:
-    out = np.zeros((len(sequences), model.dim))
-    for i, seq in enumerate(sequences):
-        if seq.ids:
-            out[i] = model.embedding[np.asarray(seq.ids)].mean(axis=0)
-    return out
-
-
-def _bag(sequences: list[TokenSequence], vocab_size: int) -> np.ndarray:
-    """The Jacobian of `_pool`: entry (i, t) is the count of token t in
-    sequence i divided by the sequence's length (an empty sequence gives a
-    zero row), so the embedding gradient is `_bag(...).T @ d_pooled`."""
+def _bag(sequences: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pooling as a matrix over the batch's distinct token ids: `ids`
+    in ascending order, and `bag` whose entry (i, j) is the count of
+    `ids[j]` in sequence i divided by the sequence's length (an empty
+    sequence gives a zero row). Pooling is `bag @ embedding[ids]`, and the
+    embedding gradient is `bag.T @ d_pooled` in rows `ids`."""
     lengths = np.array([len(seq.ids) for seq in sequences], dtype=np.intp)
-    ids = np.fromiter(chain.from_iterable(seq.ids for seq in sequences),
-                      dtype=np.intp, count=int(lengths.sum()))
+    flat = np.fromiter(chain.from_iterable(seq.ids for seq in sequences),
+                       dtype=np.intp, count=int(lengths.sum()))
+    ids, columns = np.unique(flat, return_inverse=True)
     rows = np.repeat(np.arange(len(sequences)), lengths)
-    counts = np.bincount(rows * vocab_size + ids,
-                         minlength=len(sequences) * vocab_size)
-    return (counts.reshape(len(sequences), vocab_size)
-            / np.maximum(lengths, 1)[:, None])
+    counts = np.bincount(rows * len(ids) + columns,
+                         minlength=len(sequences) * len(ids))
+    return ids, (counts.reshape(len(sequences), len(ids))
+                 / np.maximum(lengths, 1)[:, None])
+
+
+def _pool(model: EncoderModel, stmts: list[TokenSequence],
+          ctxs: list[TokenSequence],
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One bag over a batch's statements and then its contexts: the pooled
+    statements, the pooled contexts, and the bag's ids and matrix."""
+    ids, bag = _bag(stmts + ctxs)
+    pooled = bag @ model.embedding[ids]
+    return pooled[:len(stmts)], pooled[len(stmts):], ids, bag
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -202,6 +209,17 @@ def _forward(model: EncoderModel, head: ClassifierHead,
     ctx_enc = _project(model, pooled_ctx)
     concat = np.concatenate([stmt_enc[1], ctx_enc[1]], axis=1)
     return stmt_enc, ctx_enc, concat, _softmax(concat @ head.weight + head.bias)
+
+
+def _classify(model: EncoderModel, head: ClassifierHead,
+              stmts: list[TokenSequence], ctxs: list[TokenSequence],
+              chunk: int) -> np.ndarray:
+    """Class probabilities of statement/context pairs, pooled `chunk` pairs
+    to a bag."""
+    return np.concatenate([
+        _forward(model, head, *_pool(model, stmts[start:start + chunk],
+                                     ctxs[start:start + chunk])[:2])[3]
+        for start in range(0, len(stmts), chunk)])
 
 
 def loss_and_grads(
@@ -415,10 +433,9 @@ def train(
         batches = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            seq_l = [train_stmts[i] for i in idx]
-            seq_s = [train_ctxs[i] for i in idx]
-            pooled_l = _pool(model, seq_l)
-            pooled_s = _pool(model, seq_s)
+            pooled_l, pooled_s, ids, bag = _pool(
+                model, [train_stmts[i] for i in idx],
+                [train_ctxs[i] for i in idx])
             labels = train_labels[idx]
             masks = None
             if config.dropout > 0:
@@ -431,15 +448,15 @@ def train(
                 loss, grads, _ = loss_and_grads(
                     model, head, pooled_l, pooled_s, labels,
                     config.alpha, masks)
-            d_pooled = np.concatenate([grads["pooled_stmt"],
-                                       grads["pooled_ctx"]])
-            grads["embedding"] = _bag(seq_l + seq_s, vocab.size).T @ d_pooled
+            grads["embedding"] = np.zeros_like(model.embedding)
+            grads["embedding"][ids] = bag.T @ np.concatenate(
+                [grads["pooled_stmt"], grads["pooled_ctx"]])
             optimizer.step(params, grads)
             epoch_loss += loss
             batches += 1
 
-        val_probs = _forward(model, head, _pool(model, val_stmts),
-                             _pool(model, val_ctxs))[3]
+        val_probs = _classify(model, head, val_stmts, val_ctxs,
+                              config.batch_size)
         val_f1 = f1_macro([LABELS[i] for i in val_probs.argmax(axis=1)],
                           val_golds)
         history.append({
@@ -470,8 +487,7 @@ def predict(
     (class 0), then ascending class index."""
     seq_l = tokenize(stmt.raw_text, model.vocabulary, max_tokens)
     seq_s = tokenize(context.source_text, model.vocabulary, max_tokens)
-    probs = _forward(model, head, _pool(model, [seq_l]),
-                     _pool(model, [seq_s]))[3][0]
+    probs = _classify(model, head, [seq_l], [seq_s], 1)[0]
     return LABELS[int(probs.argmax())], probs
 
 
@@ -534,8 +550,7 @@ def save_checkpoint(path: str, model: EncoderModel, head: ClassifierHead,
 
 
 def load_checkpoint(path: str) -> tuple[EncoderModel, ClassifierHead, TrainConfig]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if type(payload) is not dict or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint file: {path} "
                          f"(Checkpoint.format must be {CHECKPOINT_FORMAT!r})")

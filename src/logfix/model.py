@@ -416,6 +416,17 @@ def write_jsonl(path: str, dicts: Iterable[dict[str, Any]]) -> int:
     return n
 
 
+def read_json(path: str) -> Any:
+    """The file's JSON value; a file that is not JSON is a ValueError
+    naming the file, the line and the column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc.msg}: line "
+                             f"{exc.lineno} column {exc.colno}") from None
+
+
 def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
     """Each non-blank line's JSON value; a line that is not JSON is a
     ValueError naming the file and the line."""

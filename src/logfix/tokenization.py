@@ -16,6 +16,8 @@ from itertools import chain
 from typing import Iterable
 
 CAPS_MARKER = "<caps>"
+# Tokens kept per text; `TrainConfig.max_tokens` defaults to it too.
+DEFAULT_MAX_TOKENS = 1024
 
 # One pass over the text. A word is a run of ASCII letters, digits and "_";
 # its sub-words are the camelCase / letter-digit pieces between the "_"s.
@@ -78,7 +80,7 @@ class TokenSequence:
 
 
 def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
-                   oov_buckets: int = 32, max_tokens: int = 1024,
+                   oov_buckets: int = 32, max_tokens: int = DEFAULT_MAX_TOKENS,
                    ) -> tuple[Vocabulary, list[TokenSequence]]:
     """Frequency-ranked vocabulary over the segmentation of `texts`, and
     each text's `tokenize` through it; every text is segmented once.

@@ -1088,6 +1088,29 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, text, where", [
+        # a checkpoint cut off in the first key of its config
+        ("checkpoint", None, "line 4 column 3"),
+        ("transcript", '[\n {"pattern": "checker",\n  "reply": "con',
+         "line 3 column 12"),
+    ])
+    def test_a_file_that_is_not_json_names_its_file_line_and_column(
+            self, valid, tmp_path, capsys, kind, text, where):
+        doc, argv = valid[kind]
+        if text is None:
+            text = "\n".join(json.dumps(doc, indent=1).splitlines()[:3]
+                             + ['  "lear'])
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv(str(path)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"{path} is not JSON: Unterminated string starting at: "
+                f"{where}") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _write_json(directory: str, name: str, doc) -> str:
     path = os.path.join(directory, name)

@@ -225,12 +225,45 @@ def scatter_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
     return d_emb
 
 
+def bag_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
+    """The training step's embedding gradient: `bag.T @ d_pooled` in the
+    rows of the bag's ids."""
+    ids, bag = _bag(sequences)
+    d_emb = np.zeros(shape)
+    d_emb[ids] = bag.T @ d_pooled
+    return d_emb
+
+
 class TestEmbeddingGradient:
     def test_bag_rows_are_normalized_counts(self):
-        bag = _bag(seqs((2, 0, 2, 3), (), (1,)), 5)
-        assert bag.tolist() == [[0.25, 0.0, 0.5, 0.25, 0.0],
-                                [0.0] * 5,
-                                [0.0, 1.0, 0.0, 0.0, 0.0]]
+        ids, bag = _bag(seqs((2, 0, 2, 3), (), (1,)))
+        assert ids.tolist() == [0, 1, 2, 3]
+        assert bag.tolist() == [[0.25, 0.0, 0.5, 0.25],
+                                [0.0] * 4,
+                                [0.0, 1.0, 0.0, 0.0]]
+
+    def test_bag_has_one_column_per_distinct_id(self):
+        # the width follows the batch, not the vocabulary
+        ids, bag = _bag(seqs((1_000_003, 999_999, 1_000_003),
+                             (999_999, 1_000_000)))
+        assert ids.tolist() == [999_999, 1_000_000, 1_000_003]
+        assert bag.shape == (2, 3)
+        assert bag.tolist() == [[1 / 3, 0.0, 2 / 3], [0.5, 0.5, 0.0]]
+
+    def test_pooled_rows_equal_the_per_row_mean(self):
+        rng = np.random.default_rng(2)
+        model = init_model(Vocabulary(token_to_id={}, oov_buckets=12), 6)
+        model.embedding[...] = rng.normal(0.0, 0.5, size=model.embedding.shape)
+        stmts = seqs((3, 3, 3, 7), (), (11,))
+        ctxs = seqs((0, 5, 5, 1, 0, 9, 5), (4, 4), (2, 8, 11, 6, 10))
+        pooled_l, pooled_s, _, _ = _pool(model, stmts, ctxs)
+        for pooled, sequences in ((pooled_l, stmts), (pooled_s, ctxs)):
+            assert pooled.shape == (3, 6)
+            for row, seq in zip(pooled, sequences):
+                expected = (model.embedding[list(seq.ids)].mean(axis=0)
+                            if seq.ids else np.zeros(6))
+                assert np.max(np.abs(row - expected)) <= 1e-15
+        assert np.all(pooled_l[1] == 0.0)
 
     def test_matches_finite_differences_through_pooling(self):
         # From token ids through _pool to the loss: an empty statement, a
@@ -253,12 +286,14 @@ class TestEmbeddingGradient:
         labels[[0, 1, 2], [1, 0, 3]] = 1.0
 
         def loss_and_grads_at():
-            return loss_and_grads(model, head, _pool(model, seq_l),
-                                  _pool(model, seq_s), labels, 0.5)
+            return loss_and_grads(model, head,
+                                  *_pool(model, seq_l, seq_s)[:2],
+                                  labels, 0.5)
 
         _, grads, _ = loss_and_grads_at()
-        analytic = _bag(seq_l + seq_s, vocab.size).T @ np.concatenate(
-            [grads["pooled_stmt"], grads["pooled_ctx"]])
+        analytic = bag_embedding_grad(
+            model.embedding.shape, seq_l + seq_s,
+            np.concatenate([grads["pooled_stmt"], grads["pooled_ctx"]]))
         h = 1e-6
         for row in range(vocab.size):
             for col in range(dim):
@@ -283,7 +318,7 @@ class TestEmbeddingGradient:
             d_pooled = rng.normal(size=(n, dim))
             expected = scatter_embedding_grad((vocab_size, dim), sequences,
                                               d_pooled)
-            got = _bag(sequences, vocab_size).T @ d_pooled
+            got = bag_embedding_grad((vocab_size, dim), sequences, d_pooled)
             assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -402,6 +437,27 @@ class TestTraining:
         # 25 training and 5 validation samples, a statement and a method
         # each: the vocabulary and the id sequences share one segmentation
         assert len(segmented) == 2 * (25 + 5)
+
+    def test_no_bag_holds_more_than_two_batches_of_rows(self, small_corpus,
+                                                         monkeypatch):
+        from logfix import detector
+
+        rows = []
+
+        def recording_bag(sequences):
+            rows.append(len(sequences))
+            return _bag(sequences)
+
+        monkeypatch.setattr(detector, "_bag", recording_bag)
+        config = TrainConfig(learning_rate=3e-3, epochs=1, dim=16,
+                             vocab_size=256, batch_size=2)
+        model, head, _ = train(small_corpus, config)
+        # 25 training pairs in 13 steps, then 5 validation pairs in 3 chunks
+        assert rows == [4] * 12 + [2] + [4, 4, 2]
+        rows.clear()
+        sample = small_corpus[0]
+        predict(sample.context, sample.target, model, head)
+        assert rows == [2]
 
     def test_training_is_deterministic(self, small_corpus):
         model_a, head_a, hist_a = train(small_corpus, SMALL_CONFIG)
