@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import os
 import re
 import subprocess
@@ -41,6 +42,7 @@ from .model import (
     UpdateResult,
     from_dict,
     read_changes,
+    read_json,
     read_jsonl,
     read_samples,
     to_dict,
@@ -136,13 +138,7 @@ def load_config(path: str | None) -> ToolConfig:
     """
     raw: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise DataError(f"config {path!r} must contain a JSON object")
     sections = get_type_hints(ToolConfig)
@@ -169,6 +165,10 @@ def make_backend(settings: BackendSettings,
             raise DataError(
                 "http backend needs backend.endpoint and backend.model "
                 "in the config file")
+        if not 0 < settings.timeout_seconds < math.inf:
+            raise DataError(
+                "backend.timeout_seconds must be a finite number above 0, "
+                f"not {settings.timeout_seconds!r}")
         return HttpBackend(settings.endpoint, settings.model,
                            settings.timeout_seconds)
     raise DataError(f"unknown backend kind {kind!r} (expected mock or http)")

@@ -93,7 +93,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        for key in ("epochs", "batch_size", "dim", "max_tokens"):
+        for key in ("epochs", "batch_size", "dim", "max_tokens", "vocab_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         for key in ("learning_rate", "adam_epsilon"):
@@ -112,18 +112,6 @@ class TrainingBatch:
     context_vectors: np.ndarray    # (N, D)
     labels: np.ndarray             # (N, C) one-hot
     probabilities: np.ndarray      # (N, C)
-
-    def __post_init__(self) -> None:
-        n = self.statement_vectors.shape[0]
-        if not (self.context_vectors.shape[0] == n
-                and self.labels.shape == (n, NUM_CLASSES)
-                and self.probabilities.shape == (n, NUM_CLASSES)):
-            raise ValueError("inconsistent batch shapes")
-        if not np.allclose(self.probabilities.sum(axis=1), 1.0, atol=1e-6):
-            raise ValueError("probabilities must sum to 1 per sample")
-        binary = np.all((self.labels == 0.0) | (self.labels == 1.0))
-        if not binary or not np.all(self.labels.sum(axis=1) == 1.0):
-            raise ValueError("labels must be exactly one-hot")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import logging
 import os
 import subprocess
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 from logfix.model import LogCentricChange, MethodContext
@@ -45,44 +44,18 @@ SOURCE_SUFFIXES = (".java",)
 # Line diffing
 # ---------------------------------------------------------------------------
 
-class ChangeKind(Enum):
-    ADD = "ADD"
-    DELETE = "DELETE"
-    MODIFY = "MODIFY"
-
-
-LineEdit = tuple[ChangeKind, int | None, int | None]
-
-
-def diff_lines(before: str, after: str) -> list[LineEdit]:
-    """Minimal line edit script as (kind, before_line, after_line), 1-based.
-
-    Replace blocks align pairwise into MODIFY edits (a delete adjacent to an
-    add at the aligned position coalesces); surplus lines on either side
-    degrade to DELETE/ADD.
-    """
-    b_lines = before.splitlines()
-    a_lines = after.splitlines()
-    sm = difflib.SequenceMatcher(None, b_lines, a_lines, autojunk=False)
-    edits: list[LineEdit] = []
+def diff_lines(before: str, after: str) -> tuple[set[int], set[int]]:
+    """The 1-based numbers of the lines of `before` that are deleted or
+    replaced, and of the lines of `after` that are inserted or replacing."""
+    sm = difflib.SequenceMatcher(None, before.splitlines(), after.splitlines(),
+                                 autojunk=False)
+    deleted: set[int] = set()
+    inserted: set[int] = set()
     for tag, i1, i2, j1, j2 in sm.get_opcodes():
-        if tag == "equal":
-            continue
-        if tag == "replace":
-            paired = min(i2 - i1, j2 - j1)
-            for k in range(paired):
-                edits.append((ChangeKind.MODIFY, i1 + k + 1, j1 + k + 1))
-            for k in range(paired, i2 - i1):
-                edits.append((ChangeKind.DELETE, i1 + k + 1, None))
-            for k in range(paired, j2 - j1):
-                edits.append((ChangeKind.ADD, None, j1 + k + 1))
-        elif tag == "delete":
-            for i in range(i1, i2):
-                edits.append((ChangeKind.DELETE, i + 1, None))
-        elif tag == "insert":
-            for j in range(j1, j2):
-                edits.append((ChangeKind.ADD, None, j + 1))
-    return edits
+        if tag != "equal":
+            deleted.update(range(i1 + 1, i2 + 1))
+            inserted.update(range(j1 + 1, j2 + 1))
+    return deleted, inserted
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +68,6 @@ ChangedFile = tuple[str, str, str]  # path, before_text, after_text
 @dataclass(frozen=True)
 class CommitSnapshotPair:
     commit_id: str
-    parent_id: str
     changed_files: tuple[ChangedFile, ...]
 
 
@@ -172,8 +144,8 @@ class GitHistoryProvider:
         if self.since:
             args.append(f"--since={self.since}")
         shas = self._git(*args).decode("utf-8").split()
-        links = list(zip(shas, shas[1:]))
-        feed = "".join(f"{child} {parent}\n" for parent, child in links)
+        feed = "".join(f"{child} {parent}\n"
+                       for parent, child in zip(shas, shas[1:]))
         changes = _parse_raw_diffs(self._git(
             "diff-tree", "--stdin", "-z", "-r", "--no-renames", "--raw",
             input=feed.encode("ascii")))
@@ -183,7 +155,7 @@ class GitHistoryProvider:
                 stderr=subprocess.DEVNULL) as cat_file:
             # leaving the block closes the pipes and waits for the process,
             # also when reading fails or the consumer stops early
-            for parent, child in links:
+            for child in shas[1:]:
                 files: list[ChangedFile] = []
                 for status, old, new, raw_path in changes.get(child, ()):
                     shown = raw_path.decode("utf-8", "backslashreplace")
@@ -202,7 +174,7 @@ class GitHistoryProvider:
                         break
                     files.append((path, before, after))
                 else:
-                    yield CommitSnapshotPair(child, parent, tuple(files))
+                    yield CommitSnapshotPair(child, tuple(files))
 
 
 class FixtureHistoryProvider:
@@ -245,7 +217,7 @@ class FixtureHistoryProvider:
         # side of the next
         trees = map(self._snapshot, dirs)
         before_tree = next(trees, {})
-        for prev, cur, after_tree in zip(dirs, dirs[1:], trees):
+        for cur, after_tree in zip(dirs[1:], trees):
             commit_id = cur.split("_", 1)[1]
             changed: list[ChangedFile] = []
             for path in sorted(set(before_tree) | set(after_tree)):
@@ -259,10 +231,7 @@ class FixtureHistoryProvider:
                     break
                 changed.append((path, b, a))
             else:
-                yield CommitSnapshotPair(
-                    commit_id=commit_id,
-                    parent_id=prev.split("_", 1)[1],
-                    changed_files=tuple(changed))
+                yield CommitSnapshotPair(commit_id, tuple(changed))
             before_tree = after_tree
 
 
@@ -334,17 +303,9 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
                           pair.commit_id, path)
                 eligible = False
                 break
-            before_cov = _covered_lines(rb.records)
-            after_cov = _covered_lines(ra.records)
-            bad_line = False
-            for kind, b_line, a_line in diff_lines(before, after):
-                if b_line is not None and b_line not in before_cov:
-                    bad_line = True
-                    break
-                if a_line is not None and a_line not in after_cov:
-                    bad_line = True
-                    break
-            if bad_line:
+            deleted, inserted = diff_lines(before, after)
+            if not (deleted <= _covered_lines(rb.records)
+                    and inserted <= _covered_lines(ra.records)):
                 eligible = False
                 break
             b_index = _statement_index(rb.records)

@@ -109,7 +109,7 @@ class LoggingStatement:
     argument expressions bound to placeholders, ordered by the offset of the
     placeholder that consumes them (trailing unbound arguments are appended).
     raw_text is the exact source slice from the receiver through the
-    terminating semicolon; render() returns it byte-for-byte.
+    terminating semicolon.
     """
 
     id: str
@@ -125,9 +125,6 @@ class LoggingStatement:
     @property
     def arity_mismatch(self) -> bool:
         return len(self.placeholders) != len(self.variables)
-
-    def render(self) -> str:
-        return self.raw_text
 
 
 @dataclass(frozen=True)

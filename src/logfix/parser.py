@@ -60,12 +60,6 @@ class ParserConfig:
 class UnbalancedBraces(Exception):
     """A brace block that never closes. Collected, not raised, by extraction."""
 
-    def __init__(self, path: str, line: int, what: str):
-        super().__init__(f"{path}:{line}: unbalanced braces in {what}")
-        self.path = path
-        self.line = line
-        self.what = what
-
 
 class MethodTooLong(Exception):
     """A method longer than ParserConfig.max_method_lines, skipped.
@@ -513,7 +507,8 @@ def _scan_method_spans(lexed: Lexed, path: str,
         body_close = lexed.close(after)
         if body_close < 0:
             errors.append(UnbalancedBraces(
-                path, lexed.line_of(after), f"method {name}"))
+                f"{path}:{lexed.line_of(after)}: unbalanced braces in "
+                f"method {name}"))
             continue
         header_start = lexed.starts[lexed.line_of(start) - 1]
         spans.append(_MethodSpan(name, header_start, after, body_close))

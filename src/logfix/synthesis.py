@@ -78,15 +78,12 @@ class TypoLexicon:
 @dataclass(frozen=True)
 class VerbLexicon:
     forms: dict[str, dict[Tense, str]]
-    stop_forms: frozenset[str]
+    # surface form -> (lemma, tense), without the lexicon's stop forms
     form_index: dict[str, tuple[str, Tense]]
 
     def classify(self, word: str) -> tuple[str, Tense] | None:
         """Map a surface form to (lemma, tense); None for non-verbs."""
-        lowered = word.lower()
-        if lowered in self.stop_forms:
-            return None
-        return self.form_index.get(lowered)
+        return self.form_index.get(word.lower())
 
     def surface_forms(self, lemma: str) -> dict[Tense, str]:
         return dict(self.forms[lemma])
@@ -197,7 +194,7 @@ def load_verb_lexicon(path: str | None = None) -> VerbLexicon:
             if surface in stop:
                 continue
             index.setdefault(surface, (lemma, tense))
-    return VerbLexicon(forms=forms, stop_forms=frozenset(stop), form_index=index)
+    return VerbLexicon(forms=forms, form_index=index)
 
 
 def load_antonym_table(path: str | None = None) -> AntonymTable:
@@ -256,6 +253,8 @@ class MutationRecord:
 # Shared text-editing helpers
 # ---------------------------------------------------------------------------
 _WORD_RE = re.compile(r"[A-Za-z]+")
+# a Java escape sequence inside a string literal
+_ESCAPE_RE = re.compile(r"\\(?:u+[0-9A-Fa-f]{4}|.)")
 
 
 def _parse_for_edit(stmt: LoggingStatement,
@@ -269,55 +268,45 @@ def _parse_for_edit(stmt: LoggingStatement,
 @dataclass(frozen=True)
 class _EditableWord:
     match: re.Match
-    span: tuple[int, int] | None  # in raw_text; None where it is not found
+    span: tuple[int, int]  # in raw_text
 
     @property
     def text(self) -> str:
         return self.match.group()
 
 
-def _word_span(raw: str, word: re.Match,
-               fragment: tuple[int, int, int, int]) -> tuple[int, int] | None:
-    """The raw_text span of a static_text word that lies in `fragment`."""
-    ss, se, rs, re_ = fragment
-    if (se - ss) == (re_ - rs):
-        # No escape sequences inside this literal: offsets map linearly.
-        start = rs + (word.start() - ss)
-    else:
-        start = raw.find(word.group(), rs, re_)
-        if start < 0:
-            return None
-    return start, start + len(word.group())
-
-
 def _editable_words(parsed: ParsedStatement) -> list[_EditableWord]:
     """Alphabetic words of static_text that lie inside one string literal
-    and do not overlap a placeholder marker."""
+    and do not overlap a placeholder marker or an escape sequence (the "n"
+    of "\\n" is no part of a word)."""
     stmt = parsed.statement
     marker_spans = [
         (p.offset, p.offset + len(p.text)) for p in stmt.placeholders if p.text
     ]
+    # a literal's static text is its source text, escapes and all, so a
+    # word's raw_text span is its static_text span moved by the fragment's
+    # offset; blanking the escapes keeps every offset
+    text = _ESCAPE_RE.sub(lambda e: " " * len(e.group()), stmt.static_text)
     out: list[_EditableWord] = []
-    for m in _WORD_RE.finditer(stmt.static_text):
+    for m in _WORD_RE.finditer(text):
         if any(m.start() < e and s < m.end() for s, e in marker_spans):
             continue
-        for frag in parsed.literal_fragments:
-            if frag[0] <= m.start() and m.end() <= frag[1]:
-                out.append(_EditableWord(m, _word_span(stmt.raw_text, m, frag)))
+        for ss, se, rs, _ in parsed.literal_fragments:
+            if ss <= m.start() and m.end() <= se:
+                start = rs + m.start() - ss
+                out.append(_EditableWord(m, (start, start + len(m.group()))))
                 break
     return out
 
 
 def _rewrite(stmt: LoggingStatement, parsed: ParsedStatement,
-             span: tuple[int, int] | None, mutated: str,
+             span: tuple[int, int], mutated: str,
              strategy: MutationStrategy, detail: str,
              config: ParserConfig | None) -> tuple[LoggingStatement,
                                                    MutationRecord]:
     """`stmt` with the raw_text `span` replaced by `mutated`, re-parsed and
     put where `stmt` sits, with the record of the edit."""
     raw = parsed.statement.raw_text
-    if span is None:
-        raise NoCandidate(f"cannot locate the edited word in {raw!r}")
     start, end = span
     record = MutationRecord(strategy, raw[start:end], mutated, detail)
     new_raw = raw[:start] + mutated + raw[end:]
@@ -426,16 +415,16 @@ def mutate_tense(
     lexicon: VerbLexicon | None = None,
     rng_seed: int | str = 0,
     config: ParserConfig | None = None,
-) -> tuple[LoggingStatement, MutationRecord] | None:
+) -> tuple[LoggingStatement, MutationRecord]:
     """Rewrite the main verb to a uniformly random different surface form.
 
-    Returns None when the static text has no recognizable main verb.
+    Raises NoCandidate when the static text has no recognizable main verb.
     """
     lexicon = lexicon or default_verb_lexicon()
     parsed = _parse_for_edit(stmt, config)
     found = _main_verb_word(parsed, lexicon)
     if found is None:
-        return None
+        raise NoCandidate(f"no main verb in {stmt.static_text!r}")
     word, lemma, tense = found
     forms = lexicon.surface_forms(lemma)
     alternatives: list[tuple[Tense, str]] = []
@@ -446,7 +435,7 @@ def mutate_tense(
             seen.add(surface)
             alternatives.append((t, surface))
     if not alternatives:
-        return None
+        raise NoCandidate(f"{lemma} has no other surface form")
     rng = random.Random(rng_seed)
     target_tense, target_surface = rng.choice(alternatives)
     return _rewrite(stmt, parsed, word.span,
@@ -660,11 +649,11 @@ def _mutate_for(
     sample: LabeledSample,
     rng_seed: str,
     backend: LlmBackend | None,
-    typo_lexicon: TypoLexicon,
-    verb_lexicon: VerbLexicon,
-    antonyms: AntonymTable,
+    typo_lexicon: TypoLexicon | None,
+    verb_lexicon: VerbLexicon | None,
+    antonyms: AntonymTable | None,
     config: ParserConfig | None,
-) -> tuple[LoggingStatement, MutationRecord] | None:
+) -> tuple[LoggingStatement, MutationRecord]:
     if label is DefectLabel.READABILITY:
         return mutate_readability(sample.target, typo_lexicon, rng_seed, config)
     if label is DefectLabel.TEMPORAL:
@@ -707,10 +696,6 @@ def synthesize_corpus(
                              + "; ".join(problems))
     if per_type_count < 0:
         raise ValueError("per_type_count must be >= 0")
-    typo_lexicon = typo_lexicon or default_typo_lexicon()
-    verb_lexicon = verb_lexicon or default_verb_lexicon()
-    antonyms = antonyms or default_antonym_table()
-
     out: list[LabeledSample] = []
     seen: set[tuple[str, str]] = set()
     for label in DEFECT_LABELS:
@@ -730,15 +715,10 @@ def synthesize_corpus(
                 sample = clean[idx]
                 sub_seed = f"{seed}|{label.name}|{round_no}|{idx}"
                 try:
-                    mutated = _mutate_for(
+                    new_stmt, record = _mutate_for(
                         label, sample, sub_seed, backend,
                         typo_lexicon, verb_lexicon, antonyms, parser_config)
                 except (NoMutableWord, NoCandidate):
-                    continue
-                if mutated is None:
-                    continue
-                new_stmt, record = mutated
-                if new_stmt.raw_text == sample.target.raw_text:
                     continue
                 key = (sample.context.source_text, new_stmt.raw_text)
                 if key in seen:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,6 +38,15 @@ def test_traced_mine_workload_runs_clean(tmp_path):
     assert set(record["exits"].values()) == {0}
     # Every other patch point still names a logfix attribute.
     assert record["missing_patch_points"] == ["logfix.repair.predict"]
+    # the mining layers' counts: 36 file versions parsed over the 30
+    # commits, and 10 log-only commits that each yield one change
+    layers = record["layers"]
+    assert {name: layers[name] for name in (
+        "parser.extract_file.calls", "mining.lcc_yield",
+    )} == {
+        "parser.extract_file.calls": 36,
+        "mining.lcc_yield": pytest.approx(1 / 3),
+    }
 
 
 def test_traced_audit_workload_runs_clean(tmp_path):

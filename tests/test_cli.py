@@ -522,6 +522,7 @@ class TestTrainAndDetect:
     @pytest.mark.parametrize("key, value", [
         ("batch_size", -4), ("batch_size", 0), ("dim", 0), ("max_tokens", 0),
         ("learning_rate", -1e-3), ("adam_epsilon", 0.0),
+        ("vocab_size", 0), ("vocab_size", -5),
     ])
     def test_train_rejects_settings_that_cannot_train(self, ws, tmp_path,
                                                       capsys, key, value):
@@ -622,6 +623,28 @@ class TestFix:
         assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
                      "--backend", "http",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.mark.parametrize("timeout", [0, -1.5, "NaN", "Infinity"])
+    def test_http_timeout_must_be_finite_and_above_zero(
+            self, ws, tmp_path, monkeypatch, capsys, timeout):
+        from logfix import backends
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("request made")
+
+        monkeypatch.setenv(TOKEN_ENV_VAR, "t")
+        monkeypatch.setattr(backends.requests, "post", no_request)
+        config = tmp_path / "config.json"
+        # NaN and Infinity are what Python's json reads and writes for them
+        config.write_text(
+            '{"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", '
+            f'"model": "m", "timeout_seconds": {timeout}}}}}',
+            encoding="utf-8")
+        out = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", ws["detections"], "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert "backend.timeout_seconds must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_http_backend_without_token_exits_backend_error(
             self, ws, tmp_path, monkeypatch):

@@ -108,30 +108,6 @@ class TestCompositeLoss:
         assert loss == pytest.approx(-math.log(0.2) + 0.5)
 
 
-class TestTrainingBatchValidation:
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            TrainingBatch(
-                statement_vectors=np.zeros((2, 3)),
-                context_vectors=np.zeros((1, 3)),
-                labels=np.tile(one_hot(0), (2, 1)),
-                probabilities=np.full((2, NUM_CLASSES), 0.2),
-            )
-
-    def test_rejects_unnormalized_probabilities(self):
-        with pytest.raises(ValueError):
-            make_batch([0.5, 0.5, 0.5, 0.5, 0.5])
-
-    def test_rejects_soft_labels(self):
-        with pytest.raises(ValueError):
-            TrainingBatch(
-                statement_vectors=np.ones((1, 2)),
-                context_vectors=np.ones((1, 2)),
-                labels=np.array([[0.5, 0.5, 0.0, 0.0, 0.0]]),
-                probabilities=np.full((1, NUM_CLASSES), 0.2),
-            )
-
-
 class TestTrainConfig:
     def test_round_trip(self):
         config = TrainConfig(learning_rate=1e-3, epochs=4, dim=32)
@@ -144,6 +120,18 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
+
+
+def assert_well_formed(batch: TrainingBatch, n: int, dim: int) -> None:
+    """A batch as every training step builds it: n rows of vectors, one-hot
+    labels, and probabilities that sum to 1 per row."""
+    assert batch.statement_vectors.shape == (n, dim)
+    assert batch.context_vectors.shape == (n, dim)
+    assert batch.labels.shape == (n, NUM_CLASSES)
+    assert batch.probabilities.shape == (n, NUM_CLASSES)
+    assert np.allclose(batch.probabilities.sum(axis=1), 1.0, atol=1e-6)
+    assert np.all((batch.labels == 0.0) | (batch.labels == 1.0))
+    assert np.all(batch.labels.sum(axis=1) == 1.0)
 
 
 class TestLossAndGrads:
@@ -175,6 +163,7 @@ class TestLossAndGrads:
         assert grads["pooled_stmt"].shape == ps.shape
         # The reported loss is the composite loss of the returned batch.
         assert loss == pytest.approx(composite_loss(batch, 0.5))
+        assert_well_formed(batch, 3, 4)
 
     def test_gradient_matches_finite_differences_spot_check(self):
         model, head, ps, pc, labels = self.setup_forward(seed=5)
@@ -204,9 +193,10 @@ class TestLossAndGrads:
         plain = loss_and_grads(model, head, ps, pc, labels, 0.0)[0]
         masks = (np.zeros_like(ps), np.zeros_like(pc))
         with pytest.warns(DegenerateVector):
-            masked_loss, masked_grads, _ = loss_and_grads(
+            masked_loss, masked_grads, batch = loss_and_grads(
                 model, head, ps, pc, labels, 0.5, masks
             )
+        assert_well_formed(batch, 3, 4)
         assert masked_loss != pytest.approx(plain)
         assert np.all(masked_grads["pooled_stmt"] == 0.0)
 
@@ -458,6 +448,23 @@ class TestTraining:
         sample = small_corpus[0]
         predict(sample.context, sample.target, model, head)
         assert rows == [2]
+
+    def test_every_step_builds_a_well_formed_batch(self, small_corpus,
+                                                    monkeypatch):
+        from logfix import detector
+
+        sizes = []
+
+        def checked_loss_and_grads(*args):
+            loss, grads, batch = loss_and_grads(*args)
+            sizes.append(len(batch.labels))
+            assert_well_formed(batch, sizes[-1], SMALL_CONFIG.dim)
+            return loss, grads, batch
+
+        monkeypatch.setattr(detector, "loss_and_grads", checked_loss_and_grads)
+        train(small_corpus, SMALL_CONFIG)
+        # 25 training pairs in batches of 8, in each of 2 epochs
+        assert sizes == [8, 8, 8, 1] * 2
 
     def test_training_is_deterministic(self, small_corpus):
         model_a, head_a, hist_a = train(small_corpus, SMALL_CONFIG)

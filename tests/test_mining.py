@@ -8,7 +8,6 @@ import subprocess
 import pytest
 
 from logfix.mining import (
-    ChangeKind,
     CommitSnapshotPair,
     FixtureHistoryProvider,
     GitHistoryProvider,
@@ -24,21 +23,21 @@ from conftest import HISTORY_DIR
 # Line diffs
 # ---------------------------------------------------------------------------
 def test_diff_lines_modify_from_replace():
-    assert diff_lines("a\nb\nc\n", "a\nB\nc\n") == [(ChangeKind.MODIFY, 2, 2)]
+    assert diff_lines("a\nb\nc\n", "a\nB\nc\n") == ({2}, {2})
 
 
 def test_diff_lines_pure_delete_and_add():
-    assert diff_lines("a\nb\n", "a\n") == [(ChangeKind.DELETE, 2, None)]
-    assert diff_lines("a\n", "a\nb\n") == [(ChangeKind.ADD, None, 2)]
+    assert diff_lines("a\nb\n", "a\n") == ({2}, set())
+    assert diff_lines("a\n", "a\nb\n") == (set(), {2})
 
 
 def test_diff_lines_replace_with_surplus():
-    edits = diff_lines("a\nx\ny\n", "a\nz\n")
-    assert edits == [(ChangeKind.MODIFY, 2, 2), (ChangeKind.DELETE, 3, None)]
+    assert diff_lines("a\nx\ny\n", "a\nz\n") == ({2, 3}, {2})
+    assert diff_lines("a\nz\n", "a\nx\ny\n") == ({2}, {2, 3})
 
 
 def test_diff_lines_identical_inputs():
-    assert diff_lines("a\nb\n", "a\nb\n") == []
+    assert diff_lines("a\nb\n", "a\nb\n") == (set(), set())
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,6 @@ def test_fixture_history_pairs_are_ordered_and_named():
     pairs = list(FixtureHistoryProvider(str(HISTORY_DIR)).commit_pairs())
     assert [p.commit_id for p in pairs] == [
         "typofix", "mixedfix", "logdrop", "logadd", "tensefix"]
-    assert [p.parent_id for p in pairs] == [
-        "base", "typofix", "mixedfix", "logdrop", "logadd"]
     for pair in pairs:
         assert pair.changed_files, pair.commit_id
         for path, before, after in pair.changed_files:
@@ -346,7 +343,10 @@ def test_git_history_since_limits_the_pairs(tmp_path):
                         date=f"{year}-01-01T00:00:00+00:00")
             for year in (2020, 2021, 2022, 2023)]
     pairs = GitHistoryProvider(str(tmp_path), since="2021-06-01").commit_pairs()
-    assert [(p.parent_id, p.commit_id) for p in pairs] == [(shas[2], shas[3])]
+    # the first pair after the cut still diffs against its parent
+    assert [(p.commit_id, p.changed_files) for p in pairs] == [
+        (shas[3], (("Service.java", service_source("step 2022"),
+                    service_source("step 2023")),))]
     every = GitHistoryProvider(str(tmp_path)).commit_pairs()
     assert [p.commit_id for p in every] == shas[1:]
 
@@ -391,7 +391,7 @@ def java(*body_lines: str) -> str:
 
 def pair_of(commit: str, before: str, after: str,
             path: str = "Service.java") -> CommitSnapshotPair:
-    return CommitSnapshotPair(commit_id=commit, parent_id=f"{commit}^",
+    return CommitSnapshotPair(commit_id=commit,
                               changed_files=((path, before, after),))
 
 
@@ -413,7 +413,7 @@ def test_extract_lccs_rejects_non_source_files():
     before = java('log.info("starting worker");')
     after = java('log.info("started worker");')
     pair = CommitSnapshotPair(
-        commit_id="c2", parent_id="c2^",
+        commit_id="c2",
         changed_files=(("Service.java", before, after),
                        ("notes.txt", "a\n", "b\n")))
     assert extract_lccs([pair], None, "proj") == []
@@ -428,7 +428,7 @@ def test_a_non_source_change_rejects_the_commit_before_parsing(monkeypatch,
     second = java('log.info("started worker");')
     third = java('log.info("worker started");')
     mixed = CommitSnapshotPair(
-        commit_id="c2", parent_id="c1",
+        commit_id="c2",
         changed_files=(("Service.java", first, second),
                        ("notes.txt", "a\n", "b\n"))[::order])
     parsed = []
@@ -463,6 +463,19 @@ def test_extract_lccs_rejects_code_line_changes():
     before = java("int x = 1;", 'log.info("starting worker");')
     after = java("int x = 2;", 'log.info("started worker");')
     assert extract_lccs([pair_of("c3", before, after)], None, "proj") == []
+
+
+def test_extract_lccs_rejects_a_code_line_inserted_by_a_log_edit():
+    # The statements still match one to one, and the only replaced line of
+    # the old version is a logging line: only the new version's inserted
+    # code line rejects the commit.
+    before = java('log.info("starting worker");')
+    after = java("n += 1;", 'log.info("started worker");')
+    assert extract_lccs([pair_of("c3", before, after)], None, "proj") == []
+    # the same log edit without the code line is mined
+    assert len(extract_lccs([pair_of("c3", before,
+                                     java('log.info("started worker");'))],
+                            None, "proj")) == 1
 
 
 def test_extract_lccs_rejects_statement_deletion():

@@ -232,6 +232,22 @@ class TestMutateReadability:
         with pytest.raises(NoMutableWord):
             mutate_readability(stmt, rng_seed=0)
 
+    def test_an_escape_letter_is_no_part_of_a_word(self):
+        stmt = statement_of(
+            'log.info("Failed:\\nretrying {} times\\tnow \\u0041ck", n);')
+        for seed in range(16):
+            mutated, record = mutate_readability(stmt, rng_seed=seed)
+            assert record.original in {"Failed", "retrying", "times", "now",
+                                       "ck"}, seed
+            # every escape sequence survives the edit as it was
+            assert re.findall(r"\\.", mutated.raw_text) == [
+                "\\n", "\\t", "\\u"], (seed, mutated.raw_text)
+        stmt = statement_of('log.info("Failed:\\nretrying {} times\\tnow", n);')
+        assert [mutate_readability(stmt, rng_seed=seed)[0].raw_text
+                for seed in (3, 8)] == [
+            'log.info("Failed:\\nRETRYING {} times\\tnow", n);',
+            'log.info("Failed:\\nretrying {} times\\tNOW", n);']
+
     def test_caps_seed_falls_back_to_typo_when_all_uppercase(self):
         stmt = statement_of('log.info("GC OK");')
         mutated, record = mutate_readability(stmt, rng_seed=CAPS_SEED)
@@ -247,11 +263,11 @@ class TestMutateReadability:
 class TestMutateTense:
     def test_identify_main_verb(self):
         def main_verb(static_text):
-            result = mutate_tense(statement_of(f'log.info("{static_text}");'),
-                                  rng_seed=0)
-            if result is None:
+            try:
+                mutated, record = mutate_tense(
+                    statement_of(f'log.info("{static_text}");'), rng_seed=0)
+            except NoCandidate:
                 return None
-            mutated, record = result
             words = re.findall(r"[A-Za-z]+", static_text)
             changed = [i for i, (a, b) in enumerate(zip(
                 words, re.findall(r"[A-Za-z]+", mutated.static_text)))
@@ -301,9 +317,10 @@ class TestMutateTense:
         stmt = statement_of('logger.info("connection closed by peer {}", peer);')
         assert mutate_tense(stmt, rng_seed=4) == mutate_tense(stmt, rng_seed=4)
 
-    def test_returns_none_without_a_verb(self):
+    def test_raises_without_a_verb(self):
         stmt = statement_of('logger.info("quota {}", q);')
-        assert mutate_tense(stmt, rng_seed=0) is None
+        with pytest.raises(NoCandidate):
+            mutate_tense(stmt, rng_seed=0)
 
 
 # ---------------------------------------------------------------------------
