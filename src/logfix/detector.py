@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -91,14 +91,18 @@ class TrainConfig:
     vocab_size: int = 4096
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        # each bound reads `not lo <= x < hi`, so that a NaN, which fails
+        # every comparison, is rejected too
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, "
+                             f"got {self.alpha}")
         for key in ("epochs", "batch_size", "dim", "max_tokens", "vocab_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         for key in ("learning_rate", "adam_epsilon"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, "
+                                 f"got {getattr(self, key)}")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -156,29 +160,39 @@ def _project(model: EncoderModel, pooled: np.ndarray) -> tuple[np.ndarray, np.nd
     return hidden, hidden @ model.w2 + model.b2
 
 
-def _bag(sequences: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean pooling as a matrix over the batch's distinct token ids: `ids`
+def _id_arrays(sequences: list[TokenSequence]) -> list[np.ndarray]:
+    return [np.array(seq.ids, dtype=np.intp) for seq in sequences]
+
+
+def _bag(sequences: list[np.ndarray],
+         rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean pooling as a matrix over the batch's distinct token ids, for
+    id arrays whose ids lie below `rows`, the embedding's row count: `ids`
     in ascending order, and `bag` whose entry (i, j) is the count of
     `ids[j]` in sequence i divided by the sequence's length (an empty
     sequence gives a zero row). Pooling is `bag @ embedding[ids]`, and the
-    embedding gradient is `bag.T @ d_pooled` in rows `ids`."""
-    lengths = np.array([len(seq.ids) for seq in sequences], dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(seq.ids for seq in sequences),
-                       dtype=np.intp, count=int(lengths.sum()))
-    ids, columns = np.unique(flat, return_inverse=True)
-    rows = np.repeat(np.arange(len(sequences)), lengths)
-    counts = np.bincount(rows * len(ids) + columns,
+    embedding gradient is `bag.T @ d_pooled` in rows `ids`. The ids are
+    found by marking them in a table of `rows` flags, not by sorting."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    flat = np.concatenate(sequences)
+    seen = np.zeros(rows, dtype=bool)
+    seen[flat] = True
+    ids = np.flatnonzero(seen)
+    column = np.empty(rows, dtype=np.intp)
+    column[ids] = np.arange(len(ids))
+    cells = np.repeat(np.arange(len(sequences)) * len(ids), lengths)
+    counts = np.bincount(cells + column[flat],
                          minlength=len(sequences) * len(ids))
     return ids, (counts.reshape(len(sequences), len(ids))
                  / np.maximum(lengths, 1)[:, None])
 
 
-def _pool(model: EncoderModel, stmts: list[TokenSequence],
-          ctxs: list[TokenSequence],
+def _pool(model: EncoderModel, stmts: list[np.ndarray],
+          ctxs: list[np.ndarray],
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One bag over a batch's statements and then its contexts: the pooled
     statements, the pooled contexts, and the bag's ids and matrix."""
-    ids, bag = _bag(stmts + ctxs)
+    ids, bag = _bag(stmts + ctxs, len(model.embedding))
     pooled = bag @ model.embedding[ids]
     return pooled[:len(stmts)], pooled[len(stmts):], ids, bag
 
@@ -200,7 +214,7 @@ def _forward(model: EncoderModel, head: ClassifierHead,
 
 
 def _classify(model: EncoderModel, head: ClassifierHead,
-              stmts: list[TokenSequence], ctxs: list[TokenSequence],
+              stmts: list[np.ndarray], ctxs: list[np.ndarray],
               chunk: int) -> np.ndarray:
     """Class probabilities of statement/context pairs, pooled `chunk` pairs
     to a bag."""
@@ -400,11 +414,13 @@ def train(
     head = init_head(config.dim)
     rng = np.random.default_rng(config.seed + 1)
 
+    # each sequence becomes an id array once, for every epoch
+    seqs = _id_arrays(seqs)
     train_stmts, train_ctxs = seqs[0::2], seqs[1::2]
     train_labels = np.eye(NUM_CLASSES)[[LABEL_INDEX[s.label]
                                         for s in train_set]]
-    val_seqs = [tokenize(text, vocab, config.max_tokens)
-                for text in _sample_texts(val_set)]
+    val_seqs = _id_arrays([tokenize(text, vocab, config.max_tokens)
+                           for text in _sample_texts(val_set)])
     val_stmts, val_ctxs = val_seqs[0::2], val_seqs[1::2]
     val_golds = [s.label for s in val_set]
 
@@ -473,8 +489,9 @@ def predict(
 ) -> tuple[DefectLabel, np.ndarray]:
     """Classify one statement in its method; ties break toward NON_DEFECT
     (class 0), then ascending class index."""
-    seq_l = tokenize(stmt.raw_text, model.vocabulary, max_tokens)
-    seq_s = tokenize(context.source_text, model.vocabulary, max_tokens)
+    seq_l, seq_s = _id_arrays([
+        tokenize(stmt.raw_text, model.vocabulary, max_tokens),
+        tokenize(context.source_text, model.vocabulary, max_tokens)])
     probs = _classify(model, head, [seq_l], [seq_s], 1)[0]
     return LABELS[int(probs.argmax())], probs
 

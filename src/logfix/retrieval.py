@@ -51,8 +51,9 @@ def build_index(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
     defective statement, so symmetry puts like with like). `tokens`, when
     given, holds each change's `split_tokens` of that text, in order."""
     # Outside these bounds a term weight can turn negative or divide by zero.
-    if k1 < 0:
-        raise ValueError(f"BM25 k1 must be >= 0, got {k1}")
+    # A NaN fails every comparison, so it fails these checks too.
+    if not 0 <= k1 < math.inf:
+        raise ValueError(f"BM25 k1 must be finite and >= 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"BM25 b must lie in [0, 1], got {b}")
     changes = list(lccs)

@@ -14,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .backends import LlmBackend
@@ -255,14 +255,7 @@ class MutationRecord:
 _WORD_RE = re.compile(r"[A-Za-z]+")
 # a Java escape sequence inside a string literal
 _ESCAPE_RE = re.compile(r"\\(?:u+[0-9A-Fa-f]{4}|.)")
-
-
-def _parse_for_edit(stmt: LoggingStatement,
-                    config: ParserConfig | None = None) -> ParsedStatement:
-    parsed = parse_statement_text(stmt.raw_text, config)
-    if parsed is None:
-        raise NoCandidate(f"statement text is not editable: {stmt.raw_text!r}")
-    return parsed
+_IDENT_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 
 
 @dataclass(frozen=True)
@@ -275,45 +268,167 @@ class _EditableWord:
         return self.match.group()
 
 
-def _editable_words(parsed: ParsedStatement) -> list[_EditableWord]:
-    """Alphabetic words of static_text that lie inside one string literal
-    and do not overlap a placeholder marker or an escape sequence (the "n"
-    of "\\n" is no part of a word)."""
-    stmt = parsed.statement
-    marker_spans = [
-        (p.offset, p.offset + len(p.text)) for p in stmt.placeholders if p.text
-    ]
-    # a literal's static text is its source text, escapes and all, so a
-    # word's raw_text span is its static_text span moved by the fragment's
-    # offset; blanking the escapes keeps every offset
-    text = _ESCAPE_RE.sub(lambda e: " " * len(e.group()), stmt.static_text)
-    out: list[_EditableWord] = []
-    for m in _WORD_RE.finditer(text):
-        if any(m.start() < e and s < m.end() for s, e in marker_spans):
-            continue
-        for ss, se, rs, _ in parsed.literal_fragments:
-            if ss <= m.start() and m.end() <= se:
-                start = rs + m.start() - ss
-                out.append(_EditableWord(m, (start, start + len(m.group()))))
-                break
-    return out
+# an edit a rule can make: the raw_text span, its replacement and the
+# record's detail
+_Edit = tuple[tuple[int, int], str, str]
 
 
-def _rewrite(stmt: LoggingStatement, parsed: ParsedStatement,
-             span: tuple[int, int], mutated: str,
-             strategy: MutationStrategy, detail: str,
-             config: ParserConfig | None) -> tuple[LoggingStatement,
-                                                   MutationRecord]:
-    """`stmt` with the raw_text `span` replaced by `mutated`, re-parsed and
-    put where `stmt` sits, with the record of the edit."""
-    raw = parsed.statement.raw_text
+class StatementAnalysis:
+    """What the mutation rules read of one statement, each part worked out
+    on first use and then kept: the parse, the editable words, the main
+    verb, the antonym, variable-swap and description-swap edits, and the
+    scope identifiers of the enclosing `context`. `synthesize_corpus` makes
+    one per clean statement, so every label, round and attempt that reaches
+    the statement shares it; only the splice and the re-parse of the mutant
+    are done per attempt. A rule given an analysis of `stmt` parses with
+    the analysis' `config` and reads its lexicons, the bundled ones unless
+    others were given."""
+
+    def __init__(self, stmt: LoggingStatement,
+                 context: MethodContext | None = None, *,
+                 config: ParserConfig | None = None,
+                 verbs: VerbLexicon | None = None,
+                 antonyms: AntonymTable | None = None) -> None:
+        self.stmt, self.context, self.config = stmt, context, config
+        self.verbs = verbs or default_verb_lexicon()
+        self.antonyms = antonyms or default_antonym_table()
+
+    @cached_property
+    def _parse(self) -> ParsedStatement | None:
+        return parse_statement_text(self.stmt.raw_text, self.config)
+
+    @property
+    def parsed(self) -> ParsedStatement:
+        if self._parse is None:
+            raise NoCandidate(
+                f"statement text is not editable: {self.stmt.raw_text!r}")
+        return self._parse
+
+    @cached_property
+    def words(self) -> list[_EditableWord]:
+        """Alphabetic words of static_text that lie inside one string
+        literal and do not overlap a placeholder marker or an escape
+        sequence (the "n" of "\\n" is no part of a word)."""
+        parsed = self.parsed
+        stmt = parsed.statement
+        marker_spans = [
+            (p.offset, p.offset + len(p.text)) for p in stmt.placeholders
+            if p.text
+        ]
+        # a literal's static text is its source text, escapes and all, so a
+        # word's raw_text span is its static_text span moved by the
+        # fragment's offset; blanking the escapes keeps every offset
+        text = _ESCAPE_RE.sub(lambda e: " " * len(e.group()),
+                              stmt.static_text)
+        out: list[_EditableWord] = []
+        for m in _WORD_RE.finditer(text):
+            if any(m.start() < e and s < m.end() for s, e in marker_spans):
+                continue
+            for ss, se, rs, _ in parsed.literal_fragments:
+                if ss <= m.start() and m.end() <= se:
+                    start = rs + m.start() - ss
+                    out.append(_EditableWord(m, (start,
+                                                 start + len(m.group()))))
+                    break
+        return out
+
+    @cached_property
+    def main_verb(self) -> tuple[_EditableWord, str, Tense] | None:
+        """The first editable word that is a verb form outside the verb
+        lexicon's stop set, with its lemma and tense."""
+        for word in self.words:
+            hit = self.verbs.classify(word.text)
+            if hit is not None:
+                return (word, hit[0], hit[1])
+        return None
+
+    @cached_property
+    def antonym_edits(self) -> list[_Edit]:
+        """The main verb and then every other editable word, each turned
+        into its opposite where the antonym table knows one."""
+        main = self.main_verb
+        ordered: list[_EditableWord] = []
+        if main is not None:
+            ordered.append(main[0])
+        for w in self.words:
+            if main is not None and w.match.span() == main[0].match.span():
+                continue
+            ordered.append(w)
+        out: list[_Edit] = []
+        for w in ordered:
+            opposite = _conjugate_like(self.antonyms, self.verbs,
+                                       w.text.lower())
+            if opposite is not None and opposite != w.text.lower():
+                mutated = _match_casing(w.text, opposite)
+                out.append((w.span, mutated,
+                            f"antonym {w.text.lower()} -> {mutated.lower()}"))
+        return out
+
+    @cached_property
+    def variable_swaps(self) -> list[_Edit]:
+        """Each logged identifier replaced by an in-scope name that the
+        statement does not log."""
+        scope = collect_scope_identifiers(self.context.source_text)
+        stmt = self.stmt
+        used = set(stmt.variables)
+        out: list[_Edit] = []
+        for i, var in enumerate(stmt.variables):
+            if not _IDENT_RE.match(var):
+                continue
+            for alt in scope:
+                if alt != var and alt not in used:
+                    out.append((self.parsed.variable_spans[i], alt,
+                                "variable-swap"))
+        return out
+
+    @cached_property
+    def description_swaps(self) -> list[_Edit]:
+        """Words that sit directly before a placeholder, replaced by
+        descriptions derived from other logged variables' names."""
+        stmt = self.parsed.statement
+        words = self.words
+        out: list[_Edit] = []
+        for i, ph in enumerate(stmt.placeholders):
+            preceding = None
+            for w in words:
+                if w.match.end() <= ph.offset:
+                    gap = stmt.static_text[w.match.end():ph.offset]
+                    if not gap.strip(" :=-\"'([<"):
+                        preceding = w
+                elif w.match.start() >= ph.offset:
+                    break
+            if preceding is None:
+                continue
+            for j, var in enumerate(stmt.variables):
+                if j == i or not _IDENT_RE.match(var):
+                    continue
+                # the identifier's sub-words: its tokens but "$" and the
+                # caps marker
+                pieces = [t for t in split_tokens(var) if t.isalnum()]
+                if not pieces:
+                    continue
+                description = pieces[-1]
+                if description != preceding.text.lower():
+                    out.append((preceding.span,
+                                _match_casing(preceding.text, description),
+                                "description-swap"))
+        return out
+
+
+def _rewrite(analysis: StatementAnalysis, span: tuple[int, int],
+             mutated: str, strategy: MutationStrategy,
+             detail: str) -> tuple[LoggingStatement, MutationRecord]:
+    """The analysed statement with the raw_text `span` replaced by
+    `mutated`, re-parsed and put where the statement sits, with the record
+    of the edit."""
+    raw = analysis.parsed.statement.raw_text
     start, end = span
     record = MutationRecord(strategy, raw[start:end], mutated, detail)
     new_raw = raw[:start] + mutated + raw[end:]
-    reparsed = parse_statement_text(new_raw, config)
+    reparsed = parse_statement_text(new_raw, analysis.config)
     if reparsed is None:
         raise NoCandidate(f"mutated text no longer parses: {new_raw!r}")
-    return relocate(reparsed.statement, stmt), record
+    return relocate(reparsed.statement, analysis.stmt), record
 
 
 def _match_casing(model: str, word: str) -> str:
@@ -354,12 +469,15 @@ def mutate_readability(
     lexicon: TypoLexicon | None = None,
     rng_seed: int | str = 0,
     config: ParserConfig | None = None,
+    *,
+    analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Damage one word: a misspelling (lexicon-based when possible, otherwise
-    a random single-character edit) or a full uppercasing, 50/50."""
+    a random single-character edit) or a full uppercasing, 50/50. Without
+    `analysis` the statement is analysed on the spot."""
     lexicon = lexicon or default_typo_lexicon()
-    parsed = _parse_for_edit(stmt, config)
-    words = _editable_words(parsed)
+    analysis = analysis or StatementAnalysis(stmt, config=config)
+    words = analysis.words
     if not words:
         raise NoMutableWord(f"no editable word in {stmt.static_text!r}")
     rng = random.Random(rng_seed)
@@ -370,8 +488,8 @@ def mutate_readability(
 
     def apply_caps() -> tuple[LoggingStatement, MutationRecord]:
         target = rng.choice(caps_targets)
-        return _rewrite(stmt, parsed, target.span, target.text.upper(),
-                        MutationStrategy.CAPITALIZATION, "uppercase", config)
+        return _rewrite(analysis, target.span, target.text.upper(),
+                        MutationStrategy.CAPITALIZATION, "uppercase")
 
     def apply_typo() -> tuple[LoggingStatement, MutationRecord]:
         if lexicon_targets:
@@ -381,8 +499,8 @@ def mutate_readability(
         else:
             target = rng.choice(words)
             mutated, detail = _random_edit(target.text, rng), "random-edit"
-        return _rewrite(stmt, parsed, target.span, mutated,
-                        MutationStrategy.TYPO, detail, config)
+        return _rewrite(analysis, target.span, mutated,
+                        MutationStrategy.TYPO, detail)
 
     if prefer_caps:
         if caps_targets:
@@ -399,34 +517,26 @@ def mutate_readability(
 # ---------------------------------------------------------------------------
 # TEMPORAL mutations
 # ---------------------------------------------------------------------------
-def _main_verb_word(parsed: ParsedStatement,
-                    lexicon: VerbLexicon) -> tuple[_EditableWord, str, Tense] | None:
-    """The main verb: the first editable word that is a verb form outside
-    the lexicon's stop set, with its lemma and tense."""
-    for word in _editable_words(parsed):
-        hit = lexicon.classify(word.text)
-        if hit is not None:
-            return (word, hit[0], hit[1])
-    return None
-
-
 def mutate_tense(
     stmt: LoggingStatement,
     lexicon: VerbLexicon | None = None,
     rng_seed: int | str = 0,
     config: ParserConfig | None = None,
+    *,
+    analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Rewrite the main verb to a uniformly random different surface form.
 
     Raises NoCandidate when the static text has no recognizable main verb.
+    Without `analysis` the statement is analysed on the spot.
     """
-    lexicon = lexicon or default_verb_lexicon()
-    parsed = _parse_for_edit(stmt, config)
-    found = _main_verb_word(parsed, lexicon)
+    analysis = analysis or StatementAnalysis(stmt, config=config,
+                                             verbs=lexicon)
+    found = analysis.main_verb
     if found is None:
         raise NoCandidate(f"no main verb in {stmt.static_text!r}")
     word, lemma, tense = found
-    forms = lexicon.surface_forms(lemma)
+    forms = analysis.verbs.surface_forms(lemma)
     alternatives: list[tuple[Tense, str]] = []
     seen: set[str] = set()
     for t in Tense:
@@ -438,17 +548,15 @@ def mutate_tense(
         raise NoCandidate(f"{lemma} has no other surface form")
     rng = random.Random(rng_seed)
     target_tense, target_surface = rng.choice(alternatives)
-    return _rewrite(stmt, parsed, word.span,
+    return _rewrite(analysis, word.span,
                     _match_casing(word.text, target_surface),
                     MutationStrategy.TENSE,
-                    f"{lemma}: {tense.name} -> {target_tense.name}", config)
+                    f"{lemma}: {tense.name} -> {target_tense.name}")
 
 
 # ---------------------------------------------------------------------------
 # Semantic mutations (STATEMENT_CODE / STATIC_DYNAMIC)
 # ---------------------------------------------------------------------------
-_IDENT_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
-
 _KIND_GOALS = {
     DefectLabel.STATEMENT_CODE: (
         "make the message text describe an event that contradicts what the "
@@ -495,71 +603,6 @@ def _conjugate_like(antonyms: AntonymTable, verbs: VerbLexicon,
     return direct
 
 
-def _antonym_candidates(parsed: ParsedStatement, antonyms: AntonymTable,
-                        verbs: VerbLexicon) -> list[tuple[_EditableWord, str]]:
-    words = _editable_words(parsed)
-    main = _main_verb_word(parsed, verbs)
-    ordered: list[_EditableWord] = []
-    if main is not None:
-        ordered.append(main[0])
-    for w in words:
-        if main is not None and w.match.span() == main[0].match.span():
-            continue
-        ordered.append(w)
-    out: list[tuple[_EditableWord, str]] = []
-    for w in ordered:
-        opposite = _conjugate_like(antonyms, verbs, w.text.lower())
-        if opposite is not None and opposite != w.text.lower():
-            out.append((w, _match_casing(w.text, opposite)))
-    return out
-
-
-def _variable_swap_candidates(stmt: LoggingStatement,
-                              context: MethodContext) -> list[tuple[int, str]]:
-    scope = collect_scope_identifiers(context.source_text)
-    used = set(stmt.variables)
-    out: list[tuple[int, str]] = []
-    for i, var in enumerate(stmt.variables):
-        if not _IDENT_RE.match(var):
-            continue
-        for alt in scope:
-            if alt != var and alt not in used:
-                out.append((i, alt))
-    return out
-
-
-def _description_swap_candidates(
-    parsed: ParsedStatement,
-) -> list[tuple[_EditableWord, str]]:
-    """Words that sit directly before a placeholder, paired with descriptions
-    derived from other logged variables' names."""
-    stmt = parsed.statement
-    words = _editable_words(parsed)
-    out: list[tuple[_EditableWord, str]] = []
-    for i, ph in enumerate(stmt.placeholders):
-        preceding = None
-        for w in words:
-            if w.match.end() <= ph.offset:
-                gap = stmt.static_text[w.match.end():ph.offset]
-                if not gap.strip(" :=-\"'([<"):
-                    preceding = w
-            elif w.match.start() >= ph.offset:
-                break
-        if preceding is None:
-            continue
-        for j, var in enumerate(stmt.variables):
-            if j == i or not _IDENT_RE.match(var):
-                continue
-            # the identifier's sub-words: its tokens but "$" and the caps marker
-            pieces = [t for t in split_tokens(var) if t.isalnum()]
-            if not pieces:
-                continue
-            description = pieces[-1]
-            if description != preceding.text.lower():
-                out.append((preceding, _match_casing(preceding.text, description)))
-    return out
-
-
 def mutate_semantic(
     stmt: LoggingStatement,
     context: MethodContext,
@@ -570,6 +613,7 @@ def mutate_semantic(
     antonyms: AntonymTable | None = None,
     verb_lexicon: VerbLexicon | None = None,
     config: ParserConfig | None = None,
+    analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Plant a semantic contradiction of the requested kind.
 
@@ -578,19 +622,23 @@ def mutate_semantic(
     holds no <MUTATED> logger call that differs from `stmt` once re-parsed.
     Without `rng_seed` the fallback picks the first candidate so
     repeated calls agree; with a seed it picks uniformly, which lets corpus
-    building draw several distinct variants from one statement.
+    building draw several distinct variants from one statement. Without
+    `analysis` the statement is analysed on the spot.
     """
     if kind not in (DefectLabel.STATEMENT_CODE, DefectLabel.STATIC_DYNAMIC):
         raise ValueError(f"unsupported semantic mutation kind: {kind}")
     strategy = (MutationStrategy.SEMANTIC_STATEMENT_CODE
                 if kind is DefectLabel.STATEMENT_CODE
                 else MutationStrategy.SEMANTIC_STATIC_DYNAMIC)
-    parsed = _parse_for_edit(stmt, config)
+    analysis = analysis or StatementAnalysis(
+        stmt, context, config=config, verbs=verb_lexicon, antonyms=antonyms)
+    analysis.parsed  # an unparseable statement is not sent to the backend
 
     if backend is not None:
         reply = backend.complete(_semantic_prompt(stmt, context, kind))
         try:
-            mutated = parse_tagged_reply(reply, "MUTATED", stmt, config)
+            mutated = parse_tagged_reply(reply, "MUTATED", stmt,
+                                         analysis.config)
         except (MalformedReply, NotALoggingStatement):
             mutated = None
         if mutated is not None and mutated.raw_text != stmt.raw_text:
@@ -598,27 +646,18 @@ def mutate_semantic(
                                            mutated.raw_text,
                                            f"llm:{backend.name}")
 
-    rng = random.Random(rng_seed) if rng_seed is not None else None
-    antonyms = antonyms or default_antonym_table()
-    verb_lexicon = verb_lexicon or default_verb_lexicon()
-
     if kind is DefectLabel.STATEMENT_CODE:
-        candidates = [(w.span, mutated,
-                       f"antonym {w.text.lower()} -> {mutated.lower()}")
-                      for w, mutated in _antonym_candidates(
-                          parsed, antonyms, verb_lexicon)]
+        candidates = analysis.antonym_edits
         missing = f"no event word with a known opposite in {stmt.static_text!r}"
     else:
-        candidates = ([(parsed.variable_spans[i], alt, "variable-swap")
-                       for i, alt in _variable_swap_candidates(stmt, context)]
-                      or [(w.span, mutated, "description-swap")
-                          for w, mutated in _description_swap_candidates(parsed)])
+        candidates = analysis.variable_swaps or analysis.description_swaps
         missing = ("no alternative in-scope variable or placeholder "
                    f"description available for {stmt.raw_text!r}")
     if not candidates:
         raise NoCandidate(missing)
-    span, mutated, detail = rng.choice(candidates) if rng else candidates[0]
-    return _rewrite(stmt, parsed, span, mutated, strategy, detail, config)
+    span, mutated, detail = (random.Random(rng_seed).choice(candidates)
+                             if rng_seed is not None else candidates[0])
+    return _rewrite(analysis, span, mutated, strategy, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -647,22 +686,19 @@ def _mutated_context(context: MethodContext, old: LoggingStatement,
 def _mutate_for(
     label: DefectLabel,
     sample: LabeledSample,
+    analysis: StatementAnalysis,
     rng_seed: str,
     backend: LlmBackend | None,
     typo_lexicon: TypoLexicon | None,
-    verb_lexicon: VerbLexicon | None,
-    antonyms: AntonymTable | None,
-    config: ParserConfig | None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     if label is DefectLabel.READABILITY:
-        return mutate_readability(sample.target, typo_lexicon, rng_seed, config)
+        return mutate_readability(sample.target, typo_lexicon, rng_seed,
+                                  analysis=analysis)
     if label is DefectLabel.TEMPORAL:
-        return mutate_tense(sample.target, verb_lexicon, rng_seed, config)
-    return mutate_semantic(
-        sample.target, sample.context, label, backend,
-        rng_seed=rng_seed, antonyms=antonyms, verb_lexicon=verb_lexicon,
-        config=config,
-    )
+        return mutate_tense(sample.target, rng_seed=rng_seed,
+                            analysis=analysis)
+    return mutate_semantic(sample.target, sample.context, label, backend,
+                           rng_seed=rng_seed, analysis=analysis)
 
 
 def synthesize_corpus(
@@ -696,6 +732,9 @@ def synthesize_corpus(
                              + "; ".join(problems))
     if per_type_count < 0:
         raise ValueError("per_type_count must be >= 0")
+    analyses = [StatementAnalysis(sample.target, sample.context,
+                                  config=parser_config, verbs=verb_lexicon,
+                                  antonyms=antonyms) for sample in clean]
     out: list[LabeledSample] = []
     seen: set[tuple[str, str]] = set()
     for label in DEFECT_LABELS:
@@ -716,8 +755,8 @@ def synthesize_corpus(
                 sub_seed = f"{seed}|{label.name}|{round_no}|{idx}"
                 try:
                     new_stmt, record = _mutate_for(
-                        label, sample, sub_seed, backend,
-                        typo_lexicon, verb_lexicon, antonyms, parser_config)
+                        label, sample, analyses[idx], sub_seed, backend,
+                        typo_lexicon)
                 except (NoMutableWord, NoCandidate):
                     continue
                 key = (sample.context.source_text, new_stmt.raw_text)

@@ -84,13 +84,15 @@ def test_traced_train_workload_runs_clean(tmp_path):
     # 2,250 samples split 8:1:1: 57 steps over 1,800 training pairs in
     # each of 10 epochs; the 225 validation and the 225 held-out pairs are
     # tokenized once, a statement and a method each; the held-out pairs
-    # are predicted one by one
+    # are predicted one by one. Synthesis parses each of the 250 clean
+    # statements once and each of its 2,594 mutants once.
     layers = record["layers"]
     assert {name: layers[name] for name in (
         "detector.loss_and_grads.calls", "tokenization.tokenize.calls",
-        "detector.predict.calls",
+        "detector.predict.calls", "parser.parse_statement_text.calls",
     )} == {
         "detector.loss_and_grads.calls": 570,
         "tokenization.tokenize.calls": 900,
         "detector.predict.calls": 225,
+        "parser.parse_statement_text.calls": 250 + 2594,
     }

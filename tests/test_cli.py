@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -523,6 +524,9 @@ class TestTrainAndDetect:
         ("batch_size", -4), ("batch_size", 0), ("dim", 0), ("max_tokens", 0),
         ("learning_rate", -1e-3), ("adam_epsilon", 0.0),
         ("vocab_size", 0), ("vocab_size", -5),
+        ("alpha", math.nan), ("alpha", math.inf),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("adam_epsilon", math.nan), ("adam_epsilon", math.inf),
     ])
     def test_train_rejects_settings_that_cannot_train(self, ws, tmp_path,
                                                       capsys, key, value):
@@ -812,6 +816,18 @@ class TestFix:
         assert main(["fix", "--in", ws["detections"], "--lcc", ws["lcc"],
                      "--config", str(config),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_retrieval_k1_that_is_not_finite_is_a_data_error(
+            self, ws, tmp_path, capsys, k1):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval": {"k1": k1}}),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert main(["fix", "--in", ws["detections"], "--lcc", ws["lcc"],
+                     "--config", str(config),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert "BM25 k1 " in capsys.readouterr().err
 
     def test_retrieval_b_from_config_reaches_the_ranking(self, ws, tmp_path):
         # With b = 0 document length is ignored and the long change, which

@@ -37,7 +37,6 @@ from logfix.model import (
     to_dict,
 )
 from logfix.tokenization import (
-    TokenSequence,
     Vocabulary,
     fit_vocabulary,
     split_tokens,
@@ -201,8 +200,9 @@ class TestLossAndGrads:
         assert np.all(masked_grads["pooled_stmt"] == 0.0)
 
 
-def seqs(*ids: tuple[int, ...]) -> list[TokenSequence]:
-    return [TokenSequence(ids=tuple(row), truncated=False) for row in ids]
+def seqs(*ids: tuple[int, ...]) -> list[np.ndarray]:
+    """Token id sequences as the detector holds them."""
+    return [np.array(row, dtype=np.intp) for row in ids]
 
 
 def scatter_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
@@ -210,15 +210,15 @@ def scatter_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
     a token adds its row's pooled gradient divided by the row's length."""
     d_emb = np.zeros(shape)
     for seq, row in zip(sequences, d_pooled):
-        if seq.ids:
-            np.add.at(d_emb, np.asarray(seq.ids), row / len(seq.ids))
+        if len(seq):
+            np.add.at(d_emb, seq, row / len(seq))
     return d_emb
 
 
 def bag_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
     """The training step's embedding gradient: `bag.T @ d_pooled` in the
     rows of the bag's ids."""
-    ids, bag = _bag(sequences)
+    ids, bag = _bag(sequences, shape[0])
     d_emb = np.zeros(shape)
     d_emb[ids] = bag.T @ d_pooled
     return d_emb
@@ -226,7 +226,7 @@ def bag_embedding_grad(shape, sequences, d_pooled) -> np.ndarray:
 
 class TestEmbeddingGradient:
     def test_bag_rows_are_normalized_counts(self):
-        ids, bag = _bag(seqs((2, 0, 2, 3), (), (1,)))
+        ids, bag = _bag(seqs((2, 0, 2, 3), (), (1,)), 4)
         assert ids.tolist() == [0, 1, 2, 3]
         assert bag.tolist() == [[0.25, 0.0, 0.5, 0.25],
                                 [0.0] * 4,
@@ -235,7 +235,7 @@ class TestEmbeddingGradient:
     def test_bag_has_one_column_per_distinct_id(self):
         # the width follows the batch, not the vocabulary
         ids, bag = _bag(seqs((1_000_003, 999_999, 1_000_003),
-                             (999_999, 1_000_000)))
+                             (999_999, 1_000_000)), 1_000_004)
         assert ids.tolist() == [999_999, 1_000_000, 1_000_003]
         assert bag.shape == (2, 3)
         assert bag.tolist() == [[1 / 3, 0.0, 2 / 3], [0.5, 0.5, 0.0]]
@@ -250,8 +250,8 @@ class TestEmbeddingGradient:
         for pooled, sequences in ((pooled_l, stmts), (pooled_s, ctxs)):
             assert pooled.shape == (3, 6)
             for row, seq in zip(pooled, sequences):
-                expected = (model.embedding[list(seq.ids)].mean(axis=0)
-                            if seq.ids else np.zeros(6))
+                expected = (model.embedding[seq].mean(axis=0)
+                            if len(seq) else np.zeros(6))
                 assert np.max(np.abs(row - expected)) <= 1e-15
         assert np.all(pooled_l[1] == 0.0)
 
@@ -310,6 +310,76 @@ class TestEmbeddingGradient:
                                               d_pooled)
             got = bag_embedding_grad((vocab_size, dim), sequences, d_pooled)
             assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def reference_bag(sequences, rows):
+    """The bag as it was built by sorting: `np.unique` gives the ascending
+    ids and each occurrence's column. `rows` is unused."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    flat = np.concatenate(sequences)
+    ids, columns = np.unique(flat, return_inverse=True)
+    cells = np.repeat(np.arange(len(sequences)), lengths)
+    counts = np.bincount(cells * len(ids) + columns,
+                         minlength=len(sequences) * len(ids))
+    return ids, (counts.reshape(len(sequences), len(ids))
+                 / np.maximum(lengths, 1)[:, None])
+
+
+class TestBagMatchesTheSortedReference:
+    # 60 vocabulary ids and 8 OOV buckets, so ids 60..67 are buckets
+    ROWS = 68
+
+    def assert_same_bag(self, sequences):
+        ids, bag = _bag(sequences, self.ROWS)
+        ref_ids, ref_bag = reference_bag(sequences, self.ROWS)
+        assert ids.dtype == ref_ids.dtype
+        assert ids.tobytes() == ref_ids.tobytes()
+        assert bag.shape == ref_bag.shape
+        assert bag.tobytes() == ref_bag.tobytes()
+
+    def test_edge_batches(self):
+        self.assert_same_bag(seqs((5,)))
+        self.assert_same_bag(seqs(()))
+        self.assert_same_bag(seqs((), (), (3, 3, 3)))
+        self.assert_same_bag(seqs((67, 60, 67, 0), (60,), ()))
+        self.assert_same_bag(seqs((9, 9, 9, 9, 9, 9, 9)))
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            batch = [rng.integers(0, self.ROWS, size=int(rng.integers(0, 40)))
+                     for _ in range(n)]
+            # an empty sequence, a run of one repeated id and OOV-bucket
+            # ids in about a third of the batches each
+            if rng.random() < 1 / 3:
+                batch[int(rng.integers(n))] = np.array([], dtype=np.intp)
+            if rng.random() < 1 / 3:
+                batch[int(rng.integers(n))] = np.full(
+                    int(rng.integers(1, 20)), int(rng.integers(self.ROWS)))
+            if rng.random() < 1 / 3:
+                batch[int(rng.integers(n))] = rng.integers(
+                    60, self.ROWS, size=int(rng.integers(1, 12)))
+            self.assert_same_bag([seq.astype(np.intp) for seq in batch])
+
+    def test_training_with_either_bag_gives_the_same_bytes(
+            self, small_corpus, monkeypatch):
+        from logfix import detector
+
+        sample = small_corpus[0]
+        model, head, history = train(small_corpus, SMALL_CONFIG)
+        probs = predict(sample.context, sample.target, model, head)[1]
+        monkeypatch.setattr(detector, "_bag", reference_bag)
+        ref_model, ref_head, ref_history = train(small_corpus, SMALL_CONFIG)
+        ref_probs = predict(sample.context, sample.target, ref_model,
+                            ref_head)[1]
+        assert history == ref_history
+        params = {**model.parameters(), **head.parameters()}
+        ref_params = {**ref_model.parameters(), **ref_head.parameters()}
+        assert params.keys() == ref_params.keys()
+        for name, value in params.items():
+            assert value.tobytes() == ref_params[name].tobytes(), name
+        assert probs.tobytes() == ref_probs.tobytes()
 
 
 class TestAdam:
@@ -434,9 +504,9 @@ class TestTraining:
 
         rows = []
 
-        def recording_bag(sequences):
+        def recording_bag(sequences, table_rows):
             rows.append(len(sequences))
-            return _bag(sequences)
+            return _bag(sequences, table_rows)
 
         monkeypatch.setattr(detector, "_bag", recording_bag)
         config = TrainConfig(learning_rate=3e-3, epochs=1, dim=16,

@@ -197,9 +197,10 @@ class TestSelectExemplars:
             select_exemplars(target, DefectLabel.STATEMENT_CODE, [], k=3)
 
     def test_bm25_parameters_outside_their_range_are_rejected(self):
-        with pytest.raises(ValueError):
-            build_index(make_pool(), k1=-0.1)
-        for b in (-0.1, 1.5):
+        for k1 in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="k1"):
+                build_index(make_pool(), k1=k1)
+        for b in (-0.1, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 build_pool(make_pool(), b=b)
 

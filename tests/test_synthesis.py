@@ -582,8 +582,8 @@ class TestSynthesizeCorpus:
         mutate_tense = synthesis.mutate_tense
         invalid = []
 
-        def first_three_invalid(*args):
-            mutated = mutate_tense(*args)
+        def first_three_invalid(*args, **kwargs):
+            mutated = mutate_tense(*args, **kwargs)
             if mutated is not None and len(invalid) < 3:
                 stmt, record = mutated
                 mutated = replace(stmt, method_id="elsewhere"), record
