@@ -194,13 +194,17 @@ def cmd_extract(args, config: ToolConfig) -> int:
     methods = statements = 0
     for path in paths:
         rel = os.path.relpath(path, args.root).replace(os.sep, "/")
-        with open(path, "rb") as fh:
-            data = fh.read()
+        shown = os.fsencode(rel).decode("utf-8", "backslashreplace")
         try:
+            with open(path, "rb") as fh:
+                data = fh.read()
             rel.encode("utf-8")  # fails on an undecodable name
             source = decode_source(data)
+        except OSError as exc:  # a dangling link, no read permission
+            _note(f"extract: {shown}: cannot be read ({exc.strerror}), "
+                  "file skipped")
+            continue
         except UnicodeError:
-            shown = os.fsencode(rel).decode("utf-8", "backslashreplace")
             _note(f"extract: {shown}: not UTF-8 text, file skipped")
             continue
         result = extract_file(source, rel, config.parser, args.project)
@@ -268,6 +272,8 @@ def _read_clean_samples(path: str) -> list[LabeledSample]:
 
 
 def cmd_synthesize(args, config: ToolConfig) -> int:
+    if args.per_type < 0:
+        raise DataError(f"--per-type must be >= 0, got {args.per_type}")
     clean = _read_clean_samples(args.in_path)
     if not clean:
         raise DataError(f"no samples in {args.in_path!r}")
@@ -289,10 +295,10 @@ def cmd_synthesize(args, config: ToolConfig) -> int:
 
 
 def cmd_train(args, config: ToolConfig) -> int:
-    corpus = read_samples(args.corpus)
     train_config = config.train
     if args.seed is not None:
         train_config = replace(train_config, seed=args.seed)
+    corpus = read_samples(args.corpus)
     model, head, history = train(corpus, train_config)
     save_checkpoint(args.model, model, head, train_config)
     for row in history:

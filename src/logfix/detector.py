@@ -32,8 +32,8 @@ from .model import (
     read_json,
     to_dict,
 )
-from .tokenization import (DEFAULT_MAX_TOKENS, TokenSequence, Vocabulary,
-                           fit_vocabulary, tokenize)
+from .tokenization import (DEFAULT_MAX_TOKENS, Vocabulary, fit_vocabulary,
+                           tokenize)
 
 
 class ClassUnderflow(ValueError):
@@ -99,6 +99,8 @@ class TrainConfig:
         for key in ("epochs", "batch_size", "dim", "max_tokens", "vocab_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for key in ("learning_rate", "adam_epsilon"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be finite and > 0, "
@@ -158,10 +160,6 @@ def composite_loss(batch: TrainingBatch, alpha: float) -> float:
 def _project(model: EncoderModel, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hidden = np.tanh(pooled @ model.w1 + model.b1)
     return hidden, hidden @ model.w2 + model.b2
-
-
-def _id_arrays(sequences: list[TokenSequence]) -> list[np.ndarray]:
-    return [np.array(seq.ids, dtype=np.intp) for seq in sequences]
 
 
 def _bag(sequences: list[np.ndarray],
@@ -414,13 +412,12 @@ def train(
     head = init_head(config.dim)
     rng = np.random.default_rng(config.seed + 1)
 
-    # each sequence becomes an id array once, for every epoch
-    seqs = _id_arrays(seqs)
+    seqs = [seq.ids for seq in seqs]
     train_stmts, train_ctxs = seqs[0::2], seqs[1::2]
     train_labels = np.eye(NUM_CLASSES)[[LABEL_INDEX[s.label]
                                         for s in train_set]]
-    val_seqs = _id_arrays([tokenize(text, vocab, config.max_tokens)
-                           for text in _sample_texts(val_set)])
+    val_seqs = [tokenize(text, vocab, config.max_tokens).ids
+                for text in _sample_texts(val_set)]
     val_stmts, val_ctxs = val_seqs[0::2], val_seqs[1::2]
     val_golds = [s.label for s in val_set]
 
@@ -489,9 +486,8 @@ def predict(
 ) -> tuple[DefectLabel, np.ndarray]:
     """Classify one statement in its method; ties break toward NON_DEFECT
     (class 0), then ascending class index."""
-    seq_l, seq_s = _id_arrays([
-        tokenize(stmt.raw_text, model.vocabulary, max_tokens),
-        tokenize(context.source_text, model.vocabulary, max_tokens)])
+    seq_l = tokenize(stmt.raw_text, model.vocabulary, max_tokens).ids
+    seq_s = tokenize(context.source_text, model.vocabulary, max_tokens).ids
     probs = _classify(model, head, [seq_l], [seq_s], 1)[0]
     return LABELS[int(probs.argmax())], probs
 

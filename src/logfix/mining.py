@@ -71,8 +71,8 @@ class CommitSnapshotPair:
     changed_files: tuple[ChangedFile, ...]
 
 
-def _skip_warning(commit: str, path: str) -> None:
-    log.warning("commit %s: %s is not UTF-8 text, commit skipped", commit, path)
+def _skip_warning(commit: str, path: str, reason: str) -> None:
+    log.warning("commit %s: %s %s, commit skipped", commit, path, reason)
 
 
 class _MissingBlob(Exception):
@@ -166,7 +166,7 @@ class GitHistoryProvider:
                         after = (_read_blob(cat_file, new)
                                  if status != b"D" else "")
                     except UnicodeDecodeError:
-                        _skip_warning(child, shown)
+                        _skip_warning(child, shown, "is not UTF-8 text")
                         break
                     except _MissingBlob:
                         log.warning("commit %s: git cannot show %s (missing), "
@@ -183,29 +183,33 @@ class FixtureHistoryProvider:
     Each directory is a full tree; consecutive directories (sorted by name)
     form the commit pairs. The part after the first underscore is the commit
     id. Files are decoded by `decode_source`; a commit that changes a file
-    whose name or content is not UTF-8 text is left out of the pairs, with
-    the git provider's warning.
+    whose name or content is not UTF-8 text, or that cannot be read (a
+    dangling link, say), is left out of the pairs with a warning that names
+    the commit and the path.
     """
 
     def __init__(self, history_dir: str):
         self.history_dir = history_dir
 
-    def _snapshot(self, dirname: str) -> dict[str, str | bytes]:
-        """Path -> decoded text, or the raw bytes when the file's name or
-        content is not UTF-8."""
+    def _snapshot(self, dirname: str) -> dict[str, str | tuple[str, bytes]]:
+        """Path -> decoded text, or, for a file that is not text, why (as a
+        warning ends) and its bytes, so that two versions of it compare as
+        their bytes do."""
         root = os.path.join(self.history_dir, dirname)
-        tree: dict[str, str | bytes] = {}
+        tree: dict[str, str | tuple[str, bytes]] = {}
         for base, _, names in os.walk(root):
             for name in names:
                 full = os.path.join(base, name)
                 rel = os.path.relpath(full, root).replace(os.sep, "/")
-                with open(full, "rb") as fh:
-                    data = fh.read()
                 try:
+                    with open(full, "rb") as fh:
+                        data = fh.read()
                     rel.encode("utf-8")  # fails on an undecodable name
                     tree[rel] = decode_source(data)
+                except OSError as exc:
+                    tree[rel] = (f"cannot be read ({exc.strerror})", b"")
                 except UnicodeError:
-                    tree[rel] = data
+                    tree[rel] = ("is not UTF-8 text", data)
         return tree
 
     def commit_pairs(self) -> Iterator[CommitSnapshotPair]:
@@ -225,9 +229,11 @@ class FixtureHistoryProvider:
                 a = after_tree.get(path, "")
                 if b == a:
                     continue
-                if isinstance(b, bytes) or isinstance(a, bytes):
+                unusable = next((v for v in (a, b) if isinstance(v, tuple)),
+                                None)
+                if unusable is not None:
                     _skip_warning(commit_id, os.fsencode(path).decode(
-                        "utf-8", "backslashreplace"))
+                        "utf-8", "backslashreplace"), unusable[0])
                     break
                 changed.append((path, b, a))
             else:

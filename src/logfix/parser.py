@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 from logfix.model import (
@@ -337,8 +337,10 @@ def _trimmed(span: tuple[int, int], text: str) -> tuple[int, int]:
 
 
 def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
-                     method_id: str) -> ParsedStatement:
-    """Decompose one scanned call.
+                     method_id: str,
+                     at: LoggingStatement | None = None) -> ParsedStatement:
+    """Decompose one scanned call, placed at its lines in `path` or, when
+    given, at `at`'s location and method.
 
     Argument analysis runs on the comment-stripped text so comments inside
     the argument list cannot corrupt the decomposition; raw_text is sliced
@@ -346,10 +348,12 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
     lengths).
     """
     raw_text = original[call.start:call.end]
-    start_line = lexed.line_of(call.start)
-    end_line = lexed.line_of(max(call.start, call.end - 1))
-    loc = SourceLocation(path, start_line, end_line)
-    sid = statement_id(path, start_line, end_line, raw_text)
+    if at is None:
+        loc = SourceLocation(path, lexed.line_of(call.start),
+                             lexed.line_of(max(call.start, call.end - 1)))
+    else:
+        loc, method_id = at.location, at.method_id
+    sid = statement_id(loc.path, loc.start_line, loc.end_line, raw_text)
 
     # the format is the first argument containing a top-level string
     # literal; a call without one (or without a closed argument list, which
@@ -618,35 +622,21 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
     return ExtractionResult(records, errors)
 
 
-def parse_statement_text(raw: str,
-                         config: ParserConfig | None = None) -> ParsedStatement | None:
-    """Parse one statement from bare text (no enclosing method required).
-
-    Returns None when the text contains no recognizable logger call.
-    """
+def parse_statement_text(raw: str, config: ParserConfig | None = None,
+                         at: LoggingStatement | None = None,
+                         ) -> ParsedStatement | None:
+    """Parse one statement from bare text (no enclosing method required),
+    at `<text>` in no method, or where `at` sits: a re-parsed mutation or
+    LLM reply takes the location and method of the statement it replaces,
+    and its id is derived from them and its own raw text. Returns None when
+    the text contains no recognizable logger call."""
     config = config or ParserConfig()
     text = raw.strip()
     lexed = lex(text)
     calls = _scan_calls(lexed, config)
     if not calls:
         return None
-    return _build_statement(text, lexed, calls[0], "<text>", method_id="")
-
-
-def relocate(statement: LoggingStatement,
-             original: LoggingStatement) -> LoggingStatement:
-    """A re-parsed statement put where `original` sits.
-
-    Location and method come from `original`, the id is derived afresh from
-    them and the new raw text; level, decomposition, raw text and
-    parse_degraded stay those of the new parse.
-    """
-    loc = original.location
-    return replace(
-        statement,
-        id=statement_id(loc.path, loc.start_line, loc.end_line,
-                        statement.raw_text),
-        location=loc, method_id=original.method_id)
+    return _build_statement(text, lexed, calls[0], "<text>", "", at)
 
 
 def render_statement(parsed: ParsedStatement) -> str:

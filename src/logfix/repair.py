@@ -22,7 +22,7 @@ from .model import (
     ProvenanceKind,
     UpdateResult,
 )
-from .parser import ParserConfig, parse_statement_text, relocate
+from .parser import ParserConfig, parse_statement_text
 from .retrieval import EmptyPool, ExemplarPool, select_exemplars
 
 
@@ -165,17 +165,17 @@ def parse_tagged_reply(
     config: ParserConfig | None = None,
 ) -> LoggingStatement:
     """The statement between the first <tag> and </tag> of a backend reply,
-    re-parsed and placed where `original` is (`relocate`). The updater's
-    replies use UPDATED, semantic mutations use MUTATED."""
+    re-parsed at `original`'s place. The updater's replies use UPDATED,
+    semantic mutations use MUTATED."""
     found = re.search(rf"<{tag}>\s*(.*?)\s*</{tag}>", reply, re.DOTALL)
     if not found:
         raise MalformedReply(f"reply lacks <{tag}> sentinels")
     content = found.group(1)
-    parsed = parse_statement_text(content, config)
+    parsed = parse_statement_text(content, config, original)
     if parsed is None:
         raise NotALoggingStatement(
             f"{tag.lower()} text is not a logger call: {content!r}")
-    return relocate(parsed.statement, original)
+    return parsed.statement
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .parser import (
     ParserConfig,
     collect_scope_identifiers,
     parse_statement_text,
-    relocate,
 )
 from .repair import MalformedReply, NotALoggingStatement, parse_tagged_reply
 from .tokenization import split_tokens
@@ -169,20 +168,12 @@ def load_verb_lexicon(path: str | None = None) -> VerbLexicon:
         if parts[0] == "!stop":
             stop.update(p.lower() for p in parts[1:] if p)
             continue
-        if len(parts) == 1:
-            lemma = parts[0].strip().lower()
-            entry = _regular_forms(lemma)
-        elif len(parts) == 5:
-            lemma = parts[0].strip().lower()
-            entry = {
-                Tense.BASE: parts[0].strip().lower(),
-                Tense.PAST: parts[1].strip().lower(),
-                Tense.PAST_PARTICIPLE: parts[2].strip().lower(),
-                Tense.PRESENT_PARTICIPLE: parts[3].strip().lower(),
-                Tense.THIRD_PERSON: parts[4].strip().lower(),
-            }
-        else:
+        if len(parts) not in (1, 5):
             raise ValueError(f"verb lexicon line needs 1 or 5 fields: {line!r}")
+        lemma = parts[0].strip().lower()
+        # five fields are the forms in Tense order
+        entry = (_regular_forms(lemma) if len(parts) == 1 else
+                 dict(zip(Tense, (p.strip().lower() for p in parts))))
         if any(not f for f in entry.values()):
             raise ValueError(f"verb lexicon entry has an empty form: {line!r}")
         if lemma not in forms:
@@ -280,16 +271,18 @@ class StatementAnalysis:
     scope identifiers of the enclosing `context`. `synthesize_corpus` makes
     one per clean statement, so every label, round and attempt that reaches
     the statement shares it; only the splice and the re-parse of the mutant
-    are done per attempt. A rule given an analysis of `stmt` parses with
-    the analysis' `config` and reads its lexicons, the bundled ones unless
-    others were given."""
+    are done per attempt. The analysis also holds every other input a rule
+    reads: the parser `config` and the typo, verb and antonym lexicons, the
+    bundled ones unless others were given."""
 
     def __init__(self, stmt: LoggingStatement,
                  context: MethodContext | None = None, *,
                  config: ParserConfig | None = None,
+                 typos: TypoLexicon | None = None,
                  verbs: VerbLexicon | None = None,
                  antonyms: AntonymTable | None = None) -> None:
         self.stmt, self.context, self.config = stmt, context, config
+        self.typos = typos or default_typo_lexicon()
         self.verbs = verbs or default_verb_lexicon()
         self.antonyms = antonyms or default_antonym_table()
 
@@ -425,10 +418,10 @@ def _rewrite(analysis: StatementAnalysis, span: tuple[int, int],
     start, end = span
     record = MutationRecord(strategy, raw[start:end], mutated, detail)
     new_raw = raw[:start] + mutated + raw[end:]
-    reparsed = parse_statement_text(new_raw, analysis.config)
+    reparsed = parse_statement_text(new_raw, analysis.config, analysis.stmt)
     if reparsed is None:
         raise NoCandidate(f"mutated text no longer parses: {new_raw!r}")
-    return relocate(reparsed.statement, analysis.stmt), record
+    return reparsed.statement, record
 
 
 def _match_casing(model: str, word: str) -> str:
@@ -473,10 +466,12 @@ def mutate_readability(
     analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Damage one word: a misspelling (lexicon-based when possible, otherwise
-    a random single-character edit) or a full uppercasing, 50/50. Without
-    `analysis` the statement is analysed on the spot."""
-    lexicon = lexicon or default_typo_lexicon()
-    analysis = analysis or StatementAnalysis(stmt, config=config)
+    a random single-character edit) or a full uppercasing, 50/50. A rule
+    given an `analysis` reads every input from it; without one, `stmt` is
+    analysed on the spot."""
+    analysis = analysis or StatementAnalysis(stmt, config=config,
+                                             typos=lexicon)
+    misspellings = analysis.typos.entries
     words = analysis.words
     if not words:
         raise NoMutableWord(f"no editable word in {stmt.static_text!r}")
@@ -484,7 +479,7 @@ def mutate_readability(
     prefer_caps = rng.random() < 0.5
 
     caps_targets = [w for w in words if w.text != w.text.upper()]
-    lexicon_targets = [w for w in words if w.text.lower() in lexicon.entries]
+    lexicon_targets = [w for w in words if w.text.lower() in misspellings]
 
     def apply_caps() -> tuple[LoggingStatement, MutationRecord]:
         target = rng.choice(caps_targets)
@@ -494,7 +489,7 @@ def mutate_readability(
     def apply_typo() -> tuple[LoggingStatement, MutationRecord]:
         if lexicon_targets:
             target = rng.choice(lexicon_targets)
-            misspelling = rng.choice(lexicon.entries[target.text.lower()])
+            misspelling = rng.choice(misspellings[target.text.lower()])
             mutated, detail = _match_casing(target.text, misspelling), "lexicon"
         else:
             target = rng.choice(words)
@@ -528,7 +523,8 @@ def mutate_tense(
     """Rewrite the main verb to a uniformly random different surface form.
 
     Raises NoCandidate when the static text has no recognizable main verb.
-    Without `analysis` the statement is analysed on the spot.
+    A rule given an `analysis` reads every input from it; without one,
+    `stmt` is analysed on the spot.
     """
     analysis = analysis or StatementAnalysis(stmt, config=config,
                                              verbs=lexicon)
@@ -622,8 +618,9 @@ def mutate_semantic(
     holds no <MUTATED> logger call that differs from `stmt` once re-parsed.
     Without `rng_seed` the fallback picks the first candidate so
     repeated calls agree; with a seed it picks uniformly, which lets corpus
-    building draw several distinct variants from one statement. Without
-    `analysis` the statement is analysed on the spot.
+    building draw several distinct variants from one statement. A rule
+    given an `analysis` reads every input from it; without one, `stmt` is
+    analysed on the spot.
     """
     if kind not in (DefectLabel.STATEMENT_CODE, DefectLabel.STATIC_DYNAMIC):
         raise ValueError(f"unsupported semantic mutation kind: {kind}")
@@ -689,10 +686,9 @@ def _mutate_for(
     analysis: StatementAnalysis,
     rng_seed: str,
     backend: LlmBackend | None,
-    typo_lexicon: TypoLexicon | None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     if label is DefectLabel.READABILITY:
-        return mutate_readability(sample.target, typo_lexicon, rng_seed,
+        return mutate_readability(sample.target, rng_seed=rng_seed,
                                   analysis=analysis)
     if label is DefectLabel.TEMPORAL:
         return mutate_tense(sample.target, rng_seed=rng_seed,
@@ -732,9 +728,9 @@ def synthesize_corpus(
                              + "; ".join(problems))
     if per_type_count < 0:
         raise ValueError("per_type_count must be >= 0")
-    analyses = [StatementAnalysis(sample.target, sample.context,
-                                  config=parser_config, verbs=verb_lexicon,
-                                  antonyms=antonyms) for sample in clean]
+    analyses = [StatementAnalysis(s.target, s.context, config=parser_config,
+                                  typos=typo_lexicon, verbs=verb_lexicon,
+                                  antonyms=antonyms) for s in clean]
     out: list[LabeledSample] = []
     seen: set[tuple[str, str]] = set()
     for label in DEFECT_LABELS:
@@ -755,8 +751,7 @@ def synthesize_corpus(
                 sub_seed = f"{seed}|{label.name}|{round_no}|{idx}"
                 try:
                     new_stmt, record = _mutate_for(
-                        label, sample, analyses[idx], sub_seed, backend,
-                        typo_lexicon)
+                        label, sample, analyses[idx], sub_seed, backend)
                 except (NoMutableWord, NoCandidate):
                     continue
                 key = (sample.context.source_text, new_stmt.raw_text)

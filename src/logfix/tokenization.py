@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
+import numpy as np
+
 CAPS_MARKER = "<caps>"
 # Tokens kept per text; `TrainConfig.max_tokens` defaults to it too.
 DEFAULT_MAX_TOKENS = 1024
@@ -75,7 +77,7 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    ids: tuple[int, ...]
+    ids: np.ndarray  # np.intp, one per kept token
     truncated: bool
 
 
@@ -100,11 +102,10 @@ def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
         token_to_id={tok: i for i, tok in enumerate(ranked)},
         oov_buckets=oov_buckets,
     )
-    ids = [vocab.id_of(tok) for tok in first_seen]
-    return vocab, [
-        TokenSequence(ids=tuple(ids[i] for i in indices[:max_tokens]),
-                      truncated=len(indices) > max_tokens)
-        for indices in index_lists]
+    table = np.array([vocab.id_of(tok) for tok in first_seen], dtype=np.intp)
+    return vocab, [TokenSequence(ids=table[indices[:max_tokens]],
+                                 truncated=len(indices) > max_tokens)
+                   for indices in index_lists]
 
 
 def tokenize(text: str, vocab: Vocabulary, max_tokens: int) -> TokenSequence:
@@ -112,7 +113,7 @@ def tokenize(text: str, vocab: Vocabulary, max_tokens: int) -> TokenSequence:
     toks = split_tokens(text)
     known = vocab.token_to_id.get
     return TokenSequence(
-        ids=tuple([i if (i := known(t)) is not None else vocab.id_of(t)
-                   for t in toks[:max_tokens]]),
+        ids=np.array([i if (i := known(t)) is not None else vocab.id_of(t)
+                      for t in toks[:max_tokens]], dtype=np.intp),
         truncated=len(toks) > max_tokens,
     )

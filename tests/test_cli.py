@@ -253,6 +253,20 @@ class TestExtract:
         assert ("extract: B.java: not UTF-8 text, file skipped"
                 in capsys.readouterr().err)
 
+    def test_unreadable_file_is_skipped_with_a_note(self, tmp_path, capsys):
+        root = tmp_path / "tree"
+        root.mkdir()
+        (root / "A.java").write_text(self.SERVICE % (1, "opened"),
+                                     encoding="utf-8")
+        (root / "Broken.java").symlink_to(tmp_path / "gone.java")
+        out = tmp_path / "o.jsonl"
+        assert main(["extract", "--root", str(root),
+                     "--out", str(out)]) == 0
+        assert [r["method"]["location"]["path"]
+                for r in read_jsonl(str(out))] == ["A.java"]
+        assert ("extract: Broken.java: cannot be read (No such file or "
+                "directory), file skipped" in capsys.readouterr().err)
+
     def test_file_with_a_non_utf8_name_is_skipped(self, tmp_path, capsys):
         root = tmp_path / "tree"
         root.mkdir()
@@ -392,6 +406,30 @@ class TestMine:
         assert [r.getMessage() for r in caplog.records] == [
             "commit latin: Legacy.java is not UTF-8 text, commit skipped"]
 
+    def test_unreadable_snapshot_file_is_skipped_with_a_warning(
+            self, tmp_path, caplog):
+        service = ("class Service {\n    void act() {\n"
+                   '        log.info("%s worker");\n    }\n}\n')
+        history = tmp_path / "history"
+        for dirname, message in (("1_base", "starting"), ("2_broken", "starting"),
+                                 ("3_logonly", "started")):
+            (history / dirname).mkdir(parents=True)
+            (history / dirname / "Service.java").write_text(
+                service % message, encoding="utf-8")
+        # a link to nothing appears, and stays as it is in the next commit
+        for dirname in ("2_broken", "3_logonly"):
+            (history / dirname / "Broken.java").symlink_to(
+                tmp_path / "gone.java")
+        out = tmp_path / "changes.jsonl"
+        with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+            assert main(["mine", "--repo", str(history),
+                         "--out", str(out)]) == 0
+        [record] = read_jsonl(str(out))
+        assert record["commit_id"] == "logonly"
+        assert [r.getMessage() for r in caplog.records] == [
+            "commit broken: Broken.java cannot be read (No such file or "
+            "directory), commit skipped"]
+
 
 class TestSynthesize:
     def test_writes_clean_plus_mutants(self, ws, tmp_path):
@@ -451,6 +489,14 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert (f"clean sample {clean[1]['target']['id']}: target statement "
                 "lines fall outside the method's line span") in err
+        assert not out.exists()
+
+    def test_negative_per_type_names_the_flag(self, ws, tmp_path, capsys):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["synthesize", "--in", ws["clean"], "--out", str(out),
+                     "--per-type", "-1"]) == 2
+        assert ("logfix: --per-type must be >= 0, got -1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_empty_input(self, tmp_path):
@@ -527,18 +573,25 @@ class TestTrainAndDetect:
         ("alpha", math.nan), ("alpha", math.inf),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("adam_epsilon", math.nan), ("adam_epsilon", math.inf),
+        ("seed", -3), ("--seed", -1),
     ])
     def test_train_rejects_settings_that_cannot_train(self, ws, tmp_path,
                                                       capsys, key, value):
+        # a "--" key is given as a flag, any other in the config file
+        flag = key.startswith("--")
+        section = {**SMALL_TRAIN_SECTION, **({} if flag else {key: value})}
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"train": {**SMALL_TRAIN_SECTION,
-                                                key: value}}),
-                          encoding="utf-8")
+        config.write_text(json.dumps({"train": section}), encoding="utf-8")
         model = tmp_path / "m.json"
         capsys.readouterr()
         assert main(["train", "--corpus", ws["corpus"], "--model", str(model),
-                     "--config", str(config)]) == 2
-        assert key in capsys.readouterr().err
+                     "--config", str(config),
+                     *([key, str(value)] if flag else [])]) == 2
+        err = capsys.readouterr().err
+        assert key.lstrip("-") in err
+        if key == "seed":
+            assert ("logfix: config section 'train': seed must be >= 0, "
+                    "got -3") in err
         assert not model.exists()
 
     def test_detect_rejects_bad_checkpoint(self, ws, tmp_path):

@@ -1,5 +1,6 @@
 """Statement decomposition, method extraction, and raw-text round-trips."""
 
+import dataclasses
 import random
 import re
 import time
@@ -14,7 +15,8 @@ from conftest import (
     single_method,
     statement_of,
 )
-from logfix.model import LogLevel, PlaceholderKind
+from logfix.model import (LoggingStatement, LogLevel, PlaceholderKind,
+                          statement_id)
 from logfix.parser import (
     ParserConfig,
     UnbalancedBraces,
@@ -767,6 +769,59 @@ def test_render_round_trip_via_bare_parse():
         'log.debug("plain");',
     ):
         assert render_statement(parsed_of(raw)) == raw
+
+
+def _reference_relocate(statement: LoggingStatement,
+                        original: LoggingStatement) -> LoggingStatement:
+    """A bare re-parse put where `original` sits, as the parser once did it
+    in a second step: location and method from `original`, the id derived
+    afresh from them and the new raw text."""
+    loc = original.location
+    return dataclasses.replace(
+        statement,
+        id=statement_id(loc.path, loc.start_line, loc.end_line,
+                        statement.raw_text),
+        location=loc, method_id=original.method_id)
+
+
+_ODD_CALLS = """class Odd {
+    void act(int count, String name) {
+        log.info("moved {} rows "
+                 + "to {}",
+                 count,
+                 name);
+        log.debug(count);
+        LOG.warn(
+            name);
+        log.error("never closed {}", name
+    }
+}
+"""
+
+
+def test_placed_parse_matches_the_reference_relocate():
+    statements = []
+    sources = [(path.name, path.read_text(encoding="utf-8"))
+               for path in sorted(FIXTURES.rglob("*.java"))]
+    for name, source in sources + [("Odd.java", _ODD_CALLS)]:
+        for _, parsed in extract_file(source, name).records:
+            statements.extend(p.statement for p in parsed)
+    assert sum(s.parse_degraded for s in statements) == 3
+    assert sum(s.location.end_line > s.location.start_line
+               for s in statements) == 2
+    config = ParserConfig()
+    # each statement's text placed at itself and at its neighbour
+    for stmt, other in zip(statements, statements[1:] + statements[:1]):
+        bare = parse_statement_text(stmt.raw_text, config)
+        assert parse_statement_text(stmt.raw_text, config, None) == bare
+        assert bare.statement.location.path == "<text>"
+        assert bare.statement.method_id == ""
+        for at in (stmt, other):
+            placed = parse_statement_text(stmt.raw_text, config, at)
+            assert placed == dataclasses.replace(
+                bare, statement=_reference_relocate(bare.statement, at))
+        assert parse_statement_text(stmt.raw_text, config, stmt).statement \
+            == stmt
 
 
 def test_extraction_survives_random_garbage():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import JAVA_DIR, single_method, statement_of
-from logfix import synthesis
+from logfix import parser, synthesis
 from logfix.backends import MockBackend
 from logfix.parser import extract_file
 from logfix.model import (
@@ -17,6 +17,7 @@ from logfix.model import (
     LogLevel,
     Provenance,
     ProvenanceKind,
+    statement_id,
     validate_sample,
 )
 from logfix.synthesis import (
@@ -597,6 +598,34 @@ class TestSynthesizeCorpus:
             label: 4 for label in DEFECT_LABELS}
         assert all(validate_sample(s) == [] for s in out)
         assert not {s.target for s in out} & set(invalid)
+
+    def test_one_statement_hash_per_parse(self, clean_samples, monkeypatch):
+        hashes = []
+
+        def counted_hash(*args):
+            hashes.append(args)
+            return statement_id(*args)
+
+        monkeypatch.setattr(parser, "statement_id", counted_hash)
+        mutants = []
+        for name in ("mutate_readability", "mutate_tense", "mutate_semantic"):
+            def counted_rule(*args, _rule=getattr(synthesis, name), **kwargs):
+                mutated = _rule(*args, **kwargs)
+                mutants.append(mutated[0])
+                return mutated
+
+            monkeypatch.setattr(synthesis, name, counted_rule)
+        pool = clean_samples[:15]
+        synthesize_corpus(pool, 4, seed=5)
+        # at most one hash per clean statement, for the bare parse of its
+        # analysis (at <text>), and one per mutant, at its clean statement's
+        # place, whether or not the corpus keeps it
+        assert len(mutants) >= 16
+        assert Counter(raw for path, *_, raw in hashes if path == "<text>") \
+            <= Counter(sample.target.raw_text for sample in pool)
+        assert sorted(h for h in hashes if h[0] != "<text>") == sorted(
+            (m.location.path, m.location.start_line, m.location.end_line,
+             m.raw_text) for m in mutants)
 
     def test_insufficient_inputs(self, clean_samples):
         with pytest.raises(InsufficientInputs):

@@ -3,6 +3,7 @@
 import re
 import time
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES, fuzz_texts
@@ -82,7 +83,7 @@ def test_tokenize_ids_are_the_vocabulary_ids_of_the_tokens():
     for text in texts:
         tokens = split_tokens(text)
         seq = tokenize(text, vocab, 25)
-        assert seq.ids == tuple(vocab.id_of(t) for t in tokens[:25]), text
+        assert seq.ids.tolist() == [vocab.id_of(t) for t in tokens[:25]], text
         assert seq.truncated == (len(tokens) > 25)
 
 
@@ -173,7 +174,7 @@ def test_tokenize_truncates_and_flags():
 def test_tokenize_empty_text():
     vocab, _ = fit_vocabulary(["a"])
     seq = tokenize("", vocab, 1)
-    assert seq.ids == ()
+    assert seq.ids.tolist() == []
     assert not seq.truncated
 
 
@@ -184,5 +185,21 @@ def test_fit_vocabulary_sequences_are_tokenize_through_it():
                                  max_tokens=5)
     assert vocab.oov_buckets == 4
     assert len(vocab.token_to_id) == 6
-    assert seqs == [tokenize(text, vocab, 5) for text in texts]
+    assert [(seq.ids.tolist(), seq.truncated) for seq in seqs] == [
+        (seq.ids.tolist(), seq.truncated)
+        for seq in (tokenize(text, vocab, 5) for text in texts)]
     assert [seq.truncated for seq in seqs] == [True, False, True, False]
+
+
+def test_token_ids_are_intp_arrays():
+    # the detector indexes its embedding with them as they are
+    texts = ["log.info(\"a b\");", "", "unseen tokens only"]
+    vocab, seqs = fit_vocabulary(texts[:2])
+    assert seqs[1].ids.tolist() == []
+    for seq in seqs + [tokenize(text, vocab, 4) for text in texts]:
+        assert isinstance(seq.ids, np.ndarray)
+        assert seq.ids.dtype == np.intp
+        assert seq.ids.ndim == 1
+    # a corpus without a single token still gives id arrays
+    _, [empty] = fit_vocabulary([""])
+    assert empty.ids.dtype == np.intp and empty.ids.shape == (0,)
