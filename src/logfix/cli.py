@@ -191,7 +191,7 @@ def cmd_extract(args, config: ToolConfig) -> int:
             if fnmatch.fnmatch(name, args.glob):
                 paths.append(os.path.join(base, name))
     records = []
-    methods = statements = 0
+    files = methods = statements = 0
     for path in paths:
         rel = os.path.relpath(path, args.root).replace(os.sep, "/")
         shown = os.fsencode(rel).decode("utf-8", "backslashreplace")
@@ -207,6 +207,7 @@ def cmd_extract(args, config: ToolConfig) -> int:
         except UnicodeError:
             _note(f"extract: {shown}: not UTF-8 text, file skipped")
             continue
+        files += 1
         result = extract_file(source, rel, config.parser, args.project)
         for err in result.errors:
             _note(f"extract: {err}")
@@ -216,7 +217,7 @@ def cmd_extract(args, config: ToolConfig) -> int:
             methods += 1
             statements += len(parsed)
     write_jsonl(args.out, map(to_dict, records))
-    _note(f"extract: {len(paths)} files -> {methods} methods, "
+    _note(f"extract: {files} files -> {methods} methods, "
           f"{statements} statements -> {args.out}")
     return EXIT_OK
 

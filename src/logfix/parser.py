@@ -53,6 +53,9 @@ class ParserConfig:
     max_method_lines: int = 500
 
     def __post_init__(self) -> None:
+        if self.max_method_lines < 1:
+            raise ValueError(f"max_method_lines must be >= 1, "
+                             f"got {self.max_method_lines}")
         lowered = {k.lower(): v for k, v in self.level_methods.items()}
         object.__setattr__(self, "level_methods", lowered)
 
@@ -154,6 +157,31 @@ def lex(source: str) -> Lexed:
     return Lexed(stripped, mask, starts, closes)
 
 
+def _top_level_spans(text: str, mask: bytearray, start: int, end: int,
+                     stops: re.Pattern[str]) -> list[tuple[int, int]]:
+    """The spans of text[start:end] between its separators at bracket depth
+    0, the last one included even when empty. `stops` matches one character
+    at a time: the brackets the caller counts and its separator; characters
+    `mask` marks as inside a literal are skipped."""
+    spans: list[tuple[int, int]] = []
+    depth = 0
+    a = start
+    for stop in stops.finditer(text, start, end):
+        i = stop.start()
+        if mask[i]:
+            continue
+        c = stop.group()
+        if c in "([{<":
+            depth += 1
+        elif c in ")]}>":
+            depth -= 1
+        elif depth == 0:
+            spans.append((a, i))
+            a = i + 1
+    spans.append((a, end))
+    return spans
+
+
 # ---------------------------------------------------------------------------
 # Message decomposition
 # ---------------------------------------------------------------------------
@@ -181,55 +209,42 @@ class _Fragment:
     """One top-level piece of a format expression: a literal or an expression."""
     is_literal: bool
     text: str              # literal content (between quotes) or expression text
-    span: tuple[int, int]  # span of `text` within the format expression
+    span: tuple[int, int]  # span of `text` within the split text
+
+
+def _trimmed(span: tuple[int, int], text: str) -> tuple[int, int]:
+    a, b = span
+    while a < b and text[a].isspace():
+        a += 1
+    while b > a and text[b - 1].isspace():
+        b -= 1
+    return a, b
 
 
 # what the concatenation splitter looks at: brackets and '+'
-_CUT_STOP_RE = re.compile(r"[()\[\]+]")
+_CONCAT_STOP_RE = re.compile(r"[()\[\]{}+]")
 
 
-def _split_format_expr(expr: str, mask: bytearray) -> list[_Fragment] | None:
-    """Split a concatenation chain into literal/expression fragments.
+def _split_format_expr(text: str, mask: bytearray, start: int,
+                       end: int) -> list[_Fragment] | None:
+    """Split the concatenation chain text[start:end] into literal and
+    expression fragments, with spans into `text`.
 
-    `mask` is the literal mask of `expr`. Returns None when the expression
-    holds no top-level string literal.
+    `mask` is the literal mask of `text`. Every top-level '+' is a cut: a
+    unary +/++ never separates the operands of a string concatenation in
+    practice. Returns None when the chain holds no top-level string literal.
     """
-    # cut points: top-level '+' outside literals and parens
-    cuts = []
-    depth = 0
-    for stop in _CUT_STOP_RE.finditer(expr):
-        i = stop.start()
-        if mask[i]:
-            continue
-        c = stop.group()
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif depth == 0:  # a '+'
-            # unary +/++ never separates string concat operands in practice;
-            # treat every top-level + as a cut, which is right for chains
-            cuts.append(i)
-    pieces: list[tuple[int, int]] = []
-    prev = 0
-    for cut in cuts:
-        pieces.append((prev, cut))
-        prev = cut + 1
-    pieces.append((prev, len(expr)))
-
     frags: list[_Fragment] = []
     saw_literal = False
-    for a, b in pieces:
-        piece = expr[a:b]
-        stripped = piece.strip()
-        if not stripped:
+    for span in _top_level_spans(text, mask, start, end, _CONCAT_STOP_RE):
+        a, b = _trimmed(span, text)
+        if a == b:
             continue
-        lead = a + (len(piece) - len(piece.lstrip()))
-        if stripped.startswith('"') and stripped.endswith('"') and len(stripped) >= 2:
+        if b - a >= 2 and text[a] == '"' and text[b - 1] == '"':
             saw_literal = True
-            frags.append(_Fragment(True, stripped[1:-1], (lead + 1, lead + 1 + len(stripped) - 2)))
+            frags.append(_Fragment(True, text[a + 1:b - 1], (a + 1, b - 1)))
         else:
-            frags.append(_Fragment(False, stripped, (lead, lead + len(stripped))))
+            frags.append(_Fragment(False, text[a:b], (a, b)))
     if not saw_literal:
         return None
     return frags
@@ -301,39 +316,15 @@ def _scan_calls(lexed: Lexed, config: ParserConfig) -> list[_Call]:
             calls.append(_Call(m.start(), end, level, ()))
             pos = end
             continue
-        # split top-level commas
-        spans: list[tuple[int, int]] = []
-        depth = 0
-        a = open_idx + 1
-        for stop in _ARG_STOP_RE.finditer(stripped, open_idx + 1, close):
-            i = stop.start()
-            if mask[i]:
-                continue
-            c = stop.group()
-            if c in "([{":
-                depth += 1
-            elif c in ")]}":
-                depth -= 1
-            elif depth == 0:  # a comma
-                spans.append((a, i))
-                a = i + 1
-        if close > open_idx + 1:
-            spans.append((a, close))
+        spans = (_top_level_spans(stripped, mask, open_idx + 1, close,
+                                  _ARG_STOP_RE)
+                 if close > open_idx + 1 else [])
         end = close + 1
         if end < n and stripped[end] == ";":
             end += 1
         calls.append(_Call(m.start(), end, level, tuple(spans)))
         pos = end
     return calls
-
-
-def _trimmed(span: tuple[int, int], text: str) -> tuple[int, int]:
-    a, b = span
-    while a < b and text[a].isspace():
-        a += 1
-    while b > a and text[b - 1].isspace():
-        b -= 1
-    return a, b
 
 
 def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
@@ -366,7 +357,7 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
     frags = None
     for i, (a, b, arg) in enumerate(arg_texts):
         if '"' in arg:
-            split = _split_format_expr(arg, lexed.mask[a:b])
+            split = _split_format_expr(lexed.stripped, lexed.mask, a, b)
             if split is not None:
                 fmt_idx = i
                 frags = split
@@ -378,7 +369,6 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
             method_id=method_id, parse_degraded=True)
         return ParsedStatement(stmt, (), ())
 
-    fmt_start = arg_texts[fmt_idx][0]
     static_parts: list[str] = []
     placeholders: list[Placeholder] = []
     fragments: list[tuple[int, int, int, int]] = []
@@ -386,8 +376,8 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
     concat_map: dict[int, tuple[str, tuple[int, int]]] = {}
     offset = 0
     for frag in frags:
-        raw_a = fmt_start + frag.span[0] - call.start
-        raw_b = fmt_start + frag.span[1] - call.start
+        raw_a = frag.span[0] - call.start
+        raw_b = frag.span[1] - call.start
         if frag.is_literal:
             placeholders.extend(_scan_markers(frag.text, offset))
             fragments.append((offset, offset + len(frag.text), raw_a, raw_b))
@@ -681,36 +671,15 @@ _FOR_DECL_RE = re.compile(
     r"\bfor\s*\(\s*(?:final\s+)?[\w$.<>\[\],\s]+?\s+([a-z_$][\w$]*)\s*[:=]")
 
 
-def _split_params(params: str) -> list[str]:
-    """Parameter names from a signature's parenthesized parameter list."""
-    names: list[str] = []
-    depth = 0
-    piece = []
-    pieces: list[str] = []
-    for c in params:
-        if c in "<([":
-            depth += 1
-        elif c in ">)]":
-            depth -= 1
-        if c == "," and depth == 0:
-            pieces.append("".join(piece))
-            piece = []
-        else:
-            piece.append(c)
-    pieces.append("".join(piece))
-    for p in pieces:
-        p = p.strip()
-        if not p:
-            continue
-        toks = re.findall(r"[A-Za-z_$][\w$]*", p)
-        if len(toks) >= 2:
-            names.append(toks[-1])
-    return names
+# what the parameter splitter looks at: brackets, generics and commas
+_PARAM_STOP_RE = re.compile(r"[<>()\[\],]")
+_IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
 
 
 def collect_scope_identifiers(method_source: str) -> list[str]:
     """Parameter and local-variable names visible inside a method, in order."""
-    stripped = lex(method_source).stripped
+    lexed = lex(method_source)
+    stripped = lexed.stripped
     open_brace = stripped.find("{")
     header = stripped[:open_brace] if open_brace >= 0 else stripped
     body = stripped[open_brace:] if open_brace >= 0 else ""
@@ -718,7 +687,12 @@ def collect_scope_identifiers(method_source: str) -> list[str]:
     lp = header.find("(")
     rp = header.rfind(")")
     if 0 <= lp < rp:
-        names.extend(_split_params(header[lp + 1:rp]))
+        # a parameter's name is the last of its two or more words
+        for a, b in _top_level_spans(stripped, lexed.mask, lp + 1, rp,
+                                     _PARAM_STOP_RE):
+            words = _IDENT_RE.findall(stripped, a, b)
+            if len(words) >= 2:
+                names.append(words[-1])
     for m in _LOCAL_DECL_RE.finditer(body):
         names.append(m.group(1))
     for m in _FOR_DECL_RE.finditer(body):

@@ -459,18 +459,15 @@ def _random_edit(word: str, rng: random.Random) -> str:
 # ---------------------------------------------------------------------------
 def mutate_readability(
     stmt: LoggingStatement,
-    lexicon: TypoLexicon | None = None,
     rng_seed: int | str = 0,
-    config: ParserConfig | None = None,
     *,
     analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Damage one word: a misspelling (lexicon-based when possible, otherwise
-    a random single-character edit) or a full uppercasing, 50/50. A rule
-    given an `analysis` reads every input from it; without one, `stmt` is
-    analysed on the spot."""
-    analysis = analysis or StatementAnalysis(stmt, config=config,
-                                             typos=lexicon)
+    a random single-character edit) or a full uppercasing, 50/50. Every
+    input is read from `analysis`, by default `stmt` analysed with the
+    bundled lexicons."""
+    analysis = analysis or StatementAnalysis(stmt)
     misspellings = analysis.typos.entries
     words = analysis.words
     if not words:
@@ -514,20 +511,17 @@ def mutate_readability(
 # ---------------------------------------------------------------------------
 def mutate_tense(
     stmt: LoggingStatement,
-    lexicon: VerbLexicon | None = None,
     rng_seed: int | str = 0,
-    config: ParserConfig | None = None,
     *,
     analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Rewrite the main verb to a uniformly random different surface form.
 
     Raises NoCandidate when the static text has no recognizable main verb.
-    A rule given an `analysis` reads every input from it; without one,
-    `stmt` is analysed on the spot.
+    Every input is read from `analysis`, by default `stmt` analysed with the
+    bundled lexicons.
     """
-    analysis = analysis or StatementAnalysis(stmt, config=config,
-                                             verbs=lexicon)
+    analysis = analysis or StatementAnalysis(stmt)
     found = analysis.main_verb
     if found is None:
         raise NoCandidate(f"no main verb in {stmt.static_text!r}")
@@ -606,9 +600,6 @@ def mutate_semantic(
     backend: LlmBackend | None = None,
     *,
     rng_seed: int | str | None = None,
-    antonyms: AntonymTable | None = None,
-    verb_lexicon: VerbLexicon | None = None,
-    config: ParserConfig | None = None,
     analysis: StatementAnalysis | None = None,
 ) -> tuple[LoggingStatement, MutationRecord]:
     """Plant a semantic contradiction of the requested kind.
@@ -618,17 +609,16 @@ def mutate_semantic(
     holds no <MUTATED> logger call that differs from `stmt` once re-parsed.
     Without `rng_seed` the fallback picks the first candidate so
     repeated calls agree; with a seed it picks uniformly, which lets corpus
-    building draw several distinct variants from one statement. A rule
-    given an `analysis` reads every input from it; without one, `stmt` is
-    analysed on the spot.
+    building draw several distinct variants from one statement. Every
+    input is read from `analysis`, by default `stmt` and `context` analysed
+    with the bundled lexicons.
     """
     if kind not in (DefectLabel.STATEMENT_CODE, DefectLabel.STATIC_DYNAMIC):
         raise ValueError(f"unsupported semantic mutation kind: {kind}")
     strategy = (MutationStrategy.SEMANTIC_STATEMENT_CODE
                 if kind is DefectLabel.STATEMENT_CODE
                 else MutationStrategy.SEMANTIC_STATIC_DYNAMIC)
-    analysis = analysis or StatementAnalysis(
-        stmt, context, config=config, verbs=verb_lexicon, antonyms=antonyms)
+    analysis = analysis or StatementAnalysis(stmt, context)
     analysis.parsed  # an unparseable statement is not sent to the backend
 
     if backend is not None:

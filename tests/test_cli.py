@@ -264,8 +264,23 @@ class TestExtract:
                      "--out", str(out)]) == 0
         assert [r["method"]["location"]["path"]
                 for r in read_jsonl(str(out))] == ["A.java"]
+        err = capsys.readouterr().err
         assert ("extract: Broken.java: cannot be read (No such file or "
-                "directory), file skipped" in capsys.readouterr().err)
+                "directory), file skipped" in err)
+        # the summary counts the files that were read
+        assert f"extract: 1 files -> 1 methods, 1 statements -> {out}" in err
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_line_cap_below_one_is_rejected(self, tmp_path, capsys, cap):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parser": {"max_method_lines": cap}}),
+                          encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        assert main(["extract", "--root", str(E2E_SRC_DIR), "--out", str(out),
+                     "--config", str(config)]) == 2
+        assert ("logfix: config section 'parser': max_method_lines must be "
+                f">= 1, got {cap}") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_file_with_a_non_utf8_name_is_skipped(self, tmp_path, capsys):
         root = tmp_path / "tree"

@@ -20,6 +20,9 @@ from logfix.model import (LoggingStatement, LogLevel, PlaceholderKind,
 from logfix.parser import (
     ParserConfig,
     UnbalancedBraces,
+    _FOR_DECL_RE,
+    _LOCAL_DECL_RE,
+    _PRIMITIVES,
     _calls_by_method,
     _scan_calls,
     _scan_class_spans,
@@ -75,6 +78,16 @@ def test_concatenation_becomes_concat_placeholder():
     assert stmt.static_text == "failed after  tries"
     # the junction sits between the two literal fragments
     assert stmt.placeholders[0].offset == len("failed after ")
+
+
+def test_plus_inside_braces_does_not_cut_a_concatenation():
+    raw = 'log.info("sum " + new int[]{a + b}[0]);'
+    parsed = parsed_of(raw)
+    stmt = parsed.statement
+    assert stmt.variables == ("new int[]{a + b}[0]",)
+    assert [(p.kind, p.offset) for p in stmt.placeholders] == [
+        (PlaceholderKind.CONCAT, 4)]
+    assert render_statement(parsed) == raw
 
 
 def test_trailing_unbound_argument_is_an_arity_mismatch():
@@ -521,9 +534,9 @@ def _reference_split_format_expr(expr, mask):
     for i, c in enumerate(expr):
         if mask[i]:
             continue
-        if c in "([":
+        if c in "([{":
             depth += 1
-        elif c in ")]":
+        elif c in ")]}":
             depth -= 1
         elif c == "+" and depth == 0:
             cuts.append(i)
@@ -565,10 +578,17 @@ def test_format_splitting_matches_the_reference_scanners():
         assert [(p.kind, p.offset, p.text) for p in _scan_markers(text)
                 ] == _reference_markers(text), text
         mask = lex(text).mask
-        frags = _split_format_expr(text, mask)
-        assert (None if frags is None
-                else [(f.is_literal, f.text, f.span) for f in frags]
-                ) == _reference_split_format_expr(text, mask), text
+        expected = _reference_split_format_expr(text, mask)
+        # split alone and as the tail of a longer text, spans moved by its
+        # start
+        for pad in (0, 3):
+            frags = _split_format_expr(" " * pad + text,
+                                       bytearray(pad) + mask, pad,
+                                       pad + len(text))
+            assert (None if frags is None
+                    else [(f.is_literal, f.text,
+                           (f.span[0] - pad, f.span[1] - pad))
+                          for f in frags]) == expected, text
 
 
 def _reference_calls_by_method(method_spans, calls):
@@ -745,6 +765,79 @@ void copy(Path source, int limit) {
 def test_collect_scope_identifiers_dedups():
     src = "void m(int a) {\n    int a = 2;\n    int b = 3;\n}"
     assert collect_scope_identifiers(src) == ["a", "b"]
+
+
+def _reference_split_params(params):
+    """Parameter names from a signature's parenthesized parameter list, the
+    first splitter's way: one character at a time, literals not masked."""
+    names = []
+    depth = 0
+    piece = []
+    pieces = []
+    for c in params:
+        if c in "<([":
+            depth += 1
+        elif c in ">)]":
+            depth -= 1
+        if c == "," and depth == 0:
+            pieces.append("".join(piece))
+            piece = []
+        else:
+            piece.append(c)
+    pieces.append("".join(piece))
+    for p in pieces:
+        p = p.strip()
+        if not p:
+            continue
+        toks = re.findall(r"[A-Za-z_$][\w$]*", p)
+        if len(toks) >= 2:
+            names.append(toks[-1])
+    return names
+
+
+def _reference_scope_identifiers(method_source):
+    """collect_scope_identifiers with the first parameter splitter."""
+    stripped = lex(method_source).stripped
+    open_brace = stripped.find("{")
+    header = stripped[:open_brace] if open_brace >= 0 else stripped
+    body = stripped[open_brace:] if open_brace >= 0 else ""
+    names = []
+    lp, rp = header.find("("), header.rfind(")")
+    if 0 <= lp < rp:
+        names.extend(_reference_split_params(header[lp + 1:rp]))
+    names.extend(m.group(1) for m in _LOCAL_DECL_RE.finditer(body))
+    names.extend(m.group(1) for m in _FOR_DECL_RE.finditer(body))
+    return [n for n in dict.fromkeys(names) if n not in _PRIMITIVES]
+
+
+def _fixture_methods():
+    for path in sorted(FIXTURES.rglob("*.java")):
+        source = path.read_text(encoding="utf-8")
+        for ctx, _ in extract_file(source, path.name).records:
+            yield ctx.source_text
+
+
+def test_scope_parameters_match_the_reference_splitter():
+    headers = [
+        "void f(Map<String, List<Integer>> byName, int limit) {\n}",
+        "void f(int[] values, String[][] grid, char c[]) {\n}",
+        "void f(String format, Object... args) {\n}",
+        "void f(final int x, final Map<K, V> m) {\n}",
+        "void f(int x /* , int hidden */, int y // , int z\n) {\n}",
+        "void f() {\n}",
+        "void f( ) {\n}",
+        "void f(@Named(\"id\") String x, @Min(1) int y) {\n}",
+    ]
+    methods = list(_fixture_methods())
+    assert len(methods) == 307
+    for src in methods + headers:
+        assert collect_scope_identifiers(src) == (
+            _reference_scope_identifiers(src)), src
+
+
+def test_scope_parameters_skip_brackets_inside_literals():
+    src = 'void f(@Named("a)b") String x, @Tag("<,") int y) {\n}'
+    assert collect_scope_identifiers(src) == ["x", "y"]
 
 
 # ---------------------------------------------------------------------------

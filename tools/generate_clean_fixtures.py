@@ -373,11 +373,10 @@ def _single_method_file(class_name: str, index: int) -> str:
 
 def _mutate(label: DefectLabel, stmt, ctx, seed: str):
     if label is DefectLabel.READABILITY:
-        return mutate_readability(stmt, TYPOS, seed)
+        return mutate_readability(stmt, seed)
     if label is DefectLabel.TEMPORAL:
-        return mutate_tense(stmt, VERBS, seed)
-    return mutate_semantic(stmt, ctx, label, rng_seed=seed,
-                           antonyms=ANTONYMS, verb_lexicon=VERBS)
+        return mutate_tense(stmt, seed)
+    return mutate_semantic(stmt, ctx, label, rng_seed=seed)
 
 
 def write_e2e() -> None:
