@@ -138,8 +138,10 @@ class HttpBackend:
                 timeout=self.timeout_seconds,
             )
             resp.raise_for_status()
-            body = resp.json()
-            return body["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):  # null for refusals, tool calls
+                raise TypeError(f"message content is {content!r}, not text")
+            return content
         except requests.RequestException as exc:
             raise BackendError(f"backend request failed: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -54,6 +54,7 @@ from .parser import ParserConfig, decode_source, extract_file
 from .repair import RepairConfig, run_pipeline_batch
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_pool
 from .synthesis import (
+    InsufficientInputs,
     load_antonym_table,
     load_typo_lexicon,
     load_verb_lexicon,
@@ -280,14 +281,18 @@ def cmd_synthesize(args, config: ToolConfig) -> int:
         raise DataError(f"no samples in {args.in_path!r}")
     backend = make_backend(config.backend, args.llm) if args.llm else None
     seed = args.seed if args.seed is not None else config.train.seed
-    mutated = synthesize_corpus(
-        clean, args.per_type, seed,
-        backend=backend,
-        typo_lexicon=load_typo_lexicon(config.paths.typos or None),
-        verb_lexicon=load_verb_lexicon(config.paths.verbs or None),
-        antonyms=load_antonym_table(config.paths.antonyms or None),
-        parser_config=config.parser,
-    )
+    try:
+        mutated = synthesize_corpus(
+            clean, args.per_type, seed,
+            backend=backend,
+            typo_lexicon=load_typo_lexicon(config.paths.typos or None),
+            verb_lexicon=load_verb_lexicon(config.paths.verbs or None),
+            antonyms=load_antonym_table(config.paths.antonyms or None),
+            parser_config=config.parser,
+        )
+    except InsufficientInputs as exc:
+        raise DataError(f"cannot synthesize --per-type {args.per_type} from "
+                        f"{len(clean)} clean samples: {exc}") from exc
     # the training corpus is the clean pool plus its mutants
     write_samples(args.out, clean + mutated)
     _note(f"synthesize: {len(clean)} clean + {len(mutated)} mutated "

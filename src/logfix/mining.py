@@ -79,27 +79,29 @@ class _MissingBlob(Exception):
     """`git cat-file --batch` has no content for a requested object."""
 
 
-# One `diff-tree --raw` record: status, old object id, new object id, path.
-_RawChange = tuple[bytes, bytes, bytes, bytes]
+def _raw_commits(stream) -> Iterator[tuple[str, list[tuple[bytes, ...]]]]:
+    """Each commit's id and its (status, old id, new id, path) records, one
+    commit at a time, from the `log -z --raw --pretty=%H` output on `stream`:
+    a commit id heads its records, each a `:<modes> <old> <new> <status>`
+    field (the first after a newline) and a path, all NUL-separated."""
+    def nul_fields():
+        rest = b""
+        for block in iter(lambda: stream.read(1 << 13), b""):
+            *fields, rest = (rest + block).split(b"\0")
+            yield from fields
 
-
-def _parse_raw_diffs(output: bytes) -> dict[str, list[_RawChange]]:
-    """Commit id -> its records, from `diff-tree --stdin -z -r --raw`.
-
-    The output is NUL-separated: a commit id heads each commit's records,
-    and each record is a `:<modes> <old> <new> <status>` field followed by
-    its path. A commit whose diff is empty gets no heading at all.
-    """
-    fields = iter(output.split(b"\0"))
-    changes: dict[str, list[_RawChange]] = {}
-    records: list[_RawChange] = []
+    fields = nul_fields()
+    commit, records = None, []
     for field in fields:
-        if field.startswith(b":"):
+        if field.lstrip(b"\n").startswith(b":"):
             _, _, old, new, status = field.split(b" ")
             records.append((status, old, new, next(fields)))
         elif field:
-            records = changes[field.decode("ascii")] = []
-    return changes
+            if commit is not None:
+                yield commit, records
+            commit, records = field.decode("ascii"), []
+    if commit is not None:
+        yield commit, records
 
 
 def _read_blob(cat_file: subprocess.Popen, oid: bytes) -> str:
@@ -118,10 +120,13 @@ def _read_blob(cat_file: subprocess.Popen, oid: bytes) -> str:
 class GitHistoryProvider:
     """Walks the first-parent chain of a local git repository via the git CLI.
 
-    Three git processes serve the whole history, however long: `log` lists
-    the commits, one `diff-tree --stdin` diffs every commit against its
-    first parent, and one `cat-file --batch` reads the changed files by
-    object id. Paths are read verbatim (`-z`), file contents are decoded by
+    Two git processes serve the whole history, however long: one `log`
+    lists the first-parent commits with each one's `--raw` diff against its
+    first parent, read through a pipe one commit at a time, and one
+    `cat-file --batch` reads the changed files by object id. The oldest
+    listed commit is only a parent. With `since`, git stops its walk at the
+    first commit older than the cut, so the listed commits are an unbroken
+    run. Paths are read verbatim (`-z`), file contents are decoded by
     `decode_source`. A commit with a changed file whose name or content is
     not UTF-8 text, or whose content git cannot show, is left out of the
     pairs with a warning that names the commit and the path.
@@ -131,33 +136,26 @@ class GitHistoryProvider:
         self.repo_path = repo_path
         self.since = since
 
-    def _git(self, *args: str, input: bytes | None = None) -> bytes:
-        return subprocess.run(
-            ["git", "-C", self.repo_path, *args], input=input,
-            capture_output=True, check=True).stdout
-
     def commit_pairs(self) -> Iterator[CommitSnapshotPair]:
         """The first-parent commits oldest first, each with its changed files,
         one at a time: only the pair being read holds file texts. git runs
         when the first pair is asked for."""
-        args = ["log", "--reverse", "--first-parent", "--pretty=%H"]
+        git = ["git", "-C", self.repo_path]
+        log_cmd = [*git, "log", "--reverse", "--first-parent", "-z", "-r",
+                   "--no-renames", "--raw", "--no-abbrev", "--pretty=%H"]
         if self.since:
-            args.append(f"--since={self.since}")
-        shas = self._git(*args).decode("utf-8").split()
-        feed = "".join(f"{child} {parent}\n"
-                       for parent, child in zip(shas, shas[1:]))
-        changes = _parse_raw_diffs(self._git(
-            "diff-tree", "--stdin", "-z", "-r", "--no-renames", "--raw",
-            input=feed.encode("ascii")))
-        with subprocess.Popen(
-                ["git", "-C", self.repo_path, "cat-file", "--batch"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL) as cat_file:
-            # leaving the block closes the pipes and waits for the process,
-            # also when reading fails or the consumer stops early
-            for child in shas[1:]:
+            log_cmd.append(f"--since={self.since}")
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.DEVNULL}
+        # leaving the block closes the pipes and waits for both processes,
+        # also when reading fails or the consumer stops early
+        with subprocess.Popen(log_cmd, **pipes) as git_log, \
+                subprocess.Popen([*git, "cat-file", "--batch"],
+                                 stdin=subprocess.PIPE, **pipes) as cat_file:
+            commits = _raw_commits(git_log.stdout)
+            next(commits, None)  # the oldest listed commit is only a parent
+            for child, records in commits:
                 files: list[ChangedFile] = []
-                for status, old, new, raw_path in changes.get(child, ()):
+                for status, old, new, raw_path in records:
                     shown = raw_path.decode("utf-8", "backslashreplace")
                     try:
                         path = raw_path.decode("utf-8")
@@ -175,6 +173,8 @@ class GitHistoryProvider:
                     files.append((path, before, after))
                 else:
                     yield CommitSnapshotPair(child, tuple(files))
+        if git_log.returncode:
+            raise subprocess.CalledProcessError(git_log.returncode, log_cmd)
 
 
 class FixtureHistoryProvider:

@@ -680,16 +680,18 @@ def collect_scope_identifiers(method_source: str) -> list[str]:
     """Parameter and local-variable names visible inside a method, in order."""
     lexed = lex(method_source)
     stripped = lexed.stripped
-    open_brace = stripped.find("{")
-    header = stripped[:open_brace] if open_brace >= 0 else stripped
-    body = stripped[open_brace:] if open_brace >= 0 else ""
+    # the body opens at the first `{` outside literals, and the parameter
+    # list is the `(` group before it that closes last
+    open_brace = min((i for i in lexed.closes if stripped[i] == "{"),
+                     default=len(stripped))
+    body = stripped[open_brace:]
     names: list[str] = []
-    lp = header.find("(")
-    rp = header.rfind(")")
-    if 0 <= lp < rp:
+    parens = [i for i in lexed.closes if i < open_brace and stripped[i] == "("]
+    if parens:
+        lp = max(parens, key=lexed.closes.__getitem__)
         # a parameter's name is the last of its two or more words
-        for a, b in _top_level_spans(stripped, lexed.mask, lp + 1, rp,
-                                     _PARAM_STOP_RE):
+        for a, b in _top_level_spans(stripped, lexed.mask, lp + 1,
+                                     lexed.closes[lp], _PARAM_STOP_RE):
             words = _IDENT_RE.findall(stripped, a, b)
             if len(words) >= 2:
                 names.append(words[-1])

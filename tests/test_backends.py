@@ -96,6 +96,15 @@ class TestTranscriptFiles:
         assert backend.complete("give a VERDICT").startswith("VERDICT: NO")
 
 
+class NullContentResponse:
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"role": "assistant",
+                                         "content": None}}]}
+
+
 class TestHttpBackend:
     def test_missing_token_raises_without_any_request(self, monkeypatch):
         monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
@@ -166,6 +175,17 @@ class TestHttpBackend:
                             lambda *a, **kw: FakeResponse())
         backend = HttpBackend(endpoint="https://example.invalid", model="m")
         with pytest.raises(BackendError, match="malformed"):
+            backend.complete("x")
+
+    def test_null_content_becomes_backend_error(self, monkeypatch):
+        # OpenAI-style endpoints send null content for refusals and tool
+        # calls
+        monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
+        monkeypatch.setattr(requests, "post",
+                            lambda *a, **kw: NullContentResponse())
+        backend = HttpBackend(endpoint="https://example.invalid", model="m")
+        with pytest.raises(BackendError, match="malformed backend response: "
+                           "message content is None, not text"):
             backend.complete("x")
 
     def test_protocol_conformance(self):

@@ -514,6 +514,22 @@ class TestSynthesize:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_a_pool_too_small_for_per_type_is_a_data_error(self, tmp_path,
+                                                           capsys):
+        clean = tmp_path / "clean.jsonl"
+        write_samples(str(clean), load_clean_samples()[:2])
+        out = tmp_path / "corpus.jsonl"
+        capsys.readouterr()
+        assert main(["synthesize", "--in", str(clean), "--out", str(out),
+                     "--per-type", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("logfix: cannot synthesize --per-type 1000 "
+                              "from 2 clean samples: ")
+        assert "pool exhausted" in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")

@@ -4,6 +4,7 @@ logging-text changes from commit history."""
 import logging
 import os
 import subprocess
+import tracemalloc
 
 import pytest
 
@@ -206,8 +207,8 @@ def test_git_history_skips_a_file_git_cannot_show(tmp_path, caplog):
 
 
 def test_git_history_keeps_a_commit_with_an_empty_diff(tmp_path):
-    # `diff-tree --stdin` prints nothing at all for an empty diff; the
-    # commit must still count as a pair, with no files.
+    # `log --raw` prints only the heading of a commit with an empty diff;
+    # the commit must still count as a pair, with no files.
     repo = GitRepo(tmp_path)
     repo.commit({b"Service.java": service_source("starting worker")})
     empty = repo.commit({})
@@ -249,6 +250,7 @@ class CountingSubprocess:
 
     def __init__(self):
         self.started: list[str] = []
+        self.processes: list[subprocess.Popen] = []
 
     def run(self, args, **kwargs):
         self.started.append(args[3])  # git -C <repo> <subcommand>
@@ -257,6 +259,7 @@ class CountingSubprocess:
     def Popen(self, args, **kwargs):
         self.started.append(args[3])
         self.process = subprocess.Popen(args, **kwargs)
+        self.processes.append(self.process)
         return self.process
 
     def __getattr__(self, name):
@@ -277,7 +280,7 @@ def test_git_process_count_does_not_grow_with_history(tmp_path, monkeypatch,
     pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert len(pairs) == commits - 1
     assert all(len(p.changed_files) == 2 for p in pairs)
-    assert counter.started == ["log", "diff-tree", "cat-file"]
+    assert counter.started == ["log", "cat-file"]
 
 
 def test_cat_file_is_waited_on_when_reading_fails(tmp_path, monkeypatch):
@@ -295,8 +298,9 @@ def test_cat_file_is_waited_on_when_reading_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(mining, "decode_source", broken_decode)
     with pytest.raises(RuntimeError, match="decoder broke"):
         list(GitHistoryProvider(str(tmp_path)).commit_pairs())
-    assert counter.process.returncode is not None
-    assert counter.process.stdin.closed and counter.process.stdout.closed
+    assert all(p.returncode is not None for p in counter.processes)
+    assert all(p.stdout.closed for p in counter.processes)
+    assert counter.process.stdin.closed
 
 
 def test_commit_pairs_are_read_as_they_are_consumed(tmp_path, monkeypatch):
@@ -312,12 +316,13 @@ def test_commit_pairs_are_read_as_they_are_consumed(tmp_path, monkeypatch):
     first = next(pairs)
     assert first.changed_files[0][2] == service_source("started worker")
     assert counter.process.returncode is None  # cat-file serves the rest
-    # A consumer that stops early: closing the generator closes cat-file's
-    # pipes and waits for it.
+    # A consumer that stops early: closing the generator closes both
+    # processes' pipes and waits for them.
     pairs.close()
-    assert counter.process.returncode is not None
-    assert counter.process.stdin.closed and counter.process.stdout.closed
-    assert counter.started == ["log", "diff-tree", "cat-file"]
+    assert all(p.returncode is not None for p in counter.processes)
+    assert all(p.stdout.closed for p in counter.processes)
+    assert counter.process.stdin.closed
+    assert counter.started == ["log", "cat-file"]
 
 
 def test_fixture_history_reads_snapshots_as_they_are_consumed(monkeypatch):
@@ -349,6 +354,62 @@ def test_git_history_since_limits_the_pairs(tmp_path):
                     service_source("step 2023")),))]
     every = GitHistoryProvider(str(tmp_path)).commit_pairs()
     assert [p.commit_id for p in every] == shas[1:]
+
+
+def test_git_history_since_stops_at_an_old_dated_commit(tmp_path):
+    # git's walk stops at the first commit older than the cut, so the
+    # commits after it are listed and the ones before it are not, however
+    # new their dates
+    repo = GitRepo(tmp_path)
+    shas = [repo.commit({b"Service.java": service_source(f"step {year}")},
+                        date=f"{year}-01-01T00:00:00+00:00")
+            for year in (2020, 2021, 2000, 2022, 2023)]
+    pairs = GitHistoryProvider(str(tmp_path), since="2010-01-01").commit_pairs()
+    assert [(p.commit_id, p.changed_files) for p in pairs] == [
+        (shas[4], (("Service.java", service_source("step 2022"),
+                    service_source("step 2023")),))]
+    pairs = GitHistoryProvider(str(tmp_path), since="1990-01-01").commit_pairs()
+    assert [(p.commit_id, p.changed_files[0][1:]) for p in pairs] == [
+        (sha, (service_source(f"step {old}"), service_source(f"step {new}")))
+        for sha, old, new in zip(shas[1:], (2020, 2021, 2000, 2022),
+                                 (2021, 2000, 2022, 2023))]
+
+
+def fast_import_history(root, commits: int, files: int = 3) -> None:
+    """A repository of `commits` first-parent commits, each rewriting
+    `files` Java files, written by one `git fast-import`."""
+    stream = []
+    for n in range(commits):
+        stream.append("commit refs/heads/main\n"
+                      f"committer t <t@example.com> {1_600_000_000 + n} +0000\n"
+                      "data 0\n")
+        for f in range(files):
+            text = service_source(f"step {n}", f"n += {f};")  # ASCII
+            stream.append(f"M 100644 inline F{f}.java\n"
+                          f"data {len(text)}\n{text}\n")
+    subprocess.run(["git", "init", "-q", "-b", "main", str(root)], check=True)
+    subprocess.run(["git", "-C", str(root), "fast-import", "--quiet"],
+                   input="".join(stream).encode("ascii"), check=True)
+
+
+def test_git_history_memory_does_not_grow_with_history(tmp_path):
+    # The provider reads git's output one commit at a time: draining 10
+    # times the history must not hold 10 times the memory.
+    peaks = []
+    for commits in (200, 2000):
+        root = tmp_path / str(commits)
+        root.mkdir()
+        fast_import_history(root, commits)
+        tracemalloc.start()
+        try:
+            drained = sum(1 for _ in GitHistoryProvider(
+                str(root)).commit_pairs())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert drained == commits - 1
+    small, large = peaks
+    assert large < 1.5 * small, peaks
 
 
 def test_each_file_version_is_parsed_once(tmp_path, monkeypatch):

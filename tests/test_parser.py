@@ -840,6 +840,19 @@ def test_scope_parameters_skip_brackets_inside_literals():
     assert collect_scope_identifiers(src) == ["x", "y"]
 
 
+@pytest.mark.parametrize("header", [
+    '@Path("{id}") void get(String id, int n) {',
+    '@Path("(id") void get(String id, int n) {',
+    'void get(@Named("{a)") String id, int n) {',
+    '@Path(value = "x") void get(String id, int n) {',
+])
+def test_scope_parameters_skip_brackets_in_header_literals(header):
+    # the body's `{` and the parameter list's `(` are found outside literals,
+    # also in an annotation on the method's own line
+    src = header + "\n  int k = 1;\n}"
+    assert collect_scope_identifiers(src) == ["id", "n", "k"]
+
+
 # ---------------------------------------------------------------------------
 # Round-trips and robustness
 # ---------------------------------------------------------------------------

@@ -7,9 +7,15 @@ import threading
 import time
 
 import pytest
+import requests
 
 from conftest import make_change, single_method
-from logfix.backends import BackendError, MockBackend
+from logfix.backends import (
+    TOKEN_ENV_VAR,
+    BackendError,
+    HttpBackend,
+    MockBackend,
+)
 from logfix.model import (
     DefectLabel,
     Detection,
@@ -333,6 +339,27 @@ class TestRunPipeline:
         assert result.updated_statement is None
         assert any(d.startswith("backend-error:") for d in result.diagnostics)
         assert result.diagnostics[-1] == "backend-calls:1"
+
+    def test_null_http_content_is_a_backend_error(self, monkeypatch):
+        # an OpenAI-style refusal: the reply's content is null
+        class NullContent:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"content": None}}]}
+
+        monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: NullContent())
+        ctx, stmts = single_method(CHANNEL_SOURCE)
+        result = run_pipeline(
+            Detection(ctx, stmts[0], DefectLabel.STATEMENT_CODE, 0.9),
+            make_pool(), HttpBackend("https://example.invalid", "m"))
+        assert result.checker_confirmed is False
+        assert result.updated_statement is None
+        assert result.diagnostics == (
+            "backend-error:malformed backend response: message content is "
+            "None, not text", "backend-calls:1")
 
     def test_updater_backend_error_keeps_checker_output(self):
         ctx, stmts = single_method(CHANNEL_SOURCE)
