@@ -21,7 +21,7 @@ import requests
 from .model import from_dict, read_json
 
 TOKEN_ENV_VAR = "LOGFIX_LLM_TOKEN"
-# Seconds between the starts of two requests from one HttpBackend.
+# Seconds between two request slots of one HttpBackend.
 MIN_REQUEST_INTERVAL = 0.5
 
 
@@ -94,8 +94,9 @@ class MockBackend:
 class HttpBackend:
     """Minimal chat-completion client (OpenAI-style request/response shape).
 
-    Requests start at least MIN_REQUEST_INTERVAL seconds apart, across all
-    threads that share the instance; the first one is not delayed.
+    Each request takes a slot from one schedule shared by all threads that
+    use the instance. Slots are at least MIN_REQUEST_INTERVAL seconds apart,
+    the first is not delayed, and each request is sent after its slot.
     """
 
     name = "http"
@@ -110,7 +111,7 @@ class HttpBackend:
 
     def _pace(self) -> None:
         # Waiting under the lock queues the threads, and the next slot is
-        # taken from the clock after the wait, so starts keep the interval
+        # taken from the clock after the wait, so slots keep the interval
         # even when a sleep overshoots.
         with self._pace_lock:
             delay = self._next_at - time.monotonic()

@@ -375,13 +375,12 @@ def cmd_fix(args, config: ToolConfig) -> int:
 
 
 def cmd_evaluate(args, config: ToolConfig) -> int:
-    results = [from_dict(UpdateResult, d) for d in read_jsonl(args.results)]
-    if not results:
-        raise DataError(f"no results in {args.results!r}")
     truth = {t.statement_id: t for t in
              (from_dict(TruthRecord, d) for d in read_jsonl(args.truth))}
     preds, golds, per_sample = [], [], []
-    for result in results:
+    # One result at a time: only its label and scores outlive the loop.
+    for row in read_jsonl(args.results):
+        result = from_dict(UpdateResult, row)
         target = result.sample.target
         gold = truth.get(target.id)
         if gold is None:
@@ -392,20 +391,22 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
         if gold.label is not DefectLabel.NON_DEFECT:
             per_sample.append(evaluate_update(
                 target, result.updated_statement, gold.statement))
+    if not preds:
+        raise DataError(f"no results in {args.results!r}")
     detection = detection_metrics(preds, golds)
     report = {
         "detection": {
             "per_class": {label.value: to_dict(detection.per_class[label])
                           for label in LABELS},
             "f1_macro": detection.f1_macro,
-            "samples": len(results),
+            "samples": len(preds),
         },
         "update": aggregate_update_records(per_sample),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    _note(f"evaluate: {len(results)} results, {len(per_sample)} scored "
+    _note(f"evaluate: {len(preds)} results, {len(per_sample)} scored "
           f"updates -> {args.out}")
     return EXIT_OK
 

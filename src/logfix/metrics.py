@@ -7,13 +7,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .model import (
-    LABELS,
-    DefectLabel,
-    EvaluationRecord,
-    LoggingStatement,
-)
+from .model import LABELS, DefectLabel, LoggingStatement
 from .tokenization import split_tokens
 
 
@@ -77,8 +73,14 @@ def f1_macro(preds: list[DefectLabel], golds: list[DefectLabel]) -> float:
 # ---------------------------------------------------------------------------
 # Text-similarity metrics
 # ---------------------------------------------------------------------------
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_matches(candidate: list[str], reference: list[str],
+                     n: int) -> tuple[int, int, int]:
+    """Candidate n-grams found in the reference, each counted at most as
+    often as the reference holds it, then the n-gram count of each side."""
+    cand, ref = (Counter(tuple(tokens[i:i + n])
+                         for i in range(len(tokens) - n + 1))
+                 for tokens in (candidate, reference))
+    return sum((cand & ref).values()), cand.total(), ref.total()
 
 
 def bleu_k(candidate: list[str], reference: list[str], k: int) -> float:
@@ -92,11 +94,7 @@ def bleu_k(candidate: list[str], reference: list[str], k: int) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, k + 1):
-        cand_counts = _ngrams(candidate, n)
-        ref_counts = _ngrams(reference, n)
-        total = sum(cand_counts.values())
-        clipped = sum(min(count, ref_counts[gram])
-                      for gram, count in cand_counts.items())
+        clipped, total, _ = _clipped_matches(candidate, reference, n)
         if n == 1:
             precision = _safe_div(clipped, total)
         elif clipped == 0:
@@ -118,14 +116,9 @@ def rouge_k(candidate: list[str], reference: list[str], k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if not reference:
         raise EmptyReference("reference token sequence is empty")
-    cand_counts = _ngrams(candidate, k)
-    ref_counts = _ngrams(reference, k)
-    cand_total = sum(cand_counts.values())
-    ref_total = sum(ref_counts.values())
+    overlap, cand_total, ref_total = _clipped_matches(candidate, reference, k)
     if cand_total == 0 and ref_total == 0:
         return 1.0
-    overlap = sum(min(count, ref_counts[gram])
-                  for gram, count in cand_counts.items())
     precision = _safe_div(overlap, cand_total)
     recall = _safe_div(overlap, ref_total)
     return _safe_div(2 * precision * recall, precision + recall)
@@ -168,31 +161,21 @@ def _normalize_var(text: str) -> str:
     return _WS_RE.sub(" ", text.strip())
 
 
-@dataclass(frozen=True)
-class VariableSets:
-    updated: frozenset[str]
-    truth: frozenset[str]
-
-    @classmethod
-    def of(cls, updated: list[str] | tuple[str, ...],
-           truth: list[str] | tuple[str, ...]) -> "VariableSets":
-        return cls(
-            updated=frozenset(_normalize_var(v) for v in updated),
-            truth=frozenset(_normalize_var(v) for v in truth),
-        )
-
-
-def variable_prf(sets: VariableSets) -> tuple[float, float, float]:
-    """Exact-string precision/recall/F1 over variable sets.
+def variable_prf(updated: Iterable[str],
+                 truth: Iterable[str]) -> tuple[float, float, float]:
+    """Exact-string precision/recall/F1 over the two sets of variables,
+    each with its whitespace runs folded to one space.
 
     Both sets empty counts as a perfect (1,1,1); an empty side against a
     non-empty one scores 0 for the undefined ratio.
     """
-    if not sets.updated and not sets.truth:
+    updated_set = {_normalize_var(v) for v in updated}
+    truth_set = {_normalize_var(v) for v in truth}
+    if not updated_set and not truth_set:
         return (1.0, 1.0, 1.0)
-    overlap = len(sets.updated & sets.truth)
-    precision = _safe_div(overlap, len(sets.updated))
-    recall = _safe_div(overlap, len(sets.truth))
+    overlap = len(updated_set & truth_set)
+    precision = _safe_div(overlap, len(updated_set))
+    recall = _safe_div(overlap, len(truth_set))
     f1 = _safe_div(2 * precision * recall, precision + recall)
     return (precision, recall, f1)
 
@@ -257,9 +240,10 @@ def evaluate_update(
     original: LoggingStatement,
     updated: LoggingStatement | None,
     truth: LoggingStatement,
-) -> list[EvaluationRecord]:
-    """Score an update against ground truth: six static-text metrics plus
-    three variable-set metrics, each with before/after values and IC.
+) -> list[tuple[float, float]]:
+    """Score an update against ground truth: the (origin, updated) score
+    pair of each metric in UPDATE_METRIC_NAMES order, six on the static
+    text and three on the variable sets.
 
     `updated=None` (no rewrite produced) scores the update as the unchanged
     original.
@@ -272,36 +256,29 @@ def evaluate_update(
         return [bleu_k(tokens, ref, 1), bleu_k(tokens, ref, 2),
                 bleu_k(tokens, ref, 4), rouge_k(tokens, ref, 1),
                 rouge_k(tokens, ref, 2), rouge_l(tokens, ref),
-                *variable_prf(VariableSets.of(stmt.variables,
-                                              truth.variables))]
+                *variable_prf(stmt.variables, truth.variables)]
 
-    return [EvaluationRecord(metric_name=name, m_origin=m_origin,
-                             m_updated=m_updated,
-                             ic=_ic_or_none(m_origin, m_updated))
-            for name, m_origin, m_updated in zip(
-                UPDATE_METRIC_NAMES, scores(original),
-                scores(updated or original))]
+    origin = scores(original)
+    return list(zip(origin, origin if updated is None else scores(updated)))
 
 
 def aggregate_update_records(
-    per_sample: list[list[EvaluationRecord]],
+    per_sample: list[list[tuple[float, float]]],
 ) -> dict[str, dict[str, float | None]]:
     """Mean before/after per metric, plus both IC variants: the mean of
-    per-sample ICs and the IC of the mean scores (headline)."""
+    per-sample ICs (samples with a degenerate origin left out) and the IC
+    of the mean scores (headline)."""
     out: dict[str, dict[str, float | None]] = {}
-    for name in UPDATE_METRIC_NAMES:
-        rows = [rec for records in per_sample for rec in records
-                if rec.metric_name == name]
-        if not rows:
-            continue
-        mean_origin = sum(r.m_origin for r in rows) / len(rows)
-        mean_updated = sum(r.m_updated for r in rows) / len(rows)
-        ics = [r.ic for r in rows if r.ic is not None]
+    for name, column in zip(UPDATE_METRIC_NAMES, zip(*per_sample)):
+        mean_origin = sum(origin for origin, _ in column) / len(column)
+        mean_updated = sum(updated for _, updated in column) / len(column)
+        ics = [ic for ic in (_ic_or_none(*pair) for pair in column)
+               if ic is not None]
         out[name] = {
             "mean_origin": mean_origin,
             "mean_updated": mean_updated,
             "mean_ic": sum(ics) / len(ics) if ics else None,
             "ic_of_means": _ic_or_none(mean_origin, mean_updated),
-            "samples": float(len(rows)),
+            "samples": float(len(column)),
         }
     return out

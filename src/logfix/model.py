@@ -170,19 +170,6 @@ class LogCentricChange:
 
 
 @dataclass(frozen=True)
-class EvaluationRecord:
-    """Origin/updated scores for one metric, plus the improvement coefficient.
-
-    ic is None when the origin score is already perfect (degenerate origin).
-    """
-
-    metric_name: str
-    m_origin: float
-    m_updated: float
-    ic: float | None
-
-
-@dataclass(frozen=True)
 class Detection:
     """The detector's verdict on one statement, as `detect` writes it."""
 

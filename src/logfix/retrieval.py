@@ -135,7 +135,7 @@ def build_pool(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
 def select_exemplars(
     target: LoggingStatement,
     label: DefectLabel,
-    pool: ExemplarPool | Sequence[LogCentricChange],
+    pool: ExemplarPool,
     k: int = 3,
     *,
     project_id: str | None = None,
@@ -144,9 +144,7 @@ def select_exemplars(
 
     TEMPORAL and READABILITY targets only see changes from `project_id`
     (their fixes are project-convention-bound); the other defect types rank
-    the whole corpus. Ties break by commit id, then change id. A plain
-    sequence of changes is indexed on the spot with the default k1 and b;
-    callers that select many times pass one `build_pool` result instead.
+    the whole corpus. Ties break by commit id, then change id.
     """
     if label is DefectLabel.NON_DEFECT:
         raise ValueError("exemplar selection needs a defect label")
@@ -155,8 +153,6 @@ def select_exemplars(
     if label in SAME_PROJECT_LABELS and project_id is None:
         raise ValueError(
             f"{label.value} scoping needs the target's project_id")
-    if not isinstance(pool, ExemplarPool):
-        pool = build_pool(pool)
     if label in SAME_PROJECT_LABELS:
         index = pool.by_project.get(project_id)
     else:

@@ -40,7 +40,6 @@ from logfix.detector import (
 )
 from logfix.metrics import (
     UPDATE_METRIC_NAMES,
-    VariableSets,
     bleu_k,
     detection_metrics,
     improvement_coefficient,
@@ -52,7 +51,14 @@ from logfix.metrics import (
 from logfix.mining import FixtureHistoryProvider, extract_lccs
 from logfix.model import DefectLabel, read_jsonl
 from logfix.parser import extract_file, render_statement
-from logfix.retrieval import DEFAULT_B, DEFAULT_K1, bm25_score, build_index, select_exemplars
+from logfix.retrieval import (
+    DEFAULT_B,
+    DEFAULT_K1,
+    bm25_score,
+    build_index,
+    build_pool,
+    select_exemplars,
+)
 from logfix.synthesis import (
     mutate_readability,
     mutate_semantic,
@@ -294,13 +300,14 @@ def test_5_similarity_scores_and_project_scoping(capfd):
                     closed_form(query, position), abs=1e-9)
 
         target = changes[0].before
+        pool = build_pool(changes)
         for label in (DefectLabel.TEMPORAL, DefectLabel.READABILITY):
-            picked = select_exemplars(target, label, changes, k=4,
+            picked = select_exemplars(target, label, pool, k=4,
                                       project_id="projB")
             assert picked
             assert all(c.project_id == "projB" for c in picked)
         for label in (DefectLabel.STATEMENT_CODE, DefectLabel.STATIC_DYNAMIC):
-            picked = select_exemplars(target, label, changes, k=4,
+            picked = select_exemplars(target, label, pool, k=4,
                                       project_id="projB")
             assert {c.project_id for c in picked} == {"projA", "projB"}
         assert time.perf_counter() - t0 < 1.0
@@ -373,8 +380,7 @@ def test_6_text_metrics_match_oracles(capfd):
             assert rouge_l(cand, ref) == pytest.approx(
                 oracle_rouge_l(cand, ref), abs=1e-9)
 
-        sets = VariableSets.of(["a", "b"], ["b", "c"])
-        assert variable_prf(sets) == (0.5, 0.5, 0.5)
+        assert variable_prf(["a", "b"], ["b", "c"]) == (0.5, 0.5, 0.5)
 
         assert improvement_coefficient(0.7071, 0.848) == pytest.approx(
             0.4812, abs=5e-4)

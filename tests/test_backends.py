@@ -206,8 +206,9 @@ def forbidden_sleep(seconds):  # pragma: no cover - must not run
 
 
 class TestHttpBackendPacing:
-    """Request starts are spaced MIN_REQUEST_INTERVAL apart per instance;
-    the patched `requests.post` records when each request starts."""
+    """Request slots are spaced MIN_REQUEST_INTERVAL apart per instance and
+    each request is sent after its slot; the patched `requests.post`
+    records when each request is sent."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -227,6 +228,21 @@ class TestHttpBackendPacing:
         interval = 0.2
         monkeypatch.setattr(backends, "MIN_REQUEST_INTERVAL", interval)
         backend = HttpBackend(endpoint="https://example.invalid", model="m")
+        # The slot each request takes, recorded before the pacing lock is
+        # released: a thread may be descheduled between its slot and its
+        # post, so the post times themselves can be closer than the interval.
+        slots: list[float] = []
+        lock = backend._pace_lock
+
+        class RecordingLock:
+            def __enter__(self):
+                return lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                slots.append(backend._next_at - interval)
+                return lock.__exit__(*exc_info)
+
+        backend._pace_lock = RecordingLock()
         began = time.monotonic()
         threads = [
             threading.Thread(target=lambda n=n: [backend.complete("p")
@@ -238,12 +254,12 @@ class TestHttpBackendPacing:
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        assert len(starts) == 3
-        starts.sort()
+        assert len(starts) == len(slots) == 3
         # The first request is not delayed; each later one waits its turn.
-        assert starts[0] - began < interval / 2
-        assert starts[1] - starts[0] >= interval
-        assert starts[2] - starts[1] >= interval
+        assert slots[0] - began < interval / 2
+        assert slots[1] - slots[0] >= interval
+        assert slots[2] - slots[1] >= interval
+        assert all(sent >= slot for sent, slot in zip(sorted(starts), slots))
 
     def test_many_threads_share_one_schedule(self, monkeypatch, starts):
         interval = 0.01

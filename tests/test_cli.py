@@ -8,6 +8,7 @@ import math
 import os
 import re
 import subprocess
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
     CLEAN_DIR,
     CLEAN_PROJECT,
     E2E_SRC_DIR,
+    E2E_TRUTH,
     HISTORY_DIR,
     load_clean_samples,
     make_change,
@@ -1064,6 +1066,31 @@ class TestEvaluate:
         assert main(["evaluate", "--results", str(empty),
                      "--truth", str(truth),
                      "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_results_are_read_one_at_a_time(self, ws, tmp_path):
+        results = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(results)]) == 0
+        lines = results.read_text(encoding="utf-8")
+
+        def peak(copies: int) -> int:
+            repeated = tmp_path / f"results-{copies}.jsonl"
+            repeated.write_text(lines * copies, encoding="utf-8")
+            argv = ["evaluate", "--results", str(repeated),
+                    "--truth", str(E2E_TRUTH),
+                    "--out", str(tmp_path / f"r-{copies}.json")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first decodes fill the record codec's caches
+        once, four = peak(1), peak(4)
+        # Holding every decoded result makes the peak grow with the file;
+        # one pass holds the truth index and nine score pairs per defect.
+        assert four < 1.5 * once, (once, four)
 
 
 def _with(*keys, value):

@@ -7,12 +7,12 @@ import math
 import pytest
 
 from conftest import statement_of
+from logfix import metrics
 from logfix.metrics import (
     DegenerateOrigin,
     EmptyReference,
     LengthMismatch,
     UPDATE_METRIC_NAMES,
-    VariableSets,
     aggregate_update_records,
     bleu_k,
     detection_metrics,
@@ -155,21 +155,19 @@ class TestRouge:
 
 class TestVariableMetrics:
     def test_half_overlap(self):
-        sets = VariableSets.of(["a", "b"], ["b", "c"])
-        assert variable_prf(sets) == (0.5, 0.5, 0.5)
+        assert variable_prf(["a", "b"], ["b", "c"]) == (0.5, 0.5, 0.5)
 
     def test_both_empty_is_perfect(self):
-        assert variable_prf(VariableSets.of([], [])) == (1.0, 1.0, 1.0)
+        assert variable_prf([], []) == (1.0, 1.0, 1.0)
 
     def test_one_empty_side(self):
-        assert variable_prf(VariableSets.of([], ["x"])) == (0.0, 0.0, 0.0)
-        assert variable_prf(VariableSets.of(["x"], [])) == (0.0, 0.0, 0.0)
+        assert variable_prf([], ["x"]) == (0.0, 0.0, 0.0)
+        assert variable_prf(["x"], []) == (0.0, 0.0, 0.0)
 
     def test_whitespace_normalization(self):
-        sets = VariableSets.of(["user .getId( )"], ["user .getId( )  "])
-        assert variable_prf(sets) == (1.0, 1.0, 1.0)
-        sets = VariableSets.of(["a +  b"], ["a + b"])
-        assert variable_prf(sets) == (1.0, 1.0, 1.0)
+        assert variable_prf(["user .getId( )"], ["user .getId( )  "]) == (
+            1.0, 1.0, 1.0)
+        assert variable_prf(["a +  b"], ["a + b"]) == (1.0, 1.0, 1.0)
 
 
 class TestImprovementCoefficient:
@@ -229,35 +227,44 @@ class TestEvaluateUpdate:
         original = statement_of('log.info("strating worker {}", id);')
         updated = statement_of('log.info("starting worker {}", id);')
         truth = statement_of('log.info("starting worker {}", id);')
-        records = evaluate_update(original, updated, truth)
-        assert [r.metric_name for r in records] == list(UPDATE_METRIC_NAMES)
-        by_name = {r.metric_name: r for r in records}
+        pairs = evaluate_update(original, updated, truth)
+        assert len(pairs) == len(UPDATE_METRIC_NAMES)
+        by_name = dict(zip(UPDATE_METRIC_NAMES, pairs))
         # The update equals the truth: every updated score is 1.
-        for record in records:
-            assert record.m_updated == pytest.approx(1.0)
+        for _, m_updated in pairs:
+            assert m_updated == pytest.approx(1.0)
         # Unigram overlap before the fix: 1 of 2 static-text tokens.
-        assert by_name["bleu-1"].m_origin == pytest.approx(0.5)
-        assert by_name["bleu-1"].ic == pytest.approx(1.0)
+        assert by_name["bleu-1"][0] == pytest.approx(0.5)
+        assert improvement_coefficient(*by_name["bleu-1"]) == pytest.approx(
+            1.0)
         # Variables never changed: perfect before and after, IC 0.
-        assert by_name["var-f1"].m_origin == 1.0
-        assert by_name["var-f1"].ic == 0.0
+        assert by_name["var-f1"][0] == 1.0
+        assert improvement_coefficient(*by_name["var-f1"]) == 0.0
 
-    def test_none_update_scores_as_original(self):
+    def test_none_update_scores_as_original(self, monkeypatch):
         original = statement_of('log.info("strating worker {}", id);')
         truth = statement_of('log.info("starting worker {}", id);')
-        records = evaluate_update(original, None, truth)
-        for record in records:
-            assert record.m_updated == pytest.approx(record.m_origin)
+        scored = []
+
+        def counting(stmt):
+            scored.append(stmt)
+            return static_text_tokens(stmt)
+
+        monkeypatch.setattr(metrics, "static_text_tokens", counting)
+        pairs = evaluate_update(original, None, truth)
+        for m_origin, m_updated in pairs:
+            assert m_updated == m_origin
+        # The truth once, the original once.
+        assert scored == [truth, original]
 
     def test_degenerate_origin_yields_none_ic(self):
         original = statement_of('log.info("done {}", a);')
         worse = statement_of('log.info("failed {}", b);')
         truth = statement_of('log.info("done {}", a);')
-        records = evaluate_update(original, worse, truth)
-        by_name = {r.metric_name: r for r in records}
-        assert by_name["bleu-1"].m_origin == 1.0
-        assert by_name["bleu-1"].m_updated == 0.0
-        assert by_name["bleu-1"].ic is None
+        pairs = evaluate_update(original, worse, truth)
+        by_name = dict(zip(UPDATE_METRIC_NAMES, pairs))
+        assert by_name["bleu-1"] == (1.0, 0.0)
+        assert aggregate_update_records([pairs])["bleu-1"]["mean_ic"] is None
 
 
 class TestAggregation:

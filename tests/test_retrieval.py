@@ -122,17 +122,19 @@ class TestSelectExemplars:
     def test_ranks_most_similar_first(self):
         pool = make_pool()
         target = statement_of('log.info("starting worker {}", job);')
-        chosen = select_exemplars(target, DefectLabel.STATEMENT_CODE, pool, k=2)
+        chosen = select_exemplars(
+            target, DefectLabel.STATEMENT_CODE, build_pool(pool), k=2)
         assert chosen[0] is pool[0]
         assert len(chosen) == 2
 
     def test_k_truncates_and_may_exceed_pool(self):
         pool = make_pool()
         target = statement_of('log.info("worker");')
+        indexed = build_pool(pool)
         assert len(select_exemplars(
-            target, DefectLabel.STATEMENT_CODE, pool, k=1)) == 1
+            target, DefectLabel.STATEMENT_CODE, indexed, k=1)) == 1
         assert len(select_exemplars(
-            target, DefectLabel.STATEMENT_CODE, pool, k=50)) == len(pool)
+            target, DefectLabel.STATEMENT_CODE, indexed, k=50)) == len(pool)
 
     def test_ties_break_by_commit_then_change_id(self):
         # Four identical documents score identically; ordering must then be
@@ -143,7 +145,8 @@ class TestSelectExemplars:
             for commit in ("c-delta", "c-alpha", "c-charlie", "c-bravo")
         ]
         target = statement_of(text)
-        chosen = select_exemplars(target, DefectLabel.STATIC_DYNAMIC, pool, k=4)
+        chosen = select_exemplars(target, DefectLabel.STATIC_DYNAMIC,
+                                  build_pool(pool), k=4)
         assert [c.commit_id for c in chosen] == [
             "c-alpha", "c-bravo", "c-charlie", "c-delta",
         ]
@@ -154,9 +157,10 @@ class TestSelectExemplars:
             ['log.info("starting worker {}", id);'] * 3, project="theirs"
         )
         target = statement_of('log.info("starting worker {}", id);')
+        pool = build_pool(ours + theirs)
         for label in sorted(SAME_PROJECT_LABELS, key=lambda l: l.value):
             chosen = select_exemplars(
-                target, label, ours + theirs, k=10, project_id="ours"
+                target, label, pool, k=10, project_id="ours"
             )
             assert chosen
             assert all(c.project_id == "ours" for c in chosen)
@@ -166,13 +170,13 @@ class TestSelectExemplars:
         theirs = make_pool(project="theirs")
         target = statement_of('log.info("starting worker {}", id);')
         chosen = select_exemplars(
-            target, DefectLabel.STATEMENT_CODE, ours + theirs, k=10,
-            project_id="ours",
+            target, DefectLabel.STATEMENT_CODE, build_pool(ours + theirs),
+            k=10, project_id="ours",
         )
         assert {c.project_id for c in chosen} == {"ours", "theirs"}
 
     def test_scoped_labels_require_project_id(self):
-        pool = make_pool()
+        pool = build_pool(make_pool())
         target = statement_of('log.info("x");')
         with pytest.raises(ValueError):
             select_exemplars(target, DefectLabel.TEMPORAL, pool, k=3)
@@ -183,7 +187,7 @@ class TestSelectExemplars:
             )
 
     def test_rejects_non_defect_and_bad_k(self):
-        pool = make_pool()
+        pool = build_pool(make_pool())
         target = statement_of('log.info("x");')
         with pytest.raises(ValueError):
             select_exemplars(target, DefectLabel.NON_DEFECT, pool, k=3)
@@ -194,7 +198,8 @@ class TestSelectExemplars:
     def test_empty_pool(self):
         target = statement_of('log.info("x");')
         with pytest.raises(EmptyPool):
-            select_exemplars(target, DefectLabel.STATEMENT_CODE, [], k=3)
+            select_exemplars(target, DefectLabel.STATEMENT_CODE,
+                             build_pool([]), k=3)
 
     def test_bm25_parameters_outside_their_range_are_rejected(self):
         for k1 in (-0.1, math.nan, math.inf):
