@@ -14,7 +14,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, get_type_hints
@@ -244,7 +243,7 @@ def cmd_mine(args, config: ToolConfig) -> int:
     # the providers read the history while extract_lccs consumes it
     try:
         changes = extract_lccs(counted_pairs(), config.parser, args.project)
-    except (subprocess.CalledProcessError, OSError) as exc:
+    except OSError as exc:
         raise DataError(f"cannot read history from {args.repo!r}: {exc}") from exc
     write_changes(args.out, changes)
     _note(f"mine: {commits} commits -> {len(changes)} log-centric "
@@ -375,8 +374,13 @@ def cmd_fix(args, config: ToolConfig) -> int:
 
 
 def cmd_evaluate(args, config: ToolConfig) -> int:
-    truth = {t.statement_id: t for t in
-             (from_dict(TruthRecord, d) for d in read_jsonl(args.truth))}
+    # Each id's label, and its statement only where a defect is scored
+    # against it.
+    truth = {}
+    for d in read_jsonl(args.truth):
+        t = from_dict(TruthRecord, d)
+        truth[t.statement_id] = (t.label, None if t.label is
+                                 DefectLabel.NON_DEFECT else t.statement)
     preds, golds, per_sample = [], [], []
     # One result at a time: only its label and scores outlive the loop.
     for row in read_jsonl(args.results):
@@ -386,11 +390,12 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
         if gold is None:
             raise DataError(f"no ground truth for statement {target.id} "
                             f"({target.raw_text!r})")
+        label, statement = gold
         preds.append(result.predicted_label)
-        golds.append(gold.label)
-        if gold.label is not DefectLabel.NON_DEFECT:
+        golds.append(label)
+        if statement is not None:
             per_sample.append(evaluate_update(
-                target, result.updated_statement, gold.statement))
+                target, result.updated_statement, statement))
     if not preds:
         raise DataError(f"no results in {args.results!r}")
     detection = detection_metrics(preds, golds)
@@ -515,8 +520,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         return args.func(args, config)
-    except _UsageError:
-        return EXIT_USAGE
     except BackendError as exc:
         print(f"logfix: backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -24,6 +24,7 @@ import difflib
 import logging
 import os
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -73,6 +74,15 @@ class CommitSnapshotPair:
 
 def _skip_warning(commit: str, path: str, reason: str) -> None:
     log.warning("commit %s: %s %s, commit skipped", commit, path, reason)
+
+
+def _has_non_source(commit: str, paths: Iterable[str]) -> bool:
+    """Whether a changed path is not a source file: such a commit changes
+    more than logging text. The first such path is logged."""
+    path = next((p for p in paths if not p.endswith(SOURCE_SUFFIXES)), None)
+    if path is not None:
+        log.debug("commit %s: non-source change %s", commit, path)
+    return path is not None
 
 
 class _MissingBlob(Exception):
@@ -127,9 +137,12 @@ class GitHistoryProvider:
     listed commit is only a parent. With `since`, git stops its walk at the
     first commit older than the cut, so the listed commits are an unbroken
     run. Paths are read verbatim (`-z`), file contents are decoded by
-    `decode_source`. A commit with a changed file whose name or content is
-    not UTF-8 text, or whose content git cannot show, is left out of the
-    pairs with a warning that names the commit and the path.
+    `decode_source`. A commit that changes a file outside SOURCE_SUFFIXES
+    is decided from git's records, before any file is read: it comes with
+    no files. A commit with a changed file whose name or content is not
+    UTF-8 text, or whose content git cannot show, is left out of the pairs
+    with a warning that names the commit and the path. A failing `log`
+    raises OSError with git's last line of error.
     """
 
     def __init__(self, repo_path: str, since: str | None = None):
@@ -145,15 +158,26 @@ class GitHistoryProvider:
                    "--no-renames", "--raw", "--no-abbrev", "--pretty=%H"]
         if self.since:
             log_cmd.append(f"--since={self.since}")
-        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.DEVNULL}
+        pipe = subprocess.PIPE
         # leaving the block closes the pipes and waits for both processes,
-        # also when reading fails or the consumer stops early
-        with subprocess.Popen(log_cmd, **pipes) as git_log, \
-                subprocess.Popen([*git, "cat-file", "--batch"],
-                                 stdin=subprocess.PIPE, **pipes) as cat_file:
+        # also when reading fails or the consumer stops early; git log's
+        # errors go to a file, as a pipe left unread could fill and stall git
+        with tempfile.TemporaryFile() as log_errors, \
+                subprocess.Popen(log_cmd, stdout=pipe,
+                                 stderr=log_errors) as git_log, \
+                subprocess.Popen([*git, "cat-file", "--batch"], stdin=pipe,
+                                 stdout=pipe,
+                                 stderr=subprocess.DEVNULL) as cat_file:
             commits = _raw_commits(git_log.stdout)
             next(commits, None)  # the oldest listed commit is only a parent
             for child, records in commits:
+                # decided before any file is read: a record whose ids are
+                # equal changes only a mode
+                if _has_non_source(child, (
+                        raw_path.decode("utf-8", "backslashreplace")
+                        for _, old, new, raw_path in records if old != new)):
+                    yield CommitSnapshotPair(child, ())
+                    continue
                 files: list[ChangedFile] = []
                 for status, old, new, raw_path in records:
                     shown = raw_path.decode("utf-8", "backslashreplace")
@@ -173,8 +197,11 @@ class GitHistoryProvider:
                     files.append((path, before, after))
                 else:
                     yield CommitSnapshotPair(child, tuple(files))
-        if git_log.returncode:
-            raise subprocess.CalledProcessError(git_log.returncode, log_cmd)
+            if git_log.wait():  # git's last line of error says why
+                log_errors.seek(0)
+                reason = log_errors.read().decode("utf-8", "replace").strip()
+                raise OSError(reason.rpartition("\n")[2] or
+                              f"git log exited with {git_log.returncode}")
 
 
 class FixtureHistoryProvider:
@@ -290,11 +317,7 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
         changed = [(path, before, after)
                    for path, before, after in pair.changed_files
                    if before != after]
-        non_source = next((path for path, _, _ in changed
-                           if not path.endswith(SOURCE_SUFFIXES)), None)
-        if non_source is not None:
-            log.debug("commit %s: non-source change %s", pair.commit_id,
-                      non_source)
+        if _has_non_source(pair.commit_id, (path for path, _, _ in changed)):
             continue
         eligible = True
         pending: list[tuple[MethodContext, object, object]] = []

@@ -18,6 +18,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import islice
 
 from logfix.model import (
     LoggingStatement,
@@ -204,14 +205,6 @@ def _scan_markers(static_text: str, base: int = 0) -> list[Placeholder]:
     return found
 
 
-@dataclass(frozen=True)
-class _Fragment:
-    """One top-level piece of a format expression: a literal or an expression."""
-    is_literal: bool
-    text: str              # literal content (between quotes) or expression text
-    span: tuple[int, int]  # span of `text` within the split text
-
-
 def _trimmed(span: tuple[int, int], text: str) -> tuple[int, int]:
     a, b = span
     while a < b and text[a].isspace():
@@ -226,15 +219,16 @@ _CONCAT_STOP_RE = re.compile(r"[()\[\]{}+]")
 
 
 def _split_format_expr(text: str, mask: bytearray, start: int,
-                       end: int) -> list[_Fragment] | None:
+                       end: int) -> list[tuple[bool, int, int]] | None:
     """Split the concatenation chain text[start:end] into literal and
-    expression fragments, with spans into `text`.
+    expression fragments: (is_literal, a, b) per fragment, where text[a:b]
+    is a literal's content between its quotes or an expression's text.
 
     `mask` is the literal mask of `text`. Every top-level '+' is a cut: a
     unary +/++ never separates the operands of a string concatenation in
     practice. Returns None when the chain holds no top-level string literal.
     """
-    frags: list[_Fragment] = []
+    frags: list[tuple[bool, int, int]] = []
     saw_literal = False
     for span in _top_level_spans(text, mask, start, end, _CONCAT_STOP_RE):
         a, b = _trimmed(span, text)
@@ -242,9 +236,9 @@ def _split_format_expr(text: str, mask: bytearray, start: int,
             continue
         if b - a >= 2 and text[a] == '"' and text[b - 1] == '"':
             saw_literal = True
-            frags.append(_Fragment(True, text[a + 1:b - 1], (a + 1, b - 1)))
+            frags.append((True, a + 1, b - 1))
         else:
-            frags.append(_Fragment(False, text[a:b], (a, b)))
+            frags.append((False, a, b))
     if not saw_literal:
         return None
     return frags
@@ -349,68 +343,53 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
     # the format is the first argument containing a top-level string
     # literal; a call without one (or without a closed argument list, which
     # leaves no argument spans) is degraded
-    arg_texts = []
-    for span in call.arg_spans:
-        a, b = _trimmed(span, lexed.stripped)
-        arg_texts.append((a, b, lexed.stripped[a:b]))
-    fmt_idx = None
+    stripped = lexed.stripped
     frags = None
-    for i, (a, b, arg) in enumerate(arg_texts):
-        if '"' in arg:
-            split = _split_format_expr(lexed.stripped, lexed.mask, a, b)
-            if split is not None:
-                fmt_idx = i
-                frags = split
+    for fmt_idx, span in enumerate(call.arg_spans):
+        a, b = _trimmed(span, stripped)
+        if stripped.find('"', a, b) >= 0:
+            frags = _split_format_expr(stripped, lexed.mask, a, b)
+            if frags is not None:
                 break
-    if fmt_idx is None:
+    if frags is None:
         stmt = LoggingStatement(
             id=sid, level=call.level, static_text="", placeholders=(),
             variables=(), raw_text=raw_text, location=loc,
             method_id=method_id, parse_degraded=True)
         return ParsedStatement(stmt, (), ())
 
+    # each placeholder binds its variable where it is found: a
+    # concatenated expression itself, a {} or % marker the next argument
+    # after the format; arguments left over after the last one are appended
+    trailing = iter(call.arg_spans[fmt_idx + 1:])
     static_parts: list[str] = []
     placeholders: list[Placeholder] = []
     fragments: list[tuple[int, int, int, int]] = []
-    # queues for variable binding: concat expressions keyed by placeholder slot
-    concat_map: dict[int, tuple[str, tuple[int, int]]] = {}
+    spans: list[tuple[int, int]] = []  # of each variable within `stripped`
     offset = 0
-    for frag in frags:
-        raw_a = frag.span[0] - call.start
-        raw_b = frag.span[1] - call.start
-        if frag.is_literal:
-            placeholders.extend(_scan_markers(frag.text, offset))
-            fragments.append((offset, offset + len(frag.text), raw_a, raw_b))
-            static_parts.append(frag.text)
-            offset += len(frag.text)
+    for is_literal, a, b in frags:
+        if is_literal:
+            literal = stripped[a:b]
+            markers = _scan_markers(literal, offset)
+            placeholders.extend(markers)
+            spans.extend(_trimmed(arg, stripped)
+                         for arg in islice(trailing, len(markers)))
+            fragments.append((offset, offset + len(literal),
+                              a - call.start, b - call.start))
+            static_parts.append(literal)
+            offset += len(literal)
         else:
-            concat_map[len(placeholders)] = (frag.text, (raw_a, raw_b))
             placeholders.append(Placeholder(PlaceholderKind.CONCAT, offset, ""))
-
-    trailing = [(a - call.start, b - call.start, arg)
-                for (a, b, arg) in arg_texts[fmt_idx + 1:]]
-    variables: list[str] = []
-    var_spans: list[tuple[int, int]] = []
-    t = 0
-    for idx, ph in enumerate(placeholders):
-        if ph.kind is PlaceholderKind.CONCAT:
-            expr, span = concat_map[idx]
-            variables.append(expr)
-            var_spans.append(span)
-        elif t < len(trailing):
-            a, b, arg = trailing[t]
-            variables.append(arg)
-            var_spans.append((a, b))
-            t += 1
-    for a, b, arg in trailing[t:]:
-        variables.append(arg)
-        var_spans.append((a, b))
+            spans.append((a, b))
+    spans.extend(_trimmed(arg, stripped) for arg in trailing)
 
     stmt = LoggingStatement(
         id=sid, level=call.level, static_text="".join(static_parts),
-        placeholders=tuple(placeholders), variables=tuple(variables),
+        placeholders=tuple(placeholders),
+        variables=tuple(stripped[a:b] for a, b in spans),
         raw_text=raw_text, location=loc, method_id=method_id)
-    return ParsedStatement(stmt, tuple(fragments), tuple(var_spans))
+    var_spans = tuple((a - call.start, b - call.start) for a, b in spans)
+    return ParsedStatement(stmt, tuple(fragments), var_spans)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +399,12 @@ def _build_statement(original: str, lexed: Lexed, call: _Call, path: str,
 # Read against the reversed text from just before a "(": the whitespace and
 # the identifier-character run ending there, so each run is read once.
 _RUN_BEFORE_PAREN_RE = re.compile(r"\s*([\w$]+)")
+# Read against the reversed text from just before a name: the whitespace,
+# then a "." or "@", or else the word before the name.
+_BEFORE_NAME_RE = re.compile(r"\s*([.@]?)([\w$]*)")
 _IDENT_START_RE = re.compile(r"[A-Za-z_$]")
-_THROWS_RE = re.compile(r"\s*throws\s+[\w$.\s,<>]*")
+# the space and any throws clause between a parameter list and a body
+_BEFORE_BODY_RE = re.compile(r"\s*(?:throws\s+[\w$.\s,<>]*)?")
 # `\b` before each keyword, checked after matching it so that the pattern
 # starts with a literal and `re` skips ahead to the next c, i or e
 _CLASS_RE = re.compile(
@@ -432,16 +415,6 @@ _NOT_A_METHOD = {
     "if", "for", "while", "switch", "catch", "return", "new", "do", "else",
     "try", "finally", "throw", "assert", "super", "this", "synchronized",
 }
-
-
-def _prev_word(text: str, idx: int) -> str:
-    j = idx
-    while j > 0 and text[j - 1].isspace():
-        j -= 1
-    i = j
-    while i > 0 and (text[i - 1].isalnum() or text[i - 1] in "_$"):
-        i -= 1
-    return text[i:j]
 
 
 @dataclass(frozen=True)
@@ -483,20 +456,13 @@ def _scan_method_spans(lexed: Lexed, path: str,
         name = stripped[start:run_end]
         if name in _NOT_A_METHOD:
             continue
-        k = start
-        while k > 0 and stripped[k - 1].isspace():
-            k -= 1
-        if k > 0 and stripped[k - 1] in ".@":
-            continue  # method call or annotation
-        if _prev_word(stripped, start) in ("new", "record"):
+        # a "." or "@" before the name makes it a call or an annotation, and
+        # `new` or `record` (read reversed) a constructor call or a record
+        before = _BEFORE_NAME_RE.match(backwards, n - start)
+        if before.group(1) or before.group(2) in ("wen", "drocer"):
             continue
-        after = close + 1
-        tm = _THROWS_RE.match(stripped, after)
-        if tm:
-            after = tm.end()
-        while after < len(stripped) and stripped[after].isspace():
-            after += 1
-        if after >= len(stripped) or stripped[after] != "{":
+        after = _BEFORE_BODY_RE.match(stripped, close + 1).end()
+        if after >= n or stripped[after] != "{":
             continue
         body_close = lexed.close(after)
         if body_close < 0:

@@ -320,7 +320,7 @@ class TestMine:
     def test_a_history_git_cannot_read_is_a_data_error(self, tmp_path,
                                                        capsys):
         # git runs only once mining asks for the first commit; its failure
-        # there is still exit 2, not a traceback
+        # there is still exit 2, not a traceback, and says what git said
         repo = tmp_path / "repo"
         repo.mkdir()
         (repo / ".git").write_text(f"gitdir: {tmp_path / 'gone'}\n",
@@ -329,6 +329,7 @@ class TestMine:
         assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cannot read history from" in err
+        assert "not a git repository" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1091,6 +1092,37 @@ class TestEvaluate:
         # Holding every decoded result makes the peak grow with the file;
         # one pass holds the truth index and nine score pairs per defect.
         assert four < 1.5 * once, (once, four)
+
+    def test_truth_statements_are_kept_only_for_defects(self, ws, tmp_path):
+        results = tmp_path / "results.jsonl"
+        assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
+                     "--lcc", ws["lcc"], "--out", str(results)]) == 0
+        rows = list(read_jsonl(str(E2E_TRUTH)))
+        clean = [r for r in rows if r["label"] == "NON_DEFECT"]
+
+        def peak(copies: int) -> int:
+            # rows no result asks for, each with a statement of its own
+            padded = tmp_path / f"truth-{copies}.jsonl"
+            write_jsonl(str(padded), rows + [
+                dict(clean[k % len(clean)], statement_id=f"pad-{k}")
+                for k in range(250 * copies)])
+            argv = ["evaluate", "--results", str(results),
+                    "--truth", str(padded),
+                    "--out", str(tmp_path / f"r-{copies}.json")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first decodes fill the record codec's caches
+        once, four = peak(1), peak(4)
+        # Every NON_DEFECT row is decoded, but only its id and label are
+        # kept: well under the ~1.4 KB a kept statement costs.
+        assert (four - once) / (250 * 3) < 500, (once, four)
+        assert ((tmp_path / "r-1.json").read_bytes()
+                == (tmp_path / "r-4.json").read_bytes())
 
 
 def _with(*keys, value):

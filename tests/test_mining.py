@@ -189,21 +189,68 @@ def test_git_history_skips_a_non_utf8_path(tmp_path, caplog):
 def test_git_history_skips_a_file_git_cannot_show(tmp_path, caplog):
     repo = GitRepo(tmp_path)
     repo.commit({b"Other.java": service_source("starting worker")})
-    # A submodule entry whose commit is not in the repository: `git show`
-    # fails on it, which must not read as an unchanged empty file.
+    # A submodule entry whose commit is not in the repository, at a source
+    # path: `cat-file` has no content for it, which must not read as an
+    # unchanged empty file.
     (tmp_path / "Other.java").write_text(service_source("started worker"),
                                          encoding="utf-8")
     repo.git("add", "-A")
     repo.git("update-index", "--add", "--cacheinfo",
-             "160000,1111111111111111111111111111111111111111,vendor/lib")
+             "160000,1111111111111111111111111111111111111111,vendor/Lib.java")
     repo.git("commit", "-q", "-m", "bump")
     bump = repo.git("rev-parse", "HEAD")
     with caplog.at_level(logging.WARNING, logger="logfix.mining"):
         pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
     assert pairs == []
     [warning] = caplog.records
-    assert f"commit {bump}: git cannot show vendor/lib" in (
+    assert f"commit {bump}: git cannot show vendor/Lib.java" in (
         warning.getMessage())
+
+
+def test_git_history_decides_a_non_source_commit_before_reading_it(
+        tmp_path, monkeypatch, caplog):
+    from logfix import mining
+
+    repo = GitRepo(tmp_path)
+    repo.commit({b"Service.java": service_source("starting worker"),
+                 b"run.sh": "echo run\n"})
+    # a submodule bump whose commits are not in the repository, and a
+    # binary asset: neither is read, so neither can fail to be read
+    sub = "160000,{},vendor/lib"
+    repo.git("update-index", "--add", "--cacheinfo", sub.format("1" * 40))
+    repo.git("commit", "-q", "-m", "add submodule")
+    repo.git("update-index", "--cacheinfo", sub.format("2" * 40))
+    repo.git("commit", "-q", "-m", "bump submodule")
+    bump = repo.git("rev-parse", "HEAD")
+    (tmp_path / "logo.png").write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+    repo.git("add", "logo.png")
+    repo.git("commit", "-q", "-m", "asset")
+    asset = repo.git("rev-parse", "HEAD")
+    # a mode change alone changes no text: the log edit beside it is mined
+    os.chmod(tmp_path / "run.sh", 0o755)
+    (tmp_path / "Service.java").write_text(service_source("started worker"),
+                                           encoding="utf-8")
+    repo.git("add", "run.sh", "Service.java")  # `add -A` drops the gitlink
+    repo.git("commit", "-q", "-m", "log edit")
+    log_edit = repo.git("rev-parse", "HEAD")
+    reads = []
+
+    def counting_read_blob(cat_file, oid):
+        reads.append(oid)
+        return read_blob(cat_file, oid)
+
+    read_blob = mining._read_blob
+    monkeypatch.setattr(mining, "_read_blob", counting_read_blob)
+    with caplog.at_level(logging.DEBUG, logger="logfix.mining"):
+        pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
+    assert [(p.commit_id, len(p.changed_files)) for p in pairs][1:] == [
+        (bump, 0), (asset, 0), (log_edit, 2)]
+    assert len(reads) == 4  # both sides of run.sh and Service.java
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+    assert f"commit {bump}: non-source change vendor/lib" in (
+        caplog.records[1].getMessage())
+    assert [c.commit_id for c in extract_lccs(pairs, None, "proj")] == [
+        log_edit]
 
 
 def test_git_history_keeps_a_commit_with_an_empty_diff(tmp_path):
@@ -274,7 +321,7 @@ def test_git_process_count_does_not_grow_with_history(tmp_path, monkeypatch,
     repo = GitRepo(tmp_path)
     for n in range(commits):
         repo.commit({b"Service.java": service_source(f"step {n}"),
-                     b"notes.txt": f"note {n}\n"})
+                     b"Notes.java": service_source(f"note {n}")})
     counter = CountingSubprocess()
     monkeypatch.setattr(mining, "subprocess", counter)
     pairs = list(GitHistoryProvider(str(tmp_path)).commit_pairs())
