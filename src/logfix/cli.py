@@ -446,7 +446,8 @@ def build_parser() -> _Parser:
                        help="mine log-centric changes from history")
     p.add_argument("--repo", required=True,
                    help="git repository or snapshot directory")
-    p.add_argument("--since", help="only consider commits after this date")
+    p.add_argument("--since", help="only consider commits after this date "
+                   "(ignored for snapshot directories)")
     p.add_argument("--project", default="", help="project id to stamp")
     p.add_argument("--out", required=True, help="changes JSONL to write")
     p.set_defaults(func=cmd_mine)

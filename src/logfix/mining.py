@@ -72,10 +72,6 @@ class CommitSnapshotPair:
     changed_files: tuple[ChangedFile, ...]
 
 
-def _skip_warning(commit: str, path: str, reason: str) -> None:
-    log.warning("commit %s: %s %s, commit skipped", commit, path, reason)
-
-
 def _has_non_source(commit: str, paths: Iterable[str]) -> bool:
     """Whether a changed path is not a source file: such a commit changes
     more than logging text. The first such path is logged."""
@@ -85,15 +81,48 @@ def _has_non_source(commit: str, paths: Iterable[str]) -> bool:
     return path is not None
 
 
-class _MissingBlob(Exception):
-    """`git cat-file --batch` has no content for a requested object."""
+class _Unavailable(Exception):
+    """A changed file's content cannot be had. Its two args are what the
+    skip warning says before the file's path and after it."""
+
+
+def _commit_pairs(commits, read) -> Iterator[CommitSnapshotPair]:
+    """Admits commits from their ids and (status, before, after, raw path)
+    records. A commit that changes a path outside SOURCE_SUFFIXES is decided
+    before anything is read and comes with no files; a record whose sides
+    are equal changes only a mode and does not count. Other sides are read
+    by `read` (bytes, or _Unavailable) and decoded by `decode_source`; a
+    changed file whose name or content is not UTF-8 text, or that cannot be
+    had, leaves its commit out with a warning naming commit and path."""
+    for commit, records in commits:
+        if _has_non_source(commit, (
+                raw_path.decode("utf-8", "backslashreplace")
+                for _, before, after, raw_path in records if before != after)):
+            yield CommitSnapshotPair(commit, ())
+            continue
+        files: list[ChangedFile] = []
+        for status, before, after, raw_path in records:
+            try:
+                files.append((
+                    raw_path.decode("utf-8"),
+                    decode_source(read(before)) if status != b"A" else "",
+                    decode_source(read(after)) if status != b"D" else ""))
+            except (UnicodeDecodeError, _Unavailable) as exc:
+                lead, why = (exc.args if isinstance(exc, _Unavailable)
+                             else ("", "is not UTF-8 text"))
+                log.warning("commit %s: %s%s %s, commit skipped", commit, lead,
+                            raw_path.decode("utf-8", "backslashreplace"), why)
+                break
+        else:
+            yield CommitSnapshotPair(commit, tuple(files))
 
 
 def _raw_commits(stream) -> Iterator[tuple[str, list[tuple[bytes, ...]]]]:
     """Each commit's id and its (status, old id, new id, path) records, one
-    commit at a time, from the `log -z --raw --pretty=%H` output on `stream`:
-    a commit id heads its records, each a `:<modes> <old> <new> <status>`
-    field (the first after a newline) and a path, all NUL-separated."""
+    commit at a time, from the `log -z --raw --pretty=%H %P` output on
+    `stream`: a commit id and its parents' ids head its records, each a
+    `:<modes> <old> <new> <status>` field (the first after a newline) and a
+    path, all NUL-separated. The root commit, only a parent, is left out."""
     def nul_fields():
         rest = b""
         for block in iter(lambda: stream.read(1 << 13), b""):
@@ -101,30 +130,31 @@ def _raw_commits(stream) -> Iterator[tuple[str, list[tuple[bytes, ...]]]]:
             yield from fields
 
     fields = nul_fields()
-    commit, records = None, []
+    commit, parents, records = "", "", []
     for field in fields:
         if field.lstrip(b"\n").startswith(b":"):
             _, _, old, new, status = field.split(b" ")
             records.append((status, old, new, next(fields)))
         elif field:
-            if commit is not None:
+            if parents:
                 yield commit, records
-            commit, records = field.decode("ascii"), []
-    if commit is not None:
+            commit, _, parents = field.decode("ascii").partition(" ")
+            records = []
+    if parents:
         yield commit, records
 
 
-def _read_blob(cat_file: subprocess.Popen, oid: bytes) -> str:
-    """One object's decoded content through a running `cat-file --batch`."""
+def _read_blob(cat_file: subprocess.Popen, oid: bytes) -> bytes:
+    """One object's content through a running `cat-file --batch`."""
     cat_file.stdin.write(oid + b"\n")
     cat_file.stdin.flush()
     header = cat_file.stdout.readline()  # "<oid> <type> <size>\n"
     if not header:
         raise OSError("git cat-file --batch ended early")
     if header.endswith(b" missing\n"):
-        raise _MissingBlob
+        raise _Unavailable("git cannot show ", "(missing)")
     size = int(header.split()[2])
-    return decode_source(cat_file.stdout.read(size + 1)[:size])
+    return cat_file.stdout.read(size + 1)[:size]
 
 
 class GitHistoryProvider:
@@ -133,16 +163,10 @@ class GitHistoryProvider:
     Two git processes serve the whole history, however long: one `log`
     lists the first-parent commits with each one's `--raw` diff against its
     first parent, read through a pipe one commit at a time, and one
-    `cat-file --batch` reads the changed files by object id. The oldest
-    listed commit is only a parent. With `since`, git stops its walk at the
-    first commit older than the cut, so the listed commits are an unbroken
-    run. Paths are read verbatim (`-z`), file contents are decoded by
-    `decode_source`. A commit that changes a file outside SOURCE_SUFFIXES
-    is decided from git's records, before any file is read: it comes with
-    no files. A commit with a changed file whose name or content is not
-    UTF-8 text, or whose content git cannot show, is left out of the pairs
-    with a warning that names the commit and the path. A failing `log`
-    raises OSError with git's last line of error.
+    `cat-file --batch` reads the changed files by object id. The root
+    commit is only a parent; with `since`, git stops its walk at the first
+    commit older than the cut. Paths are read verbatim (`-z`). A failing
+    `log` raises OSError with git's last line of error.
     """
 
     def __init__(self, repo_path: str, since: str | None = None):
@@ -155,7 +179,7 @@ class GitHistoryProvider:
         when the first pair is asked for."""
         git = ["git", "-C", self.repo_path]
         log_cmd = [*git, "log", "--reverse", "--first-parent", "-z", "-r",
-                   "--no-renames", "--raw", "--no-abbrev", "--pretty=%H"]
+                   "--no-renames", "--raw", "--no-abbrev", "--pretty=%H %P"]
         if self.since:
             log_cmd.append(f"--since={self.since}")
         pipe = subprocess.PIPE
@@ -168,35 +192,8 @@ class GitHistoryProvider:
                 subprocess.Popen([*git, "cat-file", "--batch"], stdin=pipe,
                                  stdout=pipe,
                                  stderr=subprocess.DEVNULL) as cat_file:
-            commits = _raw_commits(git_log.stdout)
-            next(commits, None)  # the oldest listed commit is only a parent
-            for child, records in commits:
-                # decided before any file is read: a record whose ids are
-                # equal changes only a mode
-                if _has_non_source(child, (
-                        raw_path.decode("utf-8", "backslashreplace")
-                        for _, old, new, raw_path in records if old != new)):
-                    yield CommitSnapshotPair(child, ())
-                    continue
-                files: list[ChangedFile] = []
-                for status, old, new, raw_path in records:
-                    shown = raw_path.decode("utf-8", "backslashreplace")
-                    try:
-                        path = raw_path.decode("utf-8")
-                        before = (_read_blob(cat_file, old)
-                                  if status != b"A" else "")
-                        after = (_read_blob(cat_file, new)
-                                 if status != b"D" else "")
-                    except UnicodeDecodeError:
-                        _skip_warning(child, shown, "is not UTF-8 text")
-                        break
-                    except _MissingBlob:
-                        log.warning("commit %s: git cannot show %s (missing), "
-                                    "commit skipped", child, shown)
-                        break
-                    files.append((path, before, after))
-                else:
-                    yield CommitSnapshotPair(child, tuple(files))
+            yield from _commit_pairs(_raw_commits(git_log.stdout),
+                                     lambda oid: _read_blob(cat_file, oid))
             if git_log.wait():  # git's last line of error says why
                 log_errors.seek(0)
                 reason = log_errors.read().decode("utf-8", "replace").strip()
@@ -204,68 +201,67 @@ class GitHistoryProvider:
                               f"git log exited with {git_log.returncode}")
 
 
+def _snapshot_bytes(side: bytes | str) -> bytes:
+    """A snapshot file's bytes, or _Unavailable with why it has none."""
+    if isinstance(side, str):
+        raise _Unavailable("", side)
+    return side
+
+
 class FixtureHistoryProvider:
     """Reads history/<seq>_<commitid>/<files...> snapshot directories.
 
-    Each directory is a full tree; consecutive directories (sorted by name)
-    form the commit pairs. The part after the first underscore is the commit
-    id. Files are decoded by `decode_source`; a commit that changes a file
-    whose name or content is not UTF-8 text, or that cannot be read (a
-    dangling link, say), is left out of the pairs with a warning that names
-    the commit and the path.
+    Each directory is a full tree; consecutive directories, ordered by
+    their integer <seq> (ValueError if it is not one) and then by name,
+    form the commit pairs. The part after the first underscore is the
+    commit id. A file counts as changed when its bytes changed.
     """
 
     def __init__(self, history_dir: str):
         self.history_dir = history_dir
 
-    def _snapshot(self, dirname: str) -> dict[str, str | tuple[str, bytes]]:
-        """Path -> decoded text, or, for a file that is not text, why (as a
-        warning ends) and its bytes, so that two versions of it compare as
-        their bytes do."""
+    def _snapshot(self, dirname: str) -> dict[bytes, bytes | str]:
+        """Raw path -> the file's bytes, or why it cannot be read."""
         root = os.path.join(self.history_dir, dirname)
-        tree: dict[str, str | tuple[str, bytes]] = {}
+        tree: dict[bytes, bytes | str] = {}
         for base, _, names in os.walk(root):
             for name in names:
                 full = os.path.join(base, name)
-                rel = os.path.relpath(full, root).replace(os.sep, "/")
+                raw = os.fsencode(
+                    os.path.relpath(full, root).replace(os.sep, "/"))
                 try:
                     with open(full, "rb") as fh:
-                        data = fh.read()
-                    rel.encode("utf-8")  # fails on an undecodable name
-                    tree[rel] = decode_source(data)
+                        tree[raw] = fh.read()
                 except OSError as exc:
-                    tree[rel] = (f"cannot be read ({exc.strerror})", b"")
-                except UnicodeError:
-                    tree[rel] = ("is not UTF-8 text", data)
+                    tree[raw] = f"cannot be read ({exc.strerror})"
         return tree
 
-    def commit_pairs(self) -> Iterator[CommitSnapshotPair]:
-        """Consecutive snapshots as commit pairs, one at a time."""
-        dirs = sorted(
-            d for d in os.listdir(self.history_dir)
-            if os.path.isdir(os.path.join(self.history_dir, d)) and "_" in d)
+    def _commits(self) -> Iterator[tuple[str, list[tuple]]]:
+        """Each snapshot after the first, with its records against the last."""
+        home = self.history_dir
+        dirs = [d for d in os.listdir(home)
+                if os.path.isdir(os.path.join(home, d)) and "_" in d]
+        for d in dirs:
+            if not d.split("_")[0].isdecimal():
+                raise ValueError(f"snapshot directory {d!r}: its <seq> is "
+                                 "not an integer")
+        dirs.sort(key=lambda d: (int(d.split("_")[0]), d))
         # each tree is read once: the newer side of one pair is the older
         # side of the next
         trees = map(self._snapshot, dirs)
-        before_tree = next(trees, {})
-        for cur, after_tree in zip(dirs[1:], trees):
-            commit_id = cur.split("_", 1)[1]
-            changed: list[ChangedFile] = []
-            for path in sorted(set(before_tree) | set(after_tree)):
-                b = before_tree.get(path, "")
-                a = after_tree.get(path, "")
-                if b == a:
-                    continue
-                unusable = next((v for v in (a, b) if isinstance(v, tuple)),
-                                None)
-                if unusable is not None:
-                    _skip_warning(commit_id, os.fsencode(path).decode(
-                        "utf-8", "backslashreplace"), unusable[0])
-                    break
-                changed.append((path, b, a))
-            else:
-                yield CommitSnapshotPair(commit_id, tuple(changed))
-            before_tree = after_tree
+        before = next(trees, {})
+        for cur, after in zip(dirs[1:], trees):
+            yield cur.split("_", 1)[1], [
+                (b"A" if old is None else b"D" if new is None else b"M",
+                 old, new, raw)
+                for raw in sorted(before.keys() | after.keys())
+                for old, new in [(before.get(raw), after.get(raw))]
+                if old != new]
+            before = after
+
+    def commit_pairs(self) -> Iterator[CommitSnapshotPair]:
+        """Consecutive snapshots as commit pairs, one at a time."""
+        return _commit_pairs(self._commits(), _snapshot_bytes)
 
 
 # ---------------------------------------------------------------------------

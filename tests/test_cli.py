@@ -313,6 +313,31 @@ class TestMine:
                      "--since", "2024-01-01", "--out", str(out)]) == 0
         assert "--since ignored" in capsys.readouterr().err
 
+    def test_a_snapshot_adding_a_binary_asset_counts_without_a_warning(
+            self, tmp_path, capsys, caplog):
+        # a non-source commit is decided before any file is read, as from git
+        service = 'class S {\n    void a() {\n        log.info("x");\n    }\n}\n'
+        for dirname in ("1_a", "2_b"):
+            (tmp_path / dirname).mkdir()
+            (tmp_path / dirname / "S.java").write_text(service,
+                                                       encoding="utf-8")
+        (tmp_path / "2_b" / "logo.png").write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+        out = tmp_path / "o.jsonl"
+        with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+            assert main(["mine", "--repo", str(tmp_path),
+                         "--out", str(out)]) == 0
+        assert caplog.records == []
+        assert "mine: 1 commits -> 0 log-centric changes" in (
+            capsys.readouterr().err)
+
+    def test_a_snapshot_seq_that_is_not_an_integer_is_a_data_error(
+            self, tmp_path, capsys):
+        for dirname in ("1_base", "2_next", "v3_tagged"):
+            (tmp_path / dirname).mkdir()
+        assert main(["mine", "--repo", str(tmp_path),
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert "'v3_tagged'" in capsys.readouterr().err
+
     def test_bad_repo(self, tmp_path):
         assert main(["mine", "--repo", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o.jsonl")]) == 2

@@ -1,9 +1,11 @@
 """Line diffing, history providers, and the extraction of pure
 logging-text changes from commit history."""
 
+import io
 import logging
 import os
 import subprocess
+import tarfile
 import tracemalloc
 
 import pytest
@@ -119,6 +121,19 @@ def test_fixture_history_skips_a_commit_with_a_non_utf8_name(tmp_path,
         warning.getMessage())
 
 
+def test_fixture_history_orders_snapshots_by_their_seq(tmp_path):
+    # unpadded: by name, 10_c10 and 11_c11 would come before 2_c2
+    for n in range(1, 12):
+        (tmp_path / f"{n}_c{n}").mkdir()
+        (tmp_path / f"{n}_c{n}" / "Service.java").write_text(
+            service_source(f"step {n}"), encoding="utf-8")
+    pairs = FixtureHistoryProvider(str(tmp_path)).commit_pairs()
+    assert [(c.commit_id, c.before.raw_text, c.after.raw_text)
+            for c in extract_lccs(pairs, None, "proj")] == [
+        (f"c{n}", f'log.info("step {n - 1}");', f'log.info("step {n}");')
+        for n in range(2, 12)]
+
+
 class GitRepo:
     """A scratch git repository built one commit at a time."""
 
@@ -136,10 +151,12 @@ class GitRepo:
              *args],
             capture_output=True, text=True, check=True, env=env).stdout.strip()
 
-    def commit(self, files: dict[bytes, str], date: str | None = None) -> str:
+    def commit(self, files: dict[bytes, str | bytes],
+               date: str | None = None) -> str:
         for name, text in files.items():
             with open(os.path.join(os.fsencode(self.root), name), "wb") as fh:
-                fh.write(text.encode("utf-8"))
+                fh.write(text.encode("utf-8") if isinstance(text, str)
+                         else text)
         self.git("add", "-A")
         self.git("commit", "-q", "--allow-empty", "-m", "change",
                  committer_date=date)
@@ -395,8 +412,11 @@ def test_git_history_since_limits_the_pairs(tmp_path):
                         date=f"{year}-01-01T00:00:00+00:00")
             for year in (2020, 2021, 2022, 2023)]
     pairs = GitHistoryProvider(str(tmp_path), since="2021-06-01").commit_pairs()
-    # the first pair after the cut still diffs against its parent
+    # the first commit after the cut is mined, diffed against its parent;
+    # only the root commit is a bare parent
     assert [(p.commit_id, p.changed_files) for p in pairs] == [
+        (shas[2], (("Service.java", service_source("step 2021"),
+                    service_source("step 2022")),)),
         (shas[3], (("Service.java", service_source("step 2022"),
                     service_source("step 2023")),))]
     every = GitHistoryProvider(str(tmp_path)).commit_pairs()
@@ -413,6 +433,8 @@ def test_git_history_since_stops_at_an_old_dated_commit(tmp_path):
             for year in (2020, 2021, 2000, 2022, 2023)]
     pairs = GitHistoryProvider(str(tmp_path), since="2010-01-01").commit_pairs()
     assert [(p.commit_id, p.changed_files) for p in pairs] == [
+        (shas[3], (("Service.java", service_source("step 2000"),
+                    service_source("step 2022")),)),
         (shas[4], (("Service.java", service_source("step 2022"),
                     service_source("step 2023")),))]
     pairs = GitHistoryProvider(str(tmp_path), since="1990-01-01").commit_pairs()
@@ -481,6 +503,70 @@ def test_each_file_version_is_parsed_once(tmp_path, monkeypatch):
     # Each commit's "before" side is the previous commit's "after" side.
     assert len(parsed) == 4
     assert len(set(parsed)) == 4
+
+
+def test_a_git_history_and_its_snapshot_export_mine_the_same_way(tmp_path,
+                                                                 caplog):
+    # Each commit is exported with `git archive` into an unpadded
+    # <n>_<sha> directory. Symlinks and gitlinks (submodules) have no
+    # snapshot equivalent, so the history holds neither.
+    root = tmp_path / "git"
+    root.mkdir()
+    repo = GitRepo(root)
+
+    def commit(files: dict[bytes, str | bytes], drop: str = "") -> str:
+        if drop:
+            (root / drop).unlink()
+        return repo.commit(files)
+
+    def src(message: str, code: str = "n += 1;", newline: str = "\n") -> str:
+        return service_source(message, code).replace("\n", newline)
+
+    shas = [
+        commit({b"Service.java": src("starting worker"),
+                b"Worker.java": src("opening lease"), b"notes.txt": "a\n"}),
+        commit({b"Service.java": src("started worker")}),  # log only
+        commit({b"Service.java": src("started worker", "n += 2;")}),  # code
+        commit({b"notes.txt": "b\n"}),  # non-source text
+        commit({b"logo.png": b"\x89PNG\r\n\x1a\n\xff\x00"}),  # binary asset
+        commit({b"Legacy.java": "// Gr\u00f6\u00dfe\n".encode("latin-1")}),
+        commit({b"Caf\xe9.java": src("opening cafe")}),  # non-UTF-8 name
+        commit({b"Worker.java": src("opened lease", newline="\r\n")}),
+        commit({b"notes.txt": "b\r\n",
+                b"Service.java": src("worker started", "n += 2;")}),
+        commit({b"Lease.java": src("granting lease")}, drop="Worker.java"),
+        commit({}),  # empty
+    ]
+    os.chmod(root / "Service.java", 0o755)  # a mode change beside a log edit
+    shas.append(commit({b"Lease.java": src("granted lease")}))
+    shas.append(commit({b"Lease.java": src("lease granted")}))
+    snapshots = tmp_path / "snapshots"
+    for n, sha in enumerate(shas):
+        archive = subprocess.run(
+            ["git", "-C", str(root), "-c", "core.autocrlf=false", "archive",
+             sha], capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(snapshots / f"{n}_{sha}", filter="data")
+
+    def mined(provider):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="logfix.mining"):
+            pairs = list(provider.commit_pairs())
+        # git lists a mode change, which a snapshot cannot show
+        changed = [(p.commit_id, tuple(f for f in p.changed_files
+                                       if f[1] != f[2])) for p in pairs]
+        return (changed, [r.getMessage() for r in caplog.records],
+                extract_lccs(pairs, None, "proj"))
+
+    git_pairs, git_warnings, git_changes = mined(
+        GitHistoryProvider(str(root)))
+    assert mined(FixtureHistoryProvider(str(snapshots))) == (
+        git_pairs, git_warnings, git_changes)
+    assert git_warnings == [
+        f"commit {shas[5]}: Legacy.java is not UTF-8 text, commit skipped",
+        f"commit {shas[6]}: Caf\\xe9.java is not UTF-8 text, commit skipped"]
+    assert [c.commit_id for c in git_changes] == [
+        shas[1], shas[7], shas[11], shas[12]]
 
 
 # ---------------------------------------------------------------------------
