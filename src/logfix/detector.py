@@ -123,16 +123,17 @@ class TrainingBatch:
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
-def _cosine_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise cosines plus a mask of rows where either side is zero-norm
-    (those rows get cosine 0)."""
+def _cosine_rows(a: np.ndarray, b: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise cosines, a mask of rows where either side is zero-norm
+    (those rows get cosine 0), and each side's row norms (1 on those rows)."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     degenerate = (na == 0.0) | (nb == 0.0)
-    denom = np.where(degenerate, 1.0, na * nb)
-    cos = np.einsum("ij,ij->i", a, b) / denom
-    cos = np.where(degenerate, 0.0, cos)
-    return cos, degenerate
+    na = np.where(degenerate, 1.0, na)
+    nb = np.where(degenerate, 1.0, nb)
+    cos = np.where(degenerate, 0.0, np.einsum("ij,ij->i", a, b) / (na * nb))
+    return cos, degenerate, na, nb
 
 
 def composite_loss(batch: TrainingBatch, alpha: float) -> float:
@@ -143,8 +144,8 @@ def composite_loss(batch: TrainingBatch, alpha: float) -> float:
     p = np.maximum(batch.probabilities, PROB_FLOOR)
     n = p.shape[0]
     ce = -float(np.sum(batch.labels * np.log(p))) / n
-    cos, degenerate = _cosine_rows(batch.statement_vectors,
-                                   batch.context_vectors)
+    cos, degenerate, _, _ = _cosine_rows(batch.statement_vectors,
+                                         batch.context_vectors)
     if degenerate.any():
         warnings.warn(
             f"{int(degenerate.sum())} of {n} samples have a zero-norm "
@@ -249,51 +250,36 @@ def loss_and_grads(
     # probability underflows 1e-12; the standard softmax gradient is exact
     # everywhere the floor is inactive.
     dlogits = (probs - labels) / n
-    d_head_w = concat.T @ dlogits
-    d_head_b = dlogits.sum(axis=0)
     d_concat = dlogits @ head.weight.T
-    dim = model.dim
-    d_vec_l = d_concat[:, :dim].copy()
-    d_vec_s = d_concat[:, dim:].copy()
-
-    # Cosine regularizer path: d cos/d l = s/(|l||s|) - cos * l/|l|^2.
-    cos, degenerate = _cosine_rows(vec_l, vec_s)
-    norm_l = np.linalg.norm(vec_l, axis=1)
-    norm_s = np.linalg.norm(vec_s, axis=1)
-    safe_l = np.where(degenerate, 1.0, norm_l)
-    safe_s = np.where(degenerate, 1.0, norm_s)
-    scale = -alpha / n
-    live = (~degenerate).astype(float)[:, None]
-    d_vec_l += scale * live * (
-        vec_s / (safe_l * safe_s)[:, None]
-        - cos[:, None] * vec_l / (safe_l ** 2)[:, None])
-    d_vec_s += scale * live * (
-        vec_l / (safe_l * safe_s)[:, None]
-        - cos[:, None] * vec_s / (safe_s ** 2)[:, None])
-
     grads: dict[str, np.ndarray] = {
-        "head_weight": d_head_w,
-        "head_bias": d_head_b,
+        "head_weight": concat.T @ dlogits,
+        "head_bias": dlogits.sum(axis=0),
         "w1": np.zeros_like(model.w1),
         "b1": np.zeros_like(model.b1),
         "w2": np.zeros_like(model.w2),
         "b2": np.zeros_like(model.b2),
     }
-    pooled_grads: list[np.ndarray] = []
-    for pooled, hidden, d_vec in ((pooled_stmt, hid_l, d_vec_l),
-                                  (pooled_ctx, hid_s, d_vec_s)):
+
+    # Each encoder side, statement then context, adds its cosine regularizer
+    # term d cos/d vec = other/(|l||s|) - cos * vec/|vec|^2 to its half of
+    # d_concat and backpropagates into the shared projection.
+    cos, degenerate, norm_l, norm_s = _cosine_rows(vec_l, vec_s)
+    scale = -alpha / n * (~degenerate).astype(float)[:, None]
+    dim = model.dim
+    sides = (("pooled_stmt", pooled_stmt, hid_l, vec_l, vec_s, norm_l),
+             ("pooled_ctx", pooled_ctx, hid_s, vec_s, vec_l, norm_s))
+    for side, (key, pooled, hidden, vec, other, norm) in enumerate(sides):
+        d_vec = d_concat[:, side * dim:(side + 1) * dim] + scale * (
+            other / (norm_l * norm_s)[:, None]
+            - cos[:, None] * vec / (norm ** 2)[:, None])
         grads["w2"] += hidden.T @ d_vec
         grads["b2"] += d_vec.sum(axis=0)
-        d_hidden = d_vec @ model.w2.T
-        d_pre = d_hidden * (1.0 - hidden ** 2)
+        d_pre = d_vec @ model.w2.T * (1.0 - hidden ** 2)
         grads["w1"] += pooled.T @ d_pre
         grads["b1"] += d_pre.sum(axis=0)
-        pooled_grads.append(d_pre @ model.w1.T)
-    if dropout_masks is not None:
-        pooled_grads[0] = pooled_grads[0] * dropout_masks[0]
-        pooled_grads[1] = pooled_grads[1] * dropout_masks[1]
-    grads["pooled_stmt"] = pooled_grads[0]
-    grads["pooled_ctx"] = pooled_grads[1]
+        grads[key] = d_pre @ model.w1.T
+        if dropout_masks is not None:
+            grads[key] *= dropout_masks[side]
     return loss, grads, batch
 
 
@@ -440,10 +426,8 @@ def train(
             labels = train_labels[idx]
             masks = None
             if config.dropout > 0:
-                masks = (
-                    (rng.random(pooled_l.shape) < keep) / keep,
-                    (rng.random(pooled_s.shape) < keep) / keep,
-                )
+                masks = tuple((rng.random(pooled.shape) < keep) / keep
+                              for pooled in (pooled_l, pooled_s))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateVector)
                 loss, grads, _ = loss_and_grads(

@@ -45,10 +45,20 @@ SOURCE_SUFFIXES = (".java",)
 # Line diffing
 # ---------------------------------------------------------------------------
 
+def _lines(text: str) -> list[str]:
+    """`text` split at "\\n", less the empty piece after a final newline."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def diff_lines(before: str, after: str) -> tuple[set[int], set[int]]:
     """The 1-based numbers of the lines of `before` that are deleted or
-    replaced, and of the lines of `after` that are inserted or replacing."""
-    sm = difflib.SequenceMatcher(None, before.splitlines(), after.splitlines(),
+    replaced, and of the lines of `after` that are inserted or replacing.
+    Lines end at "\\n" only, as the parser counts them (a form feed or
+    U+2028 does not end a Java line)."""
+    sm = difflib.SequenceMatcher(None, _lines(before), _lines(after),
                                  autojunk=False)
     deleted: set[int] = set()
     inserted: set[int] = set()

@@ -330,6 +330,22 @@ class TestMine:
         assert "mine: 1 commits -> 0 log-centric changes" in (
             capsys.readouterr().err)
 
+    def test_a_log_edit_below_a_form_feed_is_mined(self, tmp_path, capsys):
+        # the parser and the line diff both end lines at \n only
+        method = ("class Runner {\n    void run(int n) {\n"
+                  "        // next: the run\f\n        int k = n;\n"
+                  '        log.info("%s run {}", n);\n    }\n}\n')
+        for dirname, message in (("1_base", "starting"), ("2_fix", "started")):
+            (tmp_path / dirname).mkdir()
+            (tmp_path / dirname / "Runner.java").write_bytes(
+                (method % message).encode("utf-8"))
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(tmp_path), "--out", str(out)]) == 0
+        assert "mine: 1 commits -> 1 log-centric changes" in (
+            capsys.readouterr().err)
+        [record] = read_jsonl(str(out))
+        assert record["after"]["raw_text"] == 'log.info("started run {}", n);'
+
     def test_a_snapshot_seq_that_is_not_an_integer_is_a_data_error(
             self, tmp_path, capsys):
         for dirname in ("1_base", "2_next", "v3_tagged"):

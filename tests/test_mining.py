@@ -721,3 +721,31 @@ def test_extract_lccs_on_bundled_history():
          'logger.debug("Receiver thread started");',
          'logger.debug("Starting receiver thread");'),
     ]
+
+
+def run_method(message: str, comment: str = "", literal: str = "") -> str:
+    """A method whose log call sits on line 5, two lines below a comment."""
+    return ("class Runner {\n"
+            "    void run(int n) {\n"
+            f"        // next: the run{comment}\n"
+            f'        String tag = "run{literal}";\n'
+            f'        log.info("{message} run {{}}", n);\n'
+            "    }\n"
+            "}\n")
+
+
+@pytest.mark.parametrize("where, odd", [
+    ("comment", "\f"), ("literal", "\v"), ("literal", "\x85"),
+    ("comment", "\u2028"), ("literal", "\u2028"),
+], ids=["form-feed", "vertical-tab", "nel", "ls-comment", "ls-literal"])
+def test_diff_lines_counts_lines_as_the_parser_does(where, odd):
+    # Java ends lines at \n (and \r, which decoding already turned into
+    # \n); str.splitlines also ends them at \f, \v, \x85 and U+2028, which
+    # put the log edit one line below where the parser found the call
+    kwargs = {where: odd}
+    before = run_method("starting", **kwargs)
+    after = run_method("started", **kwargs)
+    assert diff_lines(before, after) == ({5}, {5})
+    [change] = extract_lccs([pair_of("c1", before, after, "Runner.java")],
+                            None, "proj")
+    assert change.after.raw_text == 'log.info("started run {}", n);'
