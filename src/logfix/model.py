@@ -89,9 +89,11 @@ class Placeholder:
 
 
 def content_hash(*parts: str) -> str:
+    """A short id over `parts`. A part holding a surrogate escape, as a
+    file name from `os.walk` that is not UTF-8 does, hashes as its bytes."""
     h = hashlib.sha256()
     for part in parts:
-        h.update(part.encode("utf-8"))
+        h.update(part.encode("utf-8", "surrogateescape"))
         h.update(b"\x00")
     return h.hexdigest()[:16]
 

@@ -2,12 +2,14 @@
 
 This is not a grammar: a method is a name before a matched "(" whose
 parameter list is followed by a balanced brace block, and a logger call is a
-receiver/method-name pattern. Each text is lexed once (`lex`): comments are
-replaced by spaces, so offsets and line numbers stay valid, string and char
-literals are masked, and every bracket outside them is matched. The scanners
-read only that result, so quotes, braces, and commas inside literals never
-confuse them, and each reads every word once: extraction time is linear in
-the text, however long its identifiers or literals.
+receiver/method-name pattern. Each text is lexed once (`lex`), through the
+matches of one token pattern (a comment, a string or char literal, or a
+bracket): comments are replaced by spaces, so offsets and line numbers stay
+valid, string and char literals are masked, and every bracket outside them
+is matched. The scanners read only that result, so quotes, braces, and
+commas inside literals never confuse them, and each reads every word once:
+extraction time is linear in the text, however long its identifiers or
+literals. A method candidate's body is tested before its name is read.
 Malformed input degrades: regions that cannot be matched are skipped and
 reported, never raised out of extraction.
 """
@@ -74,15 +76,18 @@ class MethodTooLong(Exception):
 # Lexing
 # ---------------------------------------------------------------------------
 
-# what ends a stretch of code: a comment opener, a quote, or a bracket
-_CODE_STOP_RE = re.compile(r"//|/\*|[\"'(){}]")
-# the rest of a literal after its opening quote: a backslash escapes the next
-# character, even a newline; an unescaped newline ends the literal without
-# belonging to it (Java literals cannot span lines)
-_LITERAL_REST_RE = {
-    q: re.compile(rf"[^{q}\\\n]*(?:\\[\s\S]?[^{q}\\\n]*)*{q}?")
-    for q in "\"'"
-}
+# One token of the lexer: a // comment up to its line end, a /* */ comment
+# up to its */ or the end of the text, a string or char literal, or a
+# bracket. In a literal a backslash escapes the next character, even a
+# newline; an unescaped newline ends the literal without belonging to it
+# (Java literals cannot span lines). Each alternative starts with one
+# literal character, so `re` skips ahead to the next token's first character.
+_TOKEN_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*[^*]*(?:\*(?!/)[^*]*)*(?:\*/)?"
+    r"|\"[^\"\\\n]*(?:\\[\s\S]?[^\"\\\n]*)*\"?"
+    r"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?"
+    r"|\(|\)|\{|\}")
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
@@ -112,45 +117,28 @@ class Lexed:
 
 def lex(source: str) -> Lexed:
     """Strip comments, mask literals and match brackets in one scan."""
-    n = len(source)
     pieces: list[str] = []
-    mask = bytearray(n)
+    mask = bytearray(len(source))
     closes: dict[int, int] = {}
     parens: list[int] = []
     braces: list[int] = []
-    stack_of = {"(": parens, ")": parens, "{": braces, "}": braces}
     pos = 0  # source[pos:] is not yet copied into pieces
-    i = 0
-    while True:
-        m = _CODE_STOP_RE.search(source, i)
-        if m is None:
-            break
-        i = m.start()
+    for m in _TOKEN_RE.finditer(source):
         token = m.group()
-        if token in "({":
-            stack_of[token].append(i)
-            i += 1
-        elif token in ")}":
-            stack = stack_of[token]
-            if stack:
+        i = m.start()
+        c = token[0]
+        if c == "/":
+            pieces.append(source[pos:i])
+            pieces.append(_NOT_NEWLINE_RE.sub(" ", token))
+            pos = m.end()
+        elif c in "\"'":
+            mask[i:m.end()] = b"\x01" * len(token)
+        else:
+            stack = parens if c in "()" else braces
+            if c in "({":
+                stack.append(i)
+            elif stack:
                 closes[stack.pop()] = i
-            i += 1
-        elif token == "//":
-            end = source.find("\n", i)
-            end = n if end < 0 else end
-            pieces.append(source[pos:i])
-            pieces.append(" " * (end - i))
-            pos = i = end
-        elif token == "/*":
-            end = source.find("*/", i + 2)
-            end = n if end < 0 else end + 2
-            pieces.append(source[pos:i])
-            pieces.append(_NOT_NEWLINE_RE.sub(" ", source[i:end]))
-            pos = i = end
-        else:  # a quote opens a literal
-            end = _LITERAL_REST_RE[token].match(source, i + 1).end()
-            mask[i:end] = b"\x01" * (end - i)
-            i = end
     pieces.append(source[pos:])
     stripped = "".join(pieces)
     starts = [0]
@@ -433,8 +421,9 @@ def _scan_method_spans(lexed: Lexed, path: str,
     A name is an identifier-character run followed by optional whitespace
     and a matched "(", minus any leading characters that cannot start an
     identifier (digits, non-ASCII word characters). Only a "(" that `lex`
-    matched can open a parameter list, so the scan starts from those and
-    reads each run backwards once.
+    matched can open a parameter list, so the scan starts from those. Most
+    of them are calls, not followed by a "{", so that is tested first, and
+    only then is the run before the "(" read backwards.
     """
     stripped, mask = lexed.stripped, lexed.mask
     n = len(stripped)
@@ -442,6 +431,9 @@ def _scan_method_spans(lexed: Lexed, path: str,
     spans: list[_MethodSpan] = []
     for open_paren, close in sorted(lexed.closes.items()):
         if stripped[open_paren] != "(":
+            continue
+        after = _BEFORE_BODY_RE.match(stripped, close + 1).end()
+        if after >= n or stripped[after] != "{":
             continue
         run = _RUN_BEFORE_PAREN_RE.match(backwards, n - open_paren)
         if run is None:
@@ -460,9 +452,6 @@ def _scan_method_spans(lexed: Lexed, path: str,
         # `new` or `record` (read reversed) a constructor call or a record
         before = _BEFORE_NAME_RE.match(backwards, n - start)
         if before.group(1) or before.group(2) in ("wen", "drocer"):
-            continue
-        after = _BEFORE_BODY_RE.match(stripped, close + 1).end()
-        if after >= n or stripped[after] != "{":
             continue
         body_close = lexed.close(after)
         if body_close < 0:

@@ -4,7 +4,8 @@ The tree holds what real checkouts hold and a parser trips on: a byte
 order mark, CRLF and lone-CR line ends, a form feed in a comment, U+2028
 inside a string literal, non-ASCII, tab and quote file names, an empty
 file, a binary file, a dangling symlink, a file name that is not UTF-8,
-and a method longer than a line cap. Nothing binary is committed.
+a method longer than a line cap, and one under the cap whose text is over
+the detector's default token limit. Nothing binary is committed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from logfix.tokenization import DEFAULT_MAX_TOKENS
 
 LEVELS = ("trace", "debug", "info", "warn", "error")
 VERBS = ("opening", "closing", "granting", "renewing", "flushing", "loading",
@@ -30,6 +33,8 @@ class HostileTree:
     messages: set[str] = field(default_factory=set)
     # the notes `extract` prints for what it skips, in walk order
     notes: list[str] = field(default_factory=list)
+    # the method under the line cap whose text is over DEFAULT_MAX_TOKENS
+    over_max_tokens: str = "Long.wordy"
 
 
 class _Writer:
@@ -98,10 +103,13 @@ def write_hostile_tree(root: Path, seed: int = 0,
             w.source("Latin", w.method("old", kept=False)).encode())
     w.tree.notes.append("extract: Latin\\xe9.java: not UTF-8 text, "
                         "file skipped")
+    table = ", ".join(str(w.rng.randrange(100))
+                      for _ in range(DEFAULT_MAX_TOKENS // 2 + 1))
     w.write("Long.java", w.source(
         "Long", w.method("brief", line_cap),
+        w.method("wordy", before_log=f"int[] table = {{{table}}};"),
         w.method("sprawl", line_cap + 1, kept=False)).encode())
     w.tree.notes.append(
-        f"extract: Long.java:{line_cap + 3}: method sprawl has "
+        f"extract: Long.java:{line_cap + 8}: method sprawl has "
         f"{line_cap + 1} lines, over the line cap of {line_cap}; skipped")
     return w.tree

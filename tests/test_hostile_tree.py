@@ -14,10 +14,11 @@ import pytest
 from conftest import HISTORY_DIR
 from hostile_tree import write_hostile_tree
 from logfix.cli import main
-from logfix.detector import TrainConfig, init_head, init_model, save_checkpoint
+from logfix.detector import (TrainConfig, init_head, init_model, predict,
+                             save_checkpoint)
 from logfix.model import MethodRecord, from_dict, read_jsonl
 from logfix.parser import decode_source
-from logfix.tokenization import fit_vocabulary
+from logfix.tokenization import fit_vocabulary, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +65,28 @@ def test_detect_and_fix_are_byte_identical_across_runs_and_jobs(
     tree, config, methods, code, _ = extracted
     assert code == 0
     # A seeded untrained checkpoint whose head reads only the statement
-    # half: it flags some statements and passes the others.
+    # half, its NON_DEFECT bias set to the median margin of the other
+    # classes: it flags some statements and passes the others.
     vocab, _ = fit_vocabulary(sorted(tree.messages), max_size=64)
     model = init_model(vocab, 16, seed=1)
     model.embedding *= 50.0
     head = init_head(16)
     head.weight[:16] = np.random.default_rng(1).normal(0.0, 1.0, (16, 5))
+    train_config = TrainConfig(dim=16, vocab_size=64)
+    records = [from_dict(MethodRecord, d) for d in read_jsonl(str(methods))]
+    margins = []
+    for record in records:
+        for stmt in record.statements:
+            logp = np.log(predict(record.method, stmt, model, head,
+                                  train_config.max_tokens)[1])
+            margins.append(logp[1:].max() - logp[0])
+    head.bias[0] += np.median(margins)
     checkpoint = tmp_path / "model.json"
-    save_checkpoint(str(checkpoint), model, head,
-                    TrainConfig(dim=16, vocab_size=64))
+    save_checkpoint(str(checkpoint), model, head, train_config)
+    [wordy] = [r.method for r in records
+               if r.method.qualified_name == tree.over_max_tokens]
+    assert tokenize(wordy.source_text, vocab,
+                    train_config.max_tokens).truncated
     pool = tmp_path / "changes.jsonl"
     assert main(["mine", "--repo", str(HISTORY_DIR), "--project", "hostile",
                  "--out", str(pool)]) == 0

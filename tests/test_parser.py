@@ -1,6 +1,7 @@
 """Statement decomposition, method extraction, and raw-text round-trips."""
 
 import dataclasses
+import hashlib
 import random
 import re
 import sys
@@ -303,6 +304,13 @@ def test_lexer_matches_reference_scanners():
     fixtures = sorted(FIXTURES.rglob("*.java"))
     assert len(fixtures) >= 50
     texts.extend(path.read_text(encoding="utf-8") for path in fixtures)
+    # corners of the token pattern: a "/" that does not close the comment
+    # it opens, an unclosed comment, a backslash before a newline or the
+    # end of the text, a quote as the last character, and a line comment
+    # with no final newline
+    texts.extend(["/*/ x */(", "f(x) {\n/*", "f(x) /* a * b *",
+                  '"a\\\nb" (', "'\\\n' {", 'x("\\', "x = '", 'x = "',
+                  "f(); // done", "{ // }"])
     for text in texts:
         stripped, mask, starts, closes = _reference_lex(text)
         lexed = lex(text)
@@ -847,6 +855,19 @@ def test_extract_file_statement_lines_match_source():
     stmt = result.records[0][1][0].statement
     line = SOURCE.splitlines()[stmt.location.start_line - 1]
     assert stmt.raw_text in line
+
+
+def test_a_path_that_is_not_utf8_hashes_as_its_bytes():
+    # what os.walk gives for the file name b"Worker\xe9.java"
+    path = b"Worker\xe9.java".decode("utf-8", "surrogateescape")
+    [(ctx, [first, _])] = extract_file(SOURCE, path).records
+    stmt = first.statement
+    loc = stmt.location
+    assert loc.path == path and ctx.method_id == stmt.method_id
+    digest = hashlib.sha256(
+        b"Worker\xe9.java\x00"
+        + f"{loc.start_line}-{loc.end_line}\x00{stmt.raw_text}\x00".encode())
+    assert stmt.id == digest.hexdigest()[:16]
 
 
 def test_nested_class_qualified_name():
