@@ -54,9 +54,8 @@ from .repair import RepairConfig, run_pipeline_batch
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_pool
 from .synthesis import (
     InsufficientInputs,
-    load_antonym_table,
-    load_typo_lexicon,
-    load_verb_lexicon,
+    LexiconPaths,
+    load_lexicons,
     synthesize_corpus,
 )
 
@@ -101,13 +100,6 @@ class BackendSettings:
     timeout_seconds: float = 60.0
     # mock only: JSON file of {"pattern": regex, "reply": text} entries
     transcript: str = ""
-
-
-@dataclass(frozen=True)
-class LexiconPaths:
-    typos: str = ""
-    verbs: str = ""
-    antonyms: str = ""
 
 
 @dataclass(frozen=True)
@@ -284,9 +276,7 @@ def cmd_synthesize(args, config: ToolConfig) -> int:
         mutated = synthesize_corpus(
             clean, args.per_type, seed,
             backend=backend,
-            typo_lexicon=load_typo_lexicon(config.paths.typos or None),
-            verb_lexicon=load_verb_lexicon(config.paths.verbs or None),
-            antonyms=load_antonym_table(config.paths.antonyms or None),
+            lexicons=load_lexicons(config.paths),
             parser_config=config.parser,
         )
     except InsufficientInputs as exc:

@@ -303,6 +303,14 @@ def _covered_lines(records) -> set[int]:
     return lines
 
 
+def _log_lines_only(before: str, after: str, rb: ExtractionResult,
+                    ra: ExtractionResult) -> bool:
+    """Whether every changed line lies inside a logging statement."""
+    deleted, inserted = diff_lines(before, after)
+    return (deleted <= _covered_lines(rb.records)
+            and inserted <= _covered_lines(ra.records))
+
+
 def extract_lccs(history: Iterable[CommitSnapshotPair],
                  parser_config: ParserConfig | None = None,
                  project_id: str = "") -> list[LogCentricChange]:
@@ -313,6 +321,7 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
     between versions, and at least one matched pair differs beyond
     whitespace. Unparseable files disqualify the whole commit, and so does
     a changed file that is not a source file, before any file is parsed.
+    The lines are diffed last, only in a commit with a differing pair.
     """
     parser_config = parser_config or ParserConfig()
     changes: list[LogCentricChange] = []
@@ -325,8 +334,9 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
                    if before != after]
         if _has_non_source(pair.commit_id, (path for path, _, _ in changed)):
             continue
-        eligible = True
-        pending: list[tuple[MethodContext, object, object]] = []
+        parsed: list[tuple[str, str, ExtractionResult, ExtractionResult]] = []
+        # (before, after, context) of each differing pair
+        pending: list[tuple[object, object, MethodContext]] = []
         for path, before, after in changed:
             text, rb = last_after.get(path, (None, None))
             if text != before:
@@ -336,32 +346,22 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
             if rb.errors or ra.errors:
                 log.debug("commit %s: parse trouble in %s, skipped",
                           pair.commit_id, path)
-                eligible = False
-                break
-            deleted, inserted = diff_lines(before, after)
-            if not (deleted <= _covered_lines(rb.records)
-                    and inserted <= _covered_lines(ra.records)):
-                eligible = False
                 break
             b_index = _statement_index(rb.records)
             a_index = _statement_index(ra.records)
             if set(b_index) != set(a_index):
                 log.debug("commit %s: statement added or deleted in %s",
                           pair.commit_id, path)
-                eligible = False
                 break
+            parsed.append((before, after, rb, ra))
             for key in sorted(b_index):
                 _, b_stmt = b_index[key]
                 a_ctx, a_stmt = a_index[key]
                 if _normalize_ws(b_stmt.raw_text) != _normalize_ws(a_stmt.raw_text):
-                    pending.append((a_ctx, b_stmt, a_stmt))
-        if eligible:
-            for ctx, b_stmt, a_stmt in pending:
-                changes.append(LogCentricChange(
-                    project_id=project_id,
-                    commit_id=pair.commit_id,
-                    before=b_stmt,
-                    after=a_stmt,
-                    context=ctx,
-                ))
+                    pending.append((b_stmt, a_stmt, a_ctx))
+        else:  # every file parsed and matched; the lines are diffed only
+            # where a statement's text changed
+            if pending and all(_log_lines_only(*p) for p in parsed):
+                changes.extend(LogCentricChange(project_id, pair.commit_id, *p)
+                               for p in pending)
     return changes

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .backends import LlmBackend
 from .model import (
@@ -68,57 +69,61 @@ class Tense(Enum):
 
 
 @dataclass(frozen=True)
-class TypoLexicon:
-    """Known misspellings per correct (lowercase) word."""
+class LexiconPaths:
+    """The lexicon files (TSV) the mutation rules read; "" names the
+    bundled file."""
 
-    entries: dict[str, tuple[str, ...]]
+    typos: str = ""
+    verbs: str = ""
+    antonyms: str = ""
 
 
 @dataclass(frozen=True)
-class VerbLexicon:
-    forms: dict[str, dict[Tense, str]]
-    # surface form -> (lemma, tense), without the lexicon's stop forms
-    form_index: dict[str, tuple[str, Tense]]
+class Lexicons:
+    """The word lists the mutation rules read, keyed by lowercase words.
+    The bundled set is one value shared by every caller: read it, never
+    change it."""
+
+    typos: dict[str, tuple[str, ...]]  # word -> its known misspellings
+    verbs: dict[str, dict[Tense, str]]  # lemma -> its form per tense
+    # surface form -> (lemma, tense), without the verb file's stop forms
+    verb_index: dict[str, tuple[str, Tense]]
+    antonyms: dict[str, str]  # both directions of each pair
 
     def classify(self, word: str) -> tuple[str, Tense] | None:
         """Map a surface form to (lemma, tense); None for non-verbs."""
-        return self.form_index.get(word.lower())
-
-    def surface_forms(self, lemma: str) -> dict[Tense, str]:
-        return dict(self.forms[lemma])
-
-
-@dataclass(frozen=True)
-class AntonymTable:
-    pairs: dict[str, str]
+        return self.verb_index.get(word.lower())
 
     def opposite(self, word: str) -> str | None:
-        return self.pairs.get(word.lower())
+        """Opposite of `word`; when the word is a known verb form the opposite
+        lemma is conjugated into the same tense (closed -> opened)."""
+        word = word.lower()
+        classified = self.classify(word)
+        if classified is not None:
+            lemma, tense = classified
+            opposite_lemma = self.antonyms.get(lemma)
+            if opposite_lemma is not None:
+                if opposite_lemma in self.verbs:
+                    return self.verbs[opposite_lemma][tense]
+                return opposite_lemma
+        return self.antonyms.get(word)
 
 
-def _data_text(name: str) -> str:
-    return resources.files("logfix.data").joinpath(name).read_text(encoding="utf-8")
+def _lexicon_lines(path: str, bundled: str) -> list[str]:
+    """The entry lines of the file at `path`, or of the bundled file
+    `bundled` when `path` is "": UTF-8 less a leading BOM, without blank
+    and "#" comment lines."""
+    source = (Path(path) if path else
+              resources.files("logfix.data").joinpath(bundled))
+    return [line for line in
+            source.read_text(encoding="utf-8-sig").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
-def _read_lexicon_lines(path: str | None, default_name: str) -> list[str]:
-    if path is None:
-        text = _data_text(default_name)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    lines = []
-    for line in text.splitlines():
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        lines.append(line)
-    return lines
-
-
-def load_typo_lexicon(path: str | None = None) -> TypoLexicon:
+def _typo_entries(lines: list[str]) -> dict[str, tuple[str, ...]]:
     entries: dict[str, tuple[str, ...]] = {}
-    for line in _read_lexicon_lines(path, "typos.tsv"):
-        parts = [p for p in line.split("\t") if p]
+    for line in lines:
+        parts = [p.strip() for p in line.split("\t") if p.strip()]
         if len(parts) < 2:
             raise ValueError(f"typo lexicon line needs >=2 fields: {line!r}")
         correct = parts[0]
@@ -127,9 +132,8 @@ def load_typo_lexicon(path: str | None = None) -> TypoLexicon:
         misspellings = tuple(dict.fromkeys(parts[1:]))
         if any(m.lower() == correct for m in misspellings):
             raise ValueError(f"typo lexicon maps {correct!r} to itself")
-        if correct not in entries:
-            entries[correct] = misspellings
-    return TypoLexicon(entries=entries)
+        entries.setdefault(correct, misspellings)
+    return entries
 
 
 def _regular_forms(lemma: str) -> dict[Tense, str]:
@@ -160,13 +164,15 @@ def _regular_forms(lemma: str) -> dict[Tense, str]:
     }
 
 
-def load_verb_lexicon(path: str | None = None) -> VerbLexicon:
+def _verb_tables(lines: list[str]) -> tuple[dict[str, dict[Tense, str]],
+                                            dict[str, tuple[str, Tense]]]:
+    """The forms per lemma and the index of surface forms."""
     forms: dict[str, dict[Tense, str]] = {}
     stop: set[str] = set()
-    for line in _read_lexicon_lines(path, "verbs.tsv"):
+    for line in lines:
         parts = line.split("\t")
-        if parts[0] == "!stop":
-            stop.update(p.lower() for p in parts[1:] if p)
+        if parts[0].strip() == "!stop":
+            stop.update(p.strip().lower() for p in parts[1:] if p.strip())
             continue
         if len(parts) not in (1, 5):
             raise ValueError(f"verb lexicon line needs 1 or 5 fields: {line!r}")
@@ -176,21 +182,18 @@ def load_verb_lexicon(path: str | None = None) -> VerbLexicon:
                  dict(zip(Tense, (p.strip().lower() for p in parts))))
         if any(not f for f in entry.values()):
             raise ValueError(f"verb lexicon entry has an empty form: {line!r}")
-        if lemma not in forms:
-            forms[lemma] = entry
+        forms.setdefault(lemma, entry)
     index: dict[str, tuple[str, Tense]] = {}
     for lemma, entry in forms.items():
         for tense in Tense:
-            surface = entry[tense]
-            if surface in stop:
-                continue
-            index.setdefault(surface, (lemma, tense))
-    return VerbLexicon(forms=forms, form_index=index)
+            if entry[tense] not in stop:
+                index.setdefault(entry[tense], (lemma, tense))
+    return forms, index
 
 
-def load_antonym_table(path: str | None = None) -> AntonymTable:
+def _antonym_pairs(lines: list[str]) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for line in _read_lexicon_lines(path, "antonyms.tsv"):
+    for line in lines:
         parts = [p.strip().lower() for p in line.split("\t") if p.strip()]
         if len(parts) != 2:
             raise ValueError(f"antonym line needs exactly 2 fields: {line!r}")
@@ -199,22 +202,23 @@ def load_antonym_table(path: str | None = None) -> AntonymTable:
             raise ValueError(f"antonym line maps {a!r} to itself")
         pairs.setdefault(a, b)
         pairs.setdefault(b, a)
-    return AntonymTable(pairs=pairs)
+    return pairs
+
+
+def load_lexicons(paths: LexiconPaths | None = None) -> Lexicons:
+    """The lexicons in the files at `paths`; without `paths`, the bundled
+    set, read once per process. A malformed line raises ValueError."""
+    if paths is None:
+        return _bundled_lexicons()
+    typos = _typo_entries(_lexicon_lines(paths.typos, "typos.tsv"))
+    verbs, verb_index = _verb_tables(_lexicon_lines(paths.verbs, "verbs.tsv"))
+    return Lexicons(typos, verbs, verb_index, _antonym_pairs(
+        _lexicon_lines(paths.antonyms, "antonyms.tsv")))
 
 
 @lru_cache(maxsize=1)
-def default_typo_lexicon() -> TypoLexicon:
-    return load_typo_lexicon()
-
-
-@lru_cache(maxsize=1)
-def default_verb_lexicon() -> VerbLexicon:
-    return load_verb_lexicon()
-
-
-@lru_cache(maxsize=1)
-def default_antonym_table() -> AntonymTable:
-    return load_antonym_table()
+def _bundled_lexicons() -> Lexicons:
+    return load_lexicons(LexiconPaths())
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +276,15 @@ class StatementAnalysis:
     one per clean statement, so every label, round and attempt that reaches
     the statement shares it; only the splice and the re-parse of the mutant
     are done per attempt. The analysis also holds every other input a rule
-    reads: the parser `config` and the typo, verb and antonym lexicons, the
-    bundled ones unless others were given."""
+    reads: the parser `config` and the `lexicons`, the bundled ones unless
+    others were given."""
 
     def __init__(self, stmt: LoggingStatement,
                  context: MethodContext | None = None, *,
                  config: ParserConfig | None = None,
-                 typos: TypoLexicon | None = None,
-                 verbs: VerbLexicon | None = None,
-                 antonyms: AntonymTable | None = None) -> None:
+                 lexicons: Lexicons | None = None) -> None:
         self.stmt, self.context, self.config = stmt, context, config
-        self.typos = typos or default_typo_lexicon()
-        self.verbs = verbs or default_verb_lexicon()
-        self.antonyms = antonyms or default_antonym_table()
+        self.lexicons = lexicons or load_lexicons()
 
     @cached_property
     def _parse(self) -> ParsedStatement | None:
@@ -330,7 +330,7 @@ class StatementAnalysis:
         """The first editable word that is a verb form outside the verb
         lexicon's stop set, with its lemma and tense."""
         for word in self.words:
-            hit = self.verbs.classify(word.text)
+            hit = self.lexicons.classify(word.text)
             if hit is not None:
                 return (word, hit[0], hit[1])
         return None
@@ -349,8 +349,7 @@ class StatementAnalysis:
             ordered.append(w)
         out: list[_Edit] = []
         for w in ordered:
-            opposite = _conjugate_like(self.antonyms, self.verbs,
-                                       w.text.lower())
+            opposite = self.lexicons.opposite(w.text)
             if opposite is not None and opposite != w.text.lower():
                 mutated = _match_casing(w.text, opposite)
                 out.append((w.span, mutated,
@@ -468,7 +467,7 @@ def mutate_readability(
     input is read from `analysis`, by default `stmt` analysed with the
     bundled lexicons."""
     analysis = analysis or StatementAnalysis(stmt)
-    misspellings = analysis.typos.entries
+    misspellings = analysis.lexicons.typos
     words = analysis.words
     if not words:
         raise NoMutableWord(f"no editable word in {stmt.static_text!r}")
@@ -526,7 +525,7 @@ def mutate_tense(
     if found is None:
         raise NoCandidate(f"no main verb in {stmt.static_text!r}")
     word, lemma, tense = found
-    forms = analysis.verbs.surface_forms(lemma)
+    forms = analysis.lexicons.verbs[lemma]
     alternatives: list[tuple[Tense, str]] = []
     seen: set[str] = set()
     for t in Tense:
@@ -575,22 +574,6 @@ def _semantic_prompt(stmt: LoggingStatement, context: MethodContext,
         "Reply with only the rewritten statement between <MUTATED> and "
         "</MUTATED>."
     )
-
-
-def _conjugate_like(antonyms: AntonymTable, verbs: VerbLexicon,
-                    word: str) -> str | None:
-    """Opposite of `word`; when the word is a known verb form the opposite
-    lemma is conjugated into the same tense (closed -> opened)."""
-    direct = antonyms.opposite(word)
-    classified = verbs.classify(word)
-    if classified is not None:
-        lemma, tense = classified
-        opposite_lemma = antonyms.opposite(lemma)
-        if opposite_lemma is not None:
-            if opposite_lemma in verbs.forms:
-                return verbs.surface_forms(opposite_lemma)[tense]
-            return opposite_lemma
-    return direct
 
 
 def mutate_semantic(
@@ -693,9 +676,7 @@ def synthesize_corpus(
     seed: int = 0,
     *,
     backend: LlmBackend | None = None,
-    typo_lexicon: TypoLexicon | None = None,
-    verb_lexicon: VerbLexicon | None = None,
-    antonyms: AntonymTable | None = None,
+    lexicons: Lexicons | None = None,
     parser_config: ParserConfig | None = None,
 ) -> list[LabeledSample]:
     """Build a defect corpus: `per_type_count` unique samples per defect type.
@@ -719,8 +700,7 @@ def synthesize_corpus(
     if per_type_count < 0:
         raise ValueError("per_type_count must be >= 0")
     analyses = [StatementAnalysis(s.target, s.context, config=parser_config,
-                                  typos=typo_lexicon, verbs=verb_lexicon,
-                                  antonyms=antonyms) for s in clean]
+                                  lexicons=lexicons) for s in clean]
     out: list[LabeledSample] = []
     seen: set[tuple[str, str]] = set()
     for label in DEFECT_LABELS:

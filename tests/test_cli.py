@@ -587,25 +587,46 @@ class TestLexiconPaths:
         return main(["synthesize", "--in", ws["clean"], "--out", str(out),
                      "--per-type", "3", "--seed", "1", *extra])
 
-    def test_typo_lexicon_from_config_reaches_synthesize(self, ws, tmp_path):
-        # every word of the clean statements gets one misspelling: "<word>qq"
+    def marked_mutants(self, ws, tmp_path, key: str, fields: int,
+                       label: DefectLabel) -> dict[str, list[str]]:
+        """The `label` mutants holding "qq", synthesized with the bundled
+        lexicons ("default") and with `paths.<key>` set ("custom") to a
+        file that gives every word of the clean statements `fields` - 1
+        counterparts "<word>qq"."""
         words = {w.lower() for s in read_samples(ws["clean"])
                  for w in re.findall(r"[A-Za-z]{3,}", s.target.static_text)}
-        lexicon = tmp_path / "typos.tsv"
-        lexicon.write_text("".join(f"{w}\t{w}qq\n" for w in sorted(words)),
+        lexicon = tmp_path / f"{key}.tsv"
+        lexicon.write_text("".join("\t".join([w] + [f"{w}qq"] * (fields - 1))
+                                   + "\n" for w in sorted(words)),
                            encoding="utf-8")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"paths": {"typos": str(lexicon)}}),
+        config.write_text(json.dumps({"paths": {key: str(lexicon)}}),
                           encoding="utf-8")
-        typos = {}
+        marked = {}
         for name, extra in (("default", ()), ("custom", ("--config",
                                                          str(config)))):
             out = tmp_path / f"{name}.jsonl"
             assert self.synthesize(ws, out, *extra) == 0
-            typos[name] = [s.target.raw_text for s in read_samples(str(out))
-                           if s.label is DefectLabel.READABILITY
-                           and "qq" in s.target.raw_text]
+            marked[name] = [s.target.raw_text for s in read_samples(str(out))
+                            if s.label is label and "qq" in s.target.raw_text]
+        return marked
+
+    def test_typo_lexicon_from_config_reaches_synthesize(self, ws, tmp_path):
+        # every word gets one misspelling
+        typos = self.marked_mutants(ws, tmp_path, "typos", 2,
+                                    DefectLabel.READABILITY)
         assert typos["default"] == [] and typos["custom"]
+
+    @pytest.mark.parametrize("key, fields, label", [
+        # every word is the base form of a verb whose other forms are marked
+        ("verbs", 5, DefectLabel.TEMPORAL),
+        # every word has a marked opposite
+        ("antonyms", 2, DefectLabel.STATEMENT_CODE),
+    ])
+    def test_verb_and_antonym_lexicons_from_config_reach_synthesize(
+            self, ws, tmp_path, key, fields, label):
+        marked = self.marked_mutants(ws, tmp_path, key, fields, label)
+        assert marked["default"] == [] and marked["custom"]
 
     @pytest.mark.parametrize("key", ["typos", "verbs", "antonyms"])
     def test_a_missing_lexicon_file_is_a_data_error(self, ws, tmp_path,

@@ -1,7 +1,8 @@
-"""The online stages over a generated hostile source tree: `extract` skips
-what it cannot read with one note per file, places every statement on the
-line the parser counts, and `detect` and `fix` give the same bytes on every
-run and for every `--jobs` value."""
+"""The stages over a generated hostile source tree: `extract` skips what it
+cannot read with one note per file, places every statement on the line the
+parser counts, `detect` and `fix` give the same bytes on every run and for
+every `--jobs` value, and `synthesize` gives the same bytes on a rerun and
+exits 2, without a traceback, when its pool runs out."""
 from __future__ import annotations
 
 import io
@@ -110,3 +111,26 @@ def test_detect_and_fix_are_byte_identical_across_runs_and_jobs(
     assert len(fixed.splitlines()) == len(detections.splitlines())
     assert any(json.loads(line)["updated_statement"]
                for line in fixed.splitlines())
+
+
+def test_synthesize_is_byte_identical_on_rerun_and_exhausts_cleanly(
+        extracted, tmp_path, capsys):
+    _, config, methods, code, _ = extracted
+    assert code == 0
+
+    def synthesize(name: str, per_type: int) -> int:
+        return main(["synthesize", "--in", str(methods), "--config",
+                     str(config), "--per-type", str(per_type), "--seed", "7",
+                     "--out", str(tmp_path / name)])
+
+    assert synthesize("c1.jsonl", 2) == 0
+    assert synthesize("c2.jsonl", 2) == 0
+    corpus = (tmp_path / "c1.jsonl").read_bytes()
+    assert corpus and (tmp_path / "c2.jsonl").read_bytes() == corpus
+    capsys.readouterr()
+    # the tree's few statements give only two STATIC_DYNAMIC mutants
+    assert synthesize("c3.jsonl", 3) == 2
+    err = capsys.readouterr().err
+    assert "STATIC_DYNAMIC: pool exhausted at 2/3" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c3.jsonl").exists()

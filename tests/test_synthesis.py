@@ -27,13 +27,9 @@ from logfix.synthesis import (
     MutationStrategy,
     NoCandidate,
     NoMutableWord,
+    LexiconPaths,
     Tense,
-    default_antonym_table,
-    default_typo_lexicon,
-    default_verb_lexicon,
-    load_antonym_table,
-    load_typo_lexicon,
-    load_verb_lexicon,
+    load_lexicons,
     mutate_readability,
     mutate_semantic,
     mutate_tense,
@@ -50,56 +46,68 @@ CAPS_SEED = 3
 # ---------------------------------------------------------------------------
 # Lexicon loading
 # ---------------------------------------------------------------------------
+def load(tmp_path, key: str, text: str, encoding: str = "utf-8"):
+    """The lexicons with the `key` file written from `text`, the other two
+    bundled."""
+    path = tmp_path / f"{key}.tsv"
+    path.write_text(text, encoding=encoding)
+    return load_lexicons(LexiconPaths(**{key: str(path)}))
+
+
 class TestTypoLexicon:
     def test_bundled_entry(self):
-        lex = default_typo_lexicon()
-        assert lex.entries["executor"] == ("executer",)
-        assert len(lex.entries) > 300
+        typos = load_lexicons().typos
+        assert typos["executor"] == ("executer",)
+        assert len(typos) > 300
 
     def test_custom_file(self, tmp_path):
-        path = tmp_path / "typos.tsv"
-        path.write_text(
-            "# comment line\n"
-            "executor\texecuter\texcutor\n"
-            "\n"
-            "queue\tqeue\n",
-            encoding="utf-8",
-        )
-        lex = load_typo_lexicon(str(path))
-        assert lex.entries == {
+        lex = load(tmp_path, "typos",
+                   "# comment line\n"
+                   "executor\texecuter\texcutor\n"
+                   "\n"
+                   "queue\tqeue\n")
+        assert lex.typos == {
             "executor": ("executer", "excutor"),
             "queue": ("qeue",),
         }
 
     def test_rejects_single_field(self, tmp_path):
-        path = tmp_path / "typos.tsv"
-        path.write_text("lonely\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_typo_lexicon(str(path))
+            load(tmp_path, "typos", "lonely\n")
 
     def test_rejects_uppercase_key(self, tmp_path):
-        path = tmp_path / "typos.tsv"
-        path.write_text("Executor\texecuter\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_typo_lexicon(str(path))
+            load(tmp_path, "typos", "Executor\texecuter\n")
 
     def test_rejects_identity_mapping(self, tmp_path):
-        path = tmp_path / "typos.tsv"
-        path.write_text("word\tWord\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_typo_lexicon(str(path))
+            load(tmp_path, "typos", "word\tWord\n")
+
+    def test_a_leading_bom_is_not_part_of_the_first_key(self, tmp_path):
+        lex = load(tmp_path, "typos", "executor\texecuter\n",
+                   encoding="utf-8-sig")
+        assert lex.typos == {"executor": ("executer",)}
+
+    def test_fields_are_stripped(self, tmp_path):
+        lex = load(tmp_path, "typos", "executor \t executer\n")
+        assert lex.typos == {"executor": ("executer",)}
+
+    @pytest.mark.parametrize("line", ["word\t \n", " \tword\n"])
+    def test_a_blank_field_is_no_misspelling(self, tmp_path, line):
+        with pytest.raises(ValueError, match="needs >=2 fields"):
+            load(tmp_path, "typos", line)
 
 
 class TestVerbLexicon:
     def test_bundled_classification(self):
-        lex = default_verb_lexicon()
+        lex = load_lexicons()
         assert lex.classify("starting") == ("start", Tense.PRESENT_PARTICIPLE)
         assert lex.classify("Started") == ("start", Tense.PAST)
         assert lex.classify("is") is None  # auxiliary stop form
         assert lex.classify("quota") is None
 
     def test_bundled_surface_forms(self):
-        forms = default_verb_lexicon().surface_forms("start")
+        forms = load_lexicons().verbs["start"]
         assert forms == {
             Tense.BASE: "start",
             Tense.PAST: "started",
@@ -109,64 +117,75 @@ class TestVerbLexicon:
         }
 
     def test_regular_inflection_rules(self, tmp_path):
-        path = tmp_path / "verbs.tsv"
-        path.write_text("deploy\ncopy\nclose\npass\n", encoding="utf-8")
-        lex = load_verb_lexicon(str(path))
-        assert lex.surface_forms("deploy")[Tense.PAST] == "deployed"
-        assert lex.surface_forms("deploy")[Tense.THIRD_PERSON] == "deploys"
-        assert lex.surface_forms("copy")[Tense.PAST] == "copied"
-        assert lex.surface_forms("copy")[Tense.THIRD_PERSON] == "copies"
-        assert lex.surface_forms("close")[Tense.PAST] == "closed"
-        assert lex.surface_forms("close")[Tense.PRESENT_PARTICIPLE] == "closing"
-        assert lex.surface_forms("pass")[Tense.THIRD_PERSON] == "passes"
+        verbs = load(tmp_path, "verbs", "deploy\ncopy\nclose\npass\n").verbs
+        assert verbs["deploy"][Tense.PAST] == "deployed"
+        assert verbs["deploy"][Tense.THIRD_PERSON] == "deploys"
+        assert verbs["copy"][Tense.PAST] == "copied"
+        assert verbs["copy"][Tense.THIRD_PERSON] == "copies"
+        assert verbs["close"][Tense.PAST] == "closed"
+        assert verbs["close"][Tense.PRESENT_PARTICIPLE] == "closing"
+        assert verbs["pass"][Tense.THIRD_PERSON] == "passes"
 
     def test_explicit_forms_and_stop_set(self, tmp_path):
-        path = tmp_path / "verbs.tsv"
-        path.write_text(
-            "run\tran\trun\trunning\truns\n"
-            "!stop\tis\twas\n",
-            encoding="utf-8",
-        )
-        lex = load_verb_lexicon(str(path))
+        lex = load(tmp_path, "verbs",
+                   "run\tran\trun\trunning\truns\n"
+                   "!stop\tis\twas\n")
         assert lex.classify("ran") == ("run", Tense.PAST)
         assert lex.classify("running") == ("run", Tense.PRESENT_PARTICIPLE)
         assert lex.classify("was") is None
         assert lex.classify("is") is None
 
     def test_rejects_wrong_field_count(self, tmp_path):
-        path = tmp_path / "verbs.tsv"
-        path.write_text("run\tran\trun\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_verb_lexicon(str(path))
+            load(tmp_path, "verbs", "run\tran\trun\n")
+
+    def test_stop_fields_are_stripped(self, tmp_path):
+        lex = load(tmp_path, "verbs",
+                   "run\tran\trun\trunning\truns\n"
+                   " !stop\t Ran \t\n")
+        assert lex.classify("ran") is None
+        assert lex.classify("running") == ("run", Tense.PRESENT_PARTICIPLE)
+
+    def test_a_leading_bom_is_not_part_of_the_first_lemma(self, tmp_path):
+        lex = load(tmp_path, "verbs", "deploy\n", encoding="utf-8-sig")
+        assert list(lex.verbs) == ["deploy"]
+        assert lex.classify("deployed") == ("deploy", Tense.PAST)
 
 
 class TestAntonymTable:
     def test_bundled_pairs_are_lemma_level(self):
-        table = default_antonym_table()
-        assert table.opposite("close") == "open"
-        assert table.opposite("open") == "close"
+        lex = load_lexicons()
+        assert lex.opposite("close") == "open"
+        assert lex.opposite("open") == "close"
         # Inflected forms are resolved by conjugation, not stored directly.
-        assert table.opposite("closed") is None
-        assert table.opposite("remote") == "local"
-        assert table.opposite("after") == "before"
-        assert table.opposite("quota") is None
+        assert lex.antonyms.get("closed") is None
+        assert lex.opposite("closed") == "opened"
+        assert lex.opposite("remote") == "local"
+        assert lex.opposite("after") == "before"
+        assert lex.opposite("quota") is None
 
     def test_custom_file_symmetric_and_first_wins(self, tmp_path):
-        path = tmp_path / "antonyms.tsv"
-        path.write_text("open\tclose\nopen\tshut\n", encoding="utf-8")
-        table = load_antonym_table(str(path))
-        assert table.opposite("open") == "close"
-        assert table.opposite("close") == "open"
-        assert table.opposite("shut") == "open"
+        lex = load(tmp_path, "antonyms", "open\tclose\nopen\tshut\n")
+        assert lex.opposite("open") == "close"
+        assert lex.opposite("close") == "open"
+        assert lex.opposite("shut") == "open"
 
     def test_rejects_bad_lines(self, tmp_path):
-        path = tmp_path / "antonyms.tsv"
-        path.write_text("same\tsame\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_antonym_table(str(path))
-        path.write_text("a\tb\tc\n", encoding="utf-8")
+            load(tmp_path, "antonyms", "same\tsame\n")
         with pytest.raises(ValueError):
-            load_antonym_table(str(path))
+            load(tmp_path, "antonyms", "a\tb\tc\n")
+
+    def test_a_leading_bom_is_not_part_of_the_first_word(self, tmp_path):
+        lex = load(tmp_path, "antonyms", "open\tclose\n",
+                   encoding="utf-8-sig")
+        assert lex.antonyms == {"open": "close", "close": "open"}
+
+
+def test_the_bundled_lexicons_are_read_once():
+    assert load_lexicons() is load_lexicons()
+    assert load_lexicons(LexiconPaths()) is not load_lexicons()
+    assert load_lexicons(LexiconPaths()) == load_lexicons()
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,7 @@ from logfix.model import DefectLabel, TruthRecord, dumps_line, to_dict
 from logfix.parser import extract_file
 from logfix.synthesis import (
     Tense,
-    default_antonym_table,
-    default_typo_lexicon,
-    default_verb_lexicon,
+    load_lexicons,
     mutate_readability,
     mutate_semantic,
     mutate_tense,
@@ -55,9 +53,7 @@ E2E_DIR = os.path.join(ROOT, "tests", "fixtures", "e2e")
 JAVA_DIR = os.path.join(ROOT, "tests", "fixtures", "java")
 HISTORY_DIR = os.path.join(ROOT, "tests", "fixtures", "history")
 
-VERBS = default_verb_lexicon()
-ANTONYMS = default_antonym_table()
-TYPOS = default_typo_lexicon()
+LEXICONS = load_lexicons()
 
 # Main verbs: conjugatable and antonym-paired. Used only as participles.
 # "publish" is deliberately absent: its opposite is "subscribe", which is a
@@ -111,11 +107,11 @@ CLASS_NAMES = [
 
 
 def verb_form(lemma: str, tense: Tense) -> str:
-    return VERBS.surface_forms(lemma)[tense]
+    return LEXICONS.verbs[lemma][tense]
 
 
 def all_forms(lemma: str) -> set[str]:
-    return set(VERBS.surface_forms(lemma).values())
+    return set(LEXICONS.verbs[lemma].values())
 
 
 PREPOSITIONS = ["for", "on", "with", "after"]
@@ -149,22 +145,21 @@ def check_pools() -> None:
     for v in MAIN_VERBS:
         participle = verb_form(v, Tense.PRESENT_PARTICIPLE)
         tense_mutants |= all_forms(v) - {participle}
-        opposite = ANTONYMS.opposite(v)
+        # the opposite lemma conjugated as a participle, or spliced in
+        # as-is when it is no verb
+        opposite = LEXICONS.opposite(participle)
         assert opposite, f"main verb {v!r} has no opposite"
-        if opposite in VERBS.forms:
-            contradiction_mutants.add(verb_form(opposite,
-                                                Tense.PRESENT_PARTICIPLE))
-        else:  # non-conjugatable opposites are spliced in as-is
-            contradiction_mutants.add(opposite)
+        contradiction_mutants.add(opposite)
     for adj in ADJECTIVES:
-        opposite = ANTONYMS.opposite(adj)
+        opposite = LEXICONS.opposite(adj)
         assert opposite, f"adjective {adj!r} has no opposite"
-        assert VERBS.classify(adj) is None, f"adjective {adj!r} is a verb form"
+        assert LEXICONS.classify(adj) is None, \
+            f"adjective {adj!r} is a verb form"
         contradiction_mutants.add(opposite)
 
     misspellings: set[str] = set()
     for word in clean:
-        misspellings |= set(TYPOS.entries.get(word, ()))
+        misspellings |= set(LEXICONS.typos.get(word, ()))
 
     overlap = tense_mutants & clean
     assert not overlap, f"tense mutants collide with clean text: {overlap}"
@@ -176,15 +171,15 @@ def check_pools() -> None:
     for word in LOCAL_SUBWORDS:
         assert word not in clean, f"swap-target subword {word!r} is clean"
     for word in list(NOUN_CANDIDATES) + VAR_SUBWORDS:
-        assert word not in ANTONYMS.pairs, f"{word!r} has an antonym"
+        assert word not in LEXICONS.antonyms, f"{word!r} has an antonym"
     # Prepositions may carry an opposite ("after" -> "before"); that is just
     # one more contradiction slot, provided the opposite is never clean text.
     for word in PREPOSITIONS:
-        opposite = ANTONYMS.opposite(word)
+        opposite = LEXICONS.opposite(word)
         if opposite is not None:
             assert opposite not in clean, f"{word!r} opposite is clean text"
     for noun in NOUNS_WITH_TYPOS:
-        assert noun in TYPOS.entries, f"{noun!r} missing from typo lexicon"
+        assert noun in LEXICONS.typos, f"{noun!r} missing from typo lexicon"
 
 
 def cap(word: str) -> str:
