@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 from typing import Iterable, get_type_hints
 
 from .backends import (
@@ -25,7 +25,8 @@ from .backends import (
     MockBackend,
     load_transcript,
 )
-from .detector import TrainConfig, load_checkpoint, predict, save_checkpoint, train
+from .detector import (TrainConfig, load_checkpoint, predict_many,
+                       save_checkpoint, train)
 from .metrics import aggregate_update_records, detection_metrics, evaluate_update
 from .mining import FixtureHistoryProvider, GitHistoryProvider, extract_lccs
 from .model import (
@@ -34,11 +35,11 @@ from .model import (
     DefectLabel,
     Detection,
     LabeledSample,
+    LoggingStatement,
     MethodRecord,
     Provenance,
     ProvenanceKind,
     TruthRecord,
-    UpdateResult,
     from_dict,
     read_changes,
     read_json,
@@ -307,16 +308,22 @@ def _detections(records: Iterable[MethodRecord | Detection],
                 checkpoint: str) -> list[Detection]:
     """The records as detections, in input order: a detection record as it
     is, and each statement of an extract record labelled by the checkpoint,
-    which is loaded before the first record is read."""
+    which is loaded before the first record is read. Statements are
+    classified `train.batch_size` to a bag."""
     model, head, train_config = load_checkpoint(checkpoint)
+    records = list(records)
+    labels = predict_many(
+        ((r.method, r.statements) for r in records
+         if isinstance(r, MethodRecord)),
+        model, head, train_config.max_tokens, train_config.batch_size)
     detections = []
     for r in records:
         if isinstance(r, Detection):
             detections.append(r)
             continue
-        for stmt in r.statements:
-            label, probs = predict(r.method, stmt, model, head,
-                                   train_config.max_tokens)
+        # zip asks for a statement first, so it takes only this record's
+        # labels
+        for stmt, (label, probs) in zip(r.statements, labels):
             detections.append(Detection(r.method, stmt, label,
                                         float(probs[LABEL_INDEX[label]])))
     return detections
@@ -353,14 +360,29 @@ def cmd_fix(args, config: ToolConfig) -> int:
                                  parser_config=config.parser)
     results = run_pipeline_batch(records, pool, backend, repair_config)
     write_jsonl(args.out, map(to_dict, results))
-    updated = sum(1 for r in results if r.updated_statement is not None)
+    # an updater reply that repeats the statement changes nothing
+    changed = [r.updated_statement.raw_text != r.sample.target.raw_text
+               for r in results if r.updated_statement is not None]
+    updated = sum(changed)
     failed = sum(1 for r in results
                  if any(d.startswith("backend-error:") for d in r.diagnostics))
-    _note(f"fix: {len(results)} statements, {updated} updated -> {args.out}")
+    _note(f"fix: {len(results)} statements, {updated} updated, "
+          f"{len(changed) - updated} returned unchanged -> {args.out}")
     if failed:
         _note(f"fix: {failed} statements hit backend errors")
         return EXIT_BACKEND
     return EXIT_OK
+
+
+# The fields of an `UpdateResult` row that `evaluate` reads; the rest of
+# the row is not decoded. The views carry the record classes' names, so an
+# error names a field as the row holds it.
+_ScoredResult = make_dataclass("UpdateResult", [
+    ("sample", make_dataclass("LabeledSample", [("target", LoggingStatement)],
+                              frozen=True)),
+    ("predicted_label", DefectLabel),
+    ("updated_statement", LoggingStatement | None, None),
+], frozen=True)
 
 
 def cmd_evaluate(args, config: ToolConfig) -> int:
@@ -374,7 +396,7 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
     preds, golds, per_sample = [], [], []
     # One result at a time: only its label and scores outlive the loop.
     for row in read_jsonl(args.results):
-        result = from_dict(UpdateResult, row)
+        result = from_dict(_ScoredResult, row)
         target = result.sample.target
         gold = truth.get(target.id)
         if gold is None:

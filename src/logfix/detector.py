@@ -16,6 +16,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -461,6 +463,38 @@ def train(
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
+def _token_pairs(
+    methods: Iterable[tuple[MethodContext, Sequence[LoggingStatement]]],
+    vocab: Vocabulary, max_tokens: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each statement's token ids with its method's, which are worked out
+    once per method."""
+    for context, statements in methods:
+        if statements:
+            ctx = tokenize(context.source_text, vocab, max_tokens).ids
+        for stmt in statements:
+            yield tokenize(stmt.raw_text, vocab, max_tokens).ids, ctx
+
+
+def predict_many(
+    methods: Iterable[tuple[MethodContext, Sequence[LoggingStatement]]],
+    model: EncoderModel,
+    head: ClassifierHead,
+    max_tokens: int = TrainConfig.max_tokens,
+    batch_size: int = TrainConfig.batch_size,
+) -> Iterator[tuple[DefectLabel, np.ndarray]]:
+    """Classify each statement of each (method, statements) pair in its
+    method, in order, pooling `batch_size` pairs to a bag as validation
+    does; only one bag's token ids are held at a time. Ties break as in
+    `predict`. A bag sums over all its tokens, so a probability may differ
+    from `predict`'s in its last bits."""
+    pairs = _token_pairs(methods, model.vocabulary, max_tokens)
+    while chunk := list(islice(pairs, batch_size)):
+        stmts, ctxs = map(list, zip(*chunk))
+        for probs in _classify(model, head, stmts, ctxs, batch_size):
+            yield LABELS[int(probs.argmax())], probs
+
+
 def predict(
     context: MethodContext,
     stmt: LoggingStatement,
@@ -470,10 +504,7 @@ def predict(
 ) -> tuple[DefectLabel, np.ndarray]:
     """Classify one statement in its method; ties break toward NON_DEFECT
     (class 0), then ascending class index."""
-    seq_l = tokenize(stmt.raw_text, model.vocabulary, max_tokens).ids
-    seq_s = tokenize(context.source_text, model.vocabulary, max_tokens).ids
-    probs = _classify(model, head, [seq_l], [seq_s], 1)[0]
-    return LABELS[int(probs.argmax())], probs
+    return next(predict_many([(context, (stmt,))], model, head, max_tokens, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -333,13 +333,18 @@ def _show(value: Any) -> str:
 def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]],
                                Callable[[dict[str, Any]], Any]]:
     """The encoder and the decoder of a dataclass, built once per class.
-    The decoder takes a dict; `from_dict` checks that the record is one."""
+    The decoder takes a dict; `from_dict` checks that the record is one.
+    A class with no `__post_init__` and no `default_factory` has nothing
+    for its `__init__` to do beyond setting the fields, so its records are
+    built by setting them directly."""
     hints = get_type_hints(cls)
+    direct = not hasattr(cls, "__post_init__") and all(
+        f.default_factory is MISSING for f in fields(cls))
     encoders, readers = [], []
     for f in fields(cls):
         encode, decode, kinds, expected = _converters(hints[f.name])
         encoders.append((f.name, encode))
-        readers.append((f.name, decode, kinds, expected,
+        readers.append((f.name, decode, kinds, expected, f.default,
                         f.default is MISSING and f.default_factory is MISSING))
 
     def encoder(obj: Any) -> dict[str, Any]:
@@ -347,23 +352,32 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]],
                 else encode(getattr(obj, name)) for name, encode in encoders}
 
     def decoder(data: dict[str, Any]) -> Any:
-        kwargs = {}
-        for name, decode, kinds, expected, required in readers:
-            if name in data:
-                value = data[name]
-                if type(value) not in kinds:
-                    raise ValueError(f"{cls.__name__}.{name} must be "
-                                     f"{expected}, got {_show(value)}")
-                if decode is not None:
-                    try:
-                        value = decode(value)
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"{cls.__name__}.{name}: {exc}") from None
-                kwargs[name] = value
-            elif required:
-                raise ValueError(f"{cls.__name__}.{name} is missing")
-        return cls(**kwargs)
+        values = {}
+        for name, decode, kinds, expected, default, required in readers:
+            value = data.get(name, MISSING)
+            if value is MISSING:
+                if required:
+                    raise ValueError(f"{cls.__name__}.{name} is missing")
+                if direct:
+                    values[name] = default
+                continue
+            if type(value) not in kinds:
+                raise ValueError(f"{cls.__name__}.{name} must be "
+                                 f"{expected}, got {_show(value)}")
+            if decode is not None:
+                try:
+                    value = decode(value)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{cls.__name__}.{name}: {exc}") from None
+            values[name] = value
+        if not direct:
+            return cls(**values)
+        obj = object.__new__(cls)
+        # pairs, not the dict: merging a dict would give each record a key
+        # table of its own instead of the one its class's instances share
+        obj.__dict__.update(values.items())
+        return obj
     return encoder, decoder
 
 

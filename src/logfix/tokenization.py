@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
@@ -21,8 +21,9 @@ CAPS_MARKER = "<caps>"
 # Tokens kept per text; `TrainConfig.max_tokens` defaults to it too.
 DEFAULT_MAX_TOKENS = 1024
 
-# One pass over the text. A word is a run of ASCII letters, digits and "_";
-# its sub-words are the camelCase / letter-digit pieces between the "_"s.
+# One pass over a word of `_WORD_RE` below (over a whole text it gives the
+# same tokens). A word is a run of ASCII letters, digits and "_"; its
+# sub-words are the camelCase / letter-digit pieces between the "_"s.
 _TOKEN_RE = re.compile(
     # the caps marker: an empty match where a word of two or more characters
     # starts that has an uppercase letter and no lowercase one (tried only
@@ -36,14 +37,54 @@ _TOKEN_RE = re.compile(
     r"|[^\sA-Za-z0-9_]")
 
 
+# A text's words, each a run of ASCII letters, digits and "_" or one other
+# non-space character; `_TOKEN_RE` never matches across their edges, so a
+# text's tokens are its words' tokens, in order.
+_WORD_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
+
+# Each memo keeps up to MEMO_WORDS words of at most MEMO_WORD_CHARS
+# characters; a longer word, or one that comes once the memo is full, is
+# worked out again at each occurrence. (Threads that miss at once may each
+# add a word past the bound.)
+MEMO_WORDS = 1 << 15
+MEMO_WORD_CHARS = 64
+
+
+class _WordMemo(dict):
+    """A bounded memo of `compute(word)`; look words up with `[word]`."""
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, word: str) -> tuple:
+        value = self.compute(word)
+        if len(word) <= MEMO_WORD_CHARS and len(self) < MEMO_WORDS:
+            self[word] = value
+        return value
+
+
+def _words(text: str) -> list[str]:
+    """The words of `text`: the one place a text is split, for both
+    `split_tokens` and `tokenize`."""
+    return _WORD_RE.findall(text)
+
+
+def _segment(word: str) -> tuple[str, ...]:
+    return tuple(CAPS_MARKER if not piece
+                 else piece.lower() if piece.isascii() else piece
+                 for piece in _TOKEN_RE.findall(word))
+
+
+_SEGMENTS = _WordMemo(_segment)
+
+
 def split_tokens(text: str) -> list[str]:
     """Segment arbitrary source text into sub-word and punctuation tokens.
 
     Sub-words are lowercased; other characters, non-ASCII ones included,
-    are kept as they are."""
-    return [CAPS_MARKER if not piece
-            else piece.lower() if piece.isascii() else piece
-            for piece in _TOKEN_RE.findall(text)]
+    are kept as they are. Each distinct word is segmented once (`_SEGMENTS`)."""
+    return list(chain.from_iterable(map(_SEGMENTS.__getitem__, _words(text))))
 
 
 def _bucket_hash(token: str) -> int:
@@ -57,11 +98,15 @@ class Vocabulary:
 
     token_to_id: dict[str, int]
     oov_buckets: int
+    # each word's token ids, memoized for `tokenize`
+    word_ids: _WordMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.oov_buckets < 1:
             raise ValueError(f"Vocabulary.oov_buckets must be >= 1, "
                              f"got {self.oov_buckets}")
+        object.__setattr__(self, "word_ids", _WordMemo(
+            lambda word: tuple(map(self.id_of, _SEGMENTS[word]))))
 
     @property
     def size(self) -> int:
@@ -110,10 +155,7 @@ def fit_vocabulary(texts: Iterable[str], max_size: int = 4096,
 
 def tokenize(text: str, vocab: Vocabulary, max_tokens: int) -> TokenSequence:
     """Segment, map through the vocabulary, and truncate to max_tokens."""
-    toks = split_tokens(text)
-    known = vocab.token_to_id.get
-    return TokenSequence(
-        ids=np.array([i if (i := known(t)) is not None else vocab.id_of(t)
-                      for t in toks[:max_tokens]], dtype=np.intp),
-        truncated=len(toks) > max_tokens,
-    )
+    ids = list(chain.from_iterable(map(vocab.word_ids.__getitem__,
+                                       _words(text))))
+    return TokenSequence(ids=np.array(ids[:max_tokens], dtype=np.intp),
+                         truncated=len(ids) > max_tokens)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+MISSING_PATCH_POINTS = ["logfix.cli.predict", "logfix.repair.predict"]
 
 
 def worker(*args: str) -> None:
@@ -36,8 +37,10 @@ def test_traced_mine_workload_runs_clean(tmp_path):
     record = traced_run(tmp_path, "mine")
     assert record["problems"] == []
     assert set(record["exits"].values()) == {0}
-    # Every other patch point still names a logfix attribute.
-    assert record["missing_patch_points"] == ["logfix.repair.predict"]
+    # Every other patch point still names a logfix attribute; `detect`
+    # classifies through `detector.predict_many`, so `cli` imports no
+    # `predict`.
+    assert record["missing_patch_points"] == MISSING_PATCH_POINTS
     # the mining layers' counts: 36 file versions parsed over the 30
     # commits, and 10 log-only commits that each yield one change
     layers = record["layers"]
@@ -55,10 +58,12 @@ def test_traced_audit_workload_runs_clean(tmp_path):
     record = traced_run(tmp_path, "audit")
     assert record["problems"] == []
     assert set(record["exits"].values()) == {0}
-    assert record["missing_patch_points"] == ["logfix.repair.predict"]
+    assert record["missing_patch_points"] == MISSING_PATCH_POINTS
     # the online layers' call counts: 250 statements, 8 predicted defects
     # (a checker and an updater call each) and three index builds, one
-    # over all projects and one per project
+    # over all projects and one per project. `detect` classifies in
+    # batches, not through `predict`, and tokenizes each of the 250
+    # statements and 250 methods once.
     layers = record["layers"]
     assert {name: layers[name] for name in (
         "backends.complete.calls", "retrieval.select_exemplars.calls",
@@ -68,7 +73,7 @@ def test_traced_audit_workload_runs_clean(tmp_path):
         "backends.complete.calls": 16,
         "retrieval.select_exemplars.calls": 8,
         "retrieval.builds_per_query": 0.375,
-        "detector.predict.calls": 250,
+        "detector.predict.calls": 0,
         "tokenization.tokenize.calls": 500,
         "parser.parse_statement_text.calls": 8,
     }
@@ -80,7 +85,7 @@ def test_traced_train_workload_runs_clean(tmp_path):
     record = traced_run(tmp_path, "train")
     assert record["problems"] == []
     assert set(record["exits"].values()) == {0}
-    assert record["missing_patch_points"] == ["logfix.repair.predict"]
+    assert record["missing_patch_points"] == MISSING_PATCH_POINTS
     # 2,250 samples split 8:1:1: 57 steps over 1,800 training pairs in
     # each of 10 epochs; the 225 validation and the 225 held-out pairs are
     # tokenized once, a statement and a method each; the held-out pairs

@@ -22,14 +22,22 @@ from conftest import (
     make_change,
     single_method,
 )
-from logfix import cli, retrieval
+from logfix import cli, detector, retrieval
 from logfix.backends import TOKEN_ENV_VAR
 from logfix.cli import main
-from logfix.detector import TrainConfig, init_head, init_model, save_checkpoint
+from logfix.detector import (
+    TrainConfig,
+    init_head,
+    init_model,
+    load_checkpoint,
+    predict,
+    save_checkpoint,
+)
 from logfix.model import (
     DefectLabel,
     LABEL_INDEX,
     MethodRecord,
+    from_dict,
     read_jsonl,
     read_samples,
     to_dict,
@@ -690,6 +698,65 @@ class TestTrainAndDetect:
                     "got -3") in err
         assert not model.exists()
 
+    def test_a_method_is_tokenized_once_for_all_its_statements(
+            self, ws, tmp_path, monkeypatch):
+        # the e2e sources with each log line written one to three times, so
+        # that methods hold several statements and span bags of 8
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        log_line = re.compile(r"\s*(log|logger)\.\w+\(")
+        for i, path in enumerate(sorted(E2E_SRC_DIR.glob("*.java"))):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            (tree / path.name).write_text("".join(
+                line * (1 + i % 3 if log_line.match(line) else 1)
+                for line in lines), encoding="utf-8")
+        methods = tmp_path / "methods.jsonl"
+        assert main(["extract", "--root", str(tree),
+                     "--out", str(methods)]) == 0
+        records = [from_dict(MethodRecord, d)
+                   for d in read_jsonl(str(methods))]
+        statements = sum(len(r.statements) for r in records)
+        assert (len(records), statements) == (20, 39)
+
+        texts = []
+        real = detector.tokenize
+
+        def counting(text, *args):
+            texts.append(text)
+            return real(text, *args)
+
+        monkeypatch.setattr(detector, "tokenize", counting)
+        out = tmp_path / "detections.jsonl"
+        assert main(["detect", "--in", str(methods), "--model", ws["model"],
+                     "--out", str(out)]) == 0
+        assert len(texts) == statements + len(records)
+        monkeypatch.undo()
+
+        # the labels of one-pair predict, and its confidences up to the
+        # last bits of a bag's sums
+        model, head, config = load_checkpoint(ws["model"])
+        rows = list(read_jsonl(str(out)))
+        expected = [predict(r.method, stmt, model, head, config.max_tokens)
+                    for r in records for stmt in r.statements]
+        assert [row["predicted_label"] for row in rows] == [
+            label.value for label, _ in expected]
+        for row, (label, probs) in zip(rows, expected):
+            assert row["confidence"] == pytest.approx(
+                probs[LABEL_INDEX[label]], rel=0, abs=1e-12)
+
+        # reruns write the same bytes; the rigged checkpoint sends every
+        # statement through repair
+        def run(command, path, model, *extra):
+            assert main([command, "--in", str(methods), "--model", model,
+                         *extra, "--out", str(path)]) == 0
+            return path.read_bytes()
+
+        assert (run("detect", tmp_path / "again.jsonl", ws["model"])
+                == out.read_bytes())
+        fixed = [run("fix", tmp_path / f"results-{k}.jsonl", ws["rigged"],
+                     "--lcc", ws["lcc"]) for k in range(2)]
+        assert fixed[0] == fixed[1]
+
     def test_detect_rejects_bad_checkpoint(self, ws, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{\"format\": \"wrong\"}", encoding="utf-8")
@@ -838,6 +905,37 @@ class TestFix:
         rows = list(read_jsonl(str(out)))
         assert all(row["checker_confirmed"] is False for row in rows)
         assert all(row["updated_statement"] is None for row in rows)
+
+    def test_summary_counts_only_changed_statements_as_updated(
+            self, ws, tmp_path, capsys):
+        # The rigged checkpoint flags both statements and the checker
+        # confirms both; the updater rewrites the first and, unscripted,
+        # echoes the second.
+        transcript = tmp_path / "transcript.json"
+        transcript.write_text(json.dumps([{
+            "pattern": r'Target statement:\nlog\.info\("opening channel"\);'
+                       r"\n\nRewrite",
+            "reply": '<UPDATED>log.info("opened channel");</UPDATED>',
+        }]), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {
+            "kind": "mock", "transcript": str(transcript),
+        }}), encoding="utf-8")
+        ctx, stmts = single_method(
+            "class Two {\n    void go() {\n"
+            '        log.info("opening channel");\n'
+            '        log.info("closing channel");\n    }\n}\n')
+        two = tmp_path / "two.jsonl"
+        write_jsonl(str(two), [to_dict(MethodRecord(ctx, tuple(stmts)))])
+        out = tmp_path / "results.jsonl"
+        capsys.readouterr()
+        assert main(["fix", "--in", str(two), "--model", ws["rigged"],
+                     "--config", str(config), "--out", str(out)]) == 0
+        rows = list(read_jsonl(str(out)))
+        assert [row["updated_statement"]["raw_text"] for row in rows] == [
+            'log.info("opened channel");', 'log.info("closing channel");']
+        assert (f"fix: 2 statements, 1 updated, 1 returned unchanged -> {out}"
+                in capsys.readouterr().err)
 
     def test_detection_records_never_load_the_checkpoint(
             self, ws, tmp_path, monkeypatch):

@@ -36,11 +36,7 @@ from logfix.model import (
     from_dict,
     to_dict,
 )
-from logfix.tokenization import (
-    Vocabulary,
-    fit_vocabulary,
-    split_tokens,
-)
+from logfix.tokenization import Vocabulary, fit_vocabulary
 
 
 def one_hot(index: int) -> np.ndarray:
@@ -486,13 +482,14 @@ class TestTraining:
         from logfix import tokenization
 
         segmented = []
+        words = tokenization._words
 
-        def counting_split_tokens(text):
+        def counting_words(text):
             segmented.append(text)
-            return split_tokens(text)
+            return words(text)
 
-        monkeypatch.setattr(tokenization, "split_tokens",
-                            counting_split_tokens)
+        # the one place where split_tokens and tokenize split a text
+        monkeypatch.setattr(tokenization, "_words", counting_words)
         train(small_corpus, SMALL_CONFIG)
         # 25 training and 5 validation samples, a statement and a method
         # each: the vocabulary and the id sequences share one segmentation

@@ -1,5 +1,6 @@
 """Sub-word segmentation, casing markers, and vocabulary behavior."""
 
+import random
 import re
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fuzz_texts
+from logfix import tokenization
 from logfix.tokenization import (
     CAPS_MARKER,
     Vocabulary,
@@ -74,6 +76,70 @@ def _segmentation_texts() -> list[str]:
 def test_split_tokens_matches_the_reference_segmentation():
     for text in _segmentation_texts():
         assert split_tokens(text) == _reference_split_tokens(text), text
+
+
+# The segmentation before the word memo: one `findall` of `_TOKEN_RE` over
+# the whole text. Segmenting word by word through the memos must give
+# exactly its tokens, and `tokenize` exactly its ids.
+def _single_pattern_split_tokens(text: str) -> list[str]:
+    return [CAPS_MARKER if not piece
+            else piece.lower() if piece.isascii() else piece
+            for piece in tokenization._TOKEN_RE.findall(text)]
+
+
+def _single_pattern_tokenize(text: str, vocab: Vocabulary,
+                             max_tokens: int) -> tuple[list[int], bool]:
+    tokens = _single_pattern_split_tokens(text)
+    return [vocab.id_of(t) for t in tokens[:max_tokens]], len(tokens) > max_tokens
+
+
+def _unicode_fuzz_texts(count: int, seed: int = 0) -> list[str]:
+    # caps, digits and "_", non-ASCII letters and case, Unicode spaces
+    alphabet = ("aAbBzZ09_ \t\n.,;(){}\"'%$" "ÀéßİıΣσДж中" "\u00a0\u2028"
+                "\u3000\u200b\u2009")
+    rng = random.Random(seed)
+    return ["".join(rng.choices(alphabet, k=rng.randrange(0, 40)))
+            for _ in range(count)]
+
+
+def test_word_memo_matches_the_single_pattern_segmentation():
+    texts = (_segmentation_texts() + _unicode_fuzz_texts(5_000)
+             + ["fooBAR_baz " * 300])  # over max_tokens below
+    vocab, _ = fit_vocabulary(texts[:300], max_size=50, oov_buckets=7)
+    expected = [(_single_pattern_split_tokens(text),
+                 _single_pattern_tokenize(text, vocab, 100)) for text in texts]
+    # twice: the first pass fills the memos, the second reads them
+    for _ in range(2):
+        for text, (tokens, ids) in zip(texts, expected):
+            assert split_tokens(text) == tokens, text
+            seq = tokenize(text, vocab, 100)
+            assert (seq.ids.tolist(), seq.truncated) == ids, text
+    assert tokenize("fooBAR_baz " * 300, vocab, 100).truncated
+
+
+def test_the_word_memos_are_bounded(monkeypatch):
+    monkeypatch.setattr(tokenization, "_SEGMENTS",
+                        tokenization._WordMemo(tokenization._segment))
+    vocab = Vocabulary(token_to_id={"w": 0}, oov_buckets=4)
+    text = " ".join(f"w{i}x" for i in range(100_000))
+    seq = tokenize(text, vocab, 10**6)
+    assert len(seq.ids) == 3 * 100_000
+    assert len(tokenization._SEGMENTS) == tokenization.MEMO_WORDS
+    assert len(vocab.word_ids) == tokenization.MEMO_WORDS
+    # a word over MEMO_WORD_CHARS is segmented at each occurrence, not kept
+    long_word = "a1" * 15_000
+    monkeypatch.setattr(tokenization, "_SEGMENTS",
+                        tokenization._WordMemo(tokenization._segment))
+    vocab = Vocabulary(token_to_id={"a": 0}, oov_buckets=4)
+    assert split_tokens(long_word) == ["a", "1"] * 15_000
+    assert tokenize(long_word, vocab, 10**6).ids.tolist() == (
+        [0, vocab.id_of("1")] * 15_000)
+    assert long_word not in tokenization._SEGMENTS
+    assert long_word not in vocab.word_ids
+    short_enough = "a" * tokenization.MEMO_WORD_CHARS
+    tokenize(short_enough, vocab, 1)
+    assert short_enough in tokenization._SEGMENTS
+    assert short_enough in vocab.word_ids
 
 
 def test_tokenize_ids_are_the_vocabulary_ids_of_the_tokens():
