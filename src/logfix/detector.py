@@ -215,14 +215,14 @@ def _forward(model: EncoderModel, head: ClassifierHead,
 
 
 def _classify(model: EncoderModel, head: ClassifierHead,
-              stmts: list[np.ndarray], ctxs: list[np.ndarray],
-              chunk: int) -> np.ndarray:
-    """Class probabilities of statement/context pairs, pooled `chunk` pairs
-    to a bag."""
-    return np.concatenate([
-        _forward(model, head, *_pool(model, stmts[start:start + chunk],
-                                     ctxs[start:start + chunk])[:2])[3]
-        for start in range(0, len(stmts), chunk)])
+              pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+              chunk: int) -> Iterator[np.ndarray]:
+    """Class probabilities of each (statement ids, context ids) pair, in
+    order, pooled `chunk` pairs to a bag; one bag is held at a time."""
+    pairs = iter(pairs)
+    while batch := list(islice(pairs, chunk)):
+        stmts, ctxs = map(list, zip(*batch))
+        yield from _forward(model, head, *_pool(model, stmts, ctxs)[:2])[3]
 
 
 def loss_and_grads(
@@ -288,17 +288,18 @@ def loss_and_grads(
 # ---------------------------------------------------------------------------
 # Initialization and data preparation
 # ---------------------------------------------------------------------------
-def init_model(vocab: Vocabulary, dim: int, seed: int = 0) -> EncoderModel:
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(dim)
-    return EncoderModel(
-        vocabulary=vocab,
-        embedding=rng.normal(0.0, 0.02, size=(vocab.size, dim)),
-        w1=rng.normal(0.0, scale, size=(dim, dim)),
-        b1=np.zeros(dim),
-        w2=rng.normal(0.0, scale, size=(dim, dim)),
-        b2=np.zeros(dim),
-    )
+def init_model(vocab: Vocabulary, dim: int,
+               seed: int | None = 0) -> EncoderModel:
+    """Zero biases, and an embedding and projection weights drawn from
+    normals seeded with `seed`, or zero without one."""
+    model = EncoderModel(vocab, *map(np.zeros, ((vocab.size, dim), (dim, dim),
+                                                dim, (dim, dim), dim)))
+    if seed is not None:
+        rng, scale = np.random.default_rng(seed), 1.0 / np.sqrt(dim)
+        for value, sd in ((model.embedding, 0.02), (model.w1, scale),
+                          (model.w2, scale)):
+            value[...] = rng.normal(0.0, sd, size=value.shape)
+    return model
 
 
 def init_head(dim: int) -> ClassifierHead:
@@ -442,10 +443,9 @@ def train(
             epoch_loss += loss
             batches += 1
 
-        val_probs = _classify(model, head, val_stmts, val_ctxs,
-                              config.batch_size)
-        val_f1 = f1_macro([LABELS[i] for i in val_probs.argmax(axis=1)],
-                          val_golds)
+        val_f1 = f1_macro([LABELS[int(probs.argmax())] for probs in _classify(
+            model, head, zip(val_stmts, val_ctxs), config.batch_size)],
+            val_golds)
         history.append({
             "epoch": epoch,
             "train_loss": epoch_loss / max(batches, 1),
@@ -488,11 +488,9 @@ def predict_many(
     does; only one bag's token ids are held at a time. Ties break as in
     `predict`. A bag sums over all its tokens, so a probability may differ
     from `predict`'s in its last bits."""
-    pairs = _token_pairs(methods, model.vocabulary, max_tokens)
-    while chunk := list(islice(pairs, batch_size)):
-        stmts, ctxs = map(list, zip(*chunk))
-        for probs in _classify(model, head, stmts, ctxs, batch_size):
-            yield LABELS[int(probs.argmax())], probs
+    for probs in _classify(model, head, _token_pairs(
+            methods, model.vocabulary, max_tokens), batch_size):
+        yield LABELS[int(probs.argmax())], probs
 
 
 def predict(
@@ -534,7 +532,7 @@ class Tensor:
 
     def array(self) -> np.ndarray:
         raw = base64.b64decode(self.data)
-        return np.frombuffer(raw, dtype="<f8").reshape(self.shape).copy()
+        return np.frombuffer(raw, dtype="<f8").reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -581,27 +579,21 @@ def load_checkpoint(path: str) -> tuple[EncoderModel, ClassifierHead, TrainConfi
         repeated = next(token for i, token in enumerate(saved.tokens)
                         if vocab.token_to_id[token] != i)
         raise ValueError(f"Checkpoint.vocabulary.tokens repeats {repeated!r}")
-    # every shape follows from the vocabulary and config.dim
-    shapes = {"embedding": (vocab.size, dim), "w1": (dim, dim), "b1": (dim,),
-              "w2": (dim, dim), "b2": (dim,),
-              "head_weight": (2 * dim, NUM_CLASSES),
-              "head_bias": (NUM_CLASSES,)}
-    if checkpoint.tensors.keys() != shapes.keys():
-        raise ValueError(f"Checkpoint.tensors must be {sorted(shapes)}, "
+    # the arrays to fill, unseeded: loading never imports numpy.random
+    model, head = init_model(vocab, dim, seed=None), init_head(dim)
+    params = {**model.parameters(), **head.parameters()}
+    if checkpoint.tensors.keys() != params.keys():
+        raise ValueError(f"Checkpoint.tensors must be {sorted(params)}, "
                          f"got {sorted(checkpoint.tensors)}")
-    t = {}
-    for name, shape in shapes.items():
+    for name, value in params.items():
         tensor = checkpoint.tensors[name]
-        if tensor.shape != shape:
+        if tensor.shape != value.shape:
             raise ValueError(
-                f"Checkpoint.tensors.{name}.shape must be {list(shape)} for "
-                f"{len(saved.tokens)} tokens, {saved.oov_buckets} OOV buckets "
-                f"and dim {dim}, got {list(tensor.shape)}")
+                f"Checkpoint.tensors.{name}.shape must be {list(value.shape)} "
+                f"for {len(saved.tokens)} tokens, {saved.oov_buckets} OOV "
+                f"buckets and dim {dim}, got {list(tensor.shape)}")
         try:
-            t[name] = tensor.array()
+            value[...] = tensor.array()
         except ValueError as exc:
             raise ValueError(f"Checkpoint.tensors.{name}.data: {exc}") from None
-    model = EncoderModel(vocab, t["embedding"], t["w1"], t["b1"], t["w2"],
-                         t["b2"])
-    head = ClassifierHead(t["head_weight"], t["head_bias"])
     return model, head, checkpoint.config

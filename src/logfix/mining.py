@@ -39,6 +39,10 @@ from logfix.parser import (
 log = logging.getLogger(__name__)
 
 SOURCE_SUFFIXES = (".java",)
+# extract_lccs keeps the last parse of this many paths, the least recently
+# touched going first: edits cluster on few files (`mine`'s benchmark history
+# cycles through 25), and a history of thousands of files holds 64 parses.
+PARSE_CACHE_PATHS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +329,8 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
     """
     parser_config = parser_config or ParserConfig()
     changes: list[LogCentricChange] = []
-    # path -> the last "after" version parsed there: usually the next
-    # commit that touches the path starts from it (parses are never mutated)
+    # path -> the last "after" version parsed there, least recently touched
+    # first: the next commit that touches the path usually starts from it
     last_after: dict[str, tuple[str, ExtractionResult]] = {}
     for pair in history:
         changed = [(path, before, after)
@@ -338,11 +342,13 @@ def extract_lccs(history: Iterable[CommitSnapshotPair],
         # (before, after, context) of each differing pair
         pending: list[tuple[object, object, MethodContext]] = []
         for path, before, after in changed:
-            text, rb = last_after.get(path, (None, None))
+            text, rb = last_after.pop(path, (None, None))
             if text != before:
                 rb = extract_file(before, path, parser_config, project_id)
             ra = extract_file(after, path, parser_config, project_id)
             last_after[path] = (after, ra)
+            if len(last_after) > PARSE_CACHE_PATHS:
+                del last_after[next(iter(last_after))]
             if rb.errors or ra.errors:
                 log.debug("commit %s: parse trouble in %s, skipped",
                           pair.commit_id, path)

@@ -394,10 +394,12 @@ _IDENT_START_RE = re.compile(r"[A-Za-z_$]")
 # the space and any throws clause between a parameter list and a body
 _BEFORE_BODY_RE = re.compile(r"\s*(?:throws\s+[\w$.\s,<>]*)?")
 # `\b` before each keyword, checked after matching it so that the pattern
-# starts with a literal and `re` skips ahead to the next c, i or e
+# starts with a literal and `re` skips ahead to the next c, i, e or r;
+# `record`, also a plain identifier, only before a name and "(" or "<"
 _CLASS_RE = re.compile(
     "(?:" + "|".join(rf"{kw}(?<!\w{kw})"
                      for kw in ("class", "interface", "enum"))
+    + r"|record(?<!\wrecord)(?=\s+[A-Za-z_$][\w$]*\s*[(<])"
     + r")\s+([A-Za-z_$][\w$]*)")
 _NOT_A_METHOD = {
     "if", "for", "while", "switch", "catch", "return", "new", "do", "else",
@@ -548,7 +550,7 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
             continue
         source_text = source[ms.header_start:ms.close_brace + 1]
         enclosing = [name for name, o, c in class_spans
-                     if o < ms.header_start and ms.close_brace < c]
+                     if o < ms.open_brace and ms.close_brace < c]
         qualified = ".".join(enclosing + [ms.name])
         method_id = content_hash(path, f"{start_line}-{end_line}", source_text)
         parsed: list[ParsedStatement] = []

@@ -31,6 +31,7 @@ from logfix.detector import (
     init_model,
     load_checkpoint,
     predict,
+    predict_many,
     save_checkpoint,
 )
 from logfix.model import (
@@ -698,10 +699,11 @@ class TestTrainAndDetect:
                     "got -3") in err
         assert not model.exists()
 
-    def test_a_method_is_tokenized_once_for_all_its_statements(
-            self, ws, tmp_path, monkeypatch):
-        # the e2e sources with each log line written one to three times, so
-        # that methods hold several statements and span bags of 8
+    @staticmethod
+    def repeated_log_lines(tmp_path) -> tuple[str, list[MethodRecord]]:
+        """The e2e sources with each log line written one to three times,
+        so that methods hold several statements and span bags of 8,
+        extracted: the methods file and its records."""
         tree = tmp_path / "tree"
         tree.mkdir()
         log_line = re.compile(r"\s*(log|logger)\.\w+\(")
@@ -717,6 +719,12 @@ class TestTrainAndDetect:
                    for d in read_jsonl(str(methods))]
         statements = sum(len(r.statements) for r in records)
         assert (len(records), statements) == (20, 39)
+        return str(methods), records
+
+    def test_a_method_is_tokenized_once_for_all_its_statements(
+            self, ws, tmp_path, monkeypatch):
+        methods, records = self.repeated_log_lines(tmp_path)
+        statements = sum(len(r.statements) for r in records)
 
         texts = []
         real = detector.tokenize
@@ -727,7 +735,7 @@ class TestTrainAndDetect:
 
         monkeypatch.setattr(detector, "tokenize", counting)
         out = tmp_path / "detections.jsonl"
-        assert main(["detect", "--in", str(methods), "--model", ws["model"],
+        assert main(["detect", "--in", methods, "--model", ws["model"],
                      "--out", str(out)]) == 0
         assert len(texts) == statements + len(records)
         monkeypatch.undo()
@@ -747,7 +755,7 @@ class TestTrainAndDetect:
         # reruns write the same bytes; the rigged checkpoint sends every
         # statement through repair
         def run(command, path, model, *extra):
-            assert main([command, "--in", str(methods), "--model", model,
+            assert main([command, "--in", methods, "--model", model,
                          *extra, "--out", str(path)]) == 0
             return path.read_bytes()
 
@@ -756,6 +764,23 @@ class TestTrainAndDetect:
         fixed = [run("fix", tmp_path / f"results-{k}.jsonl", ws["rigged"],
                      "--lcc", ws["lcc"]) for k in range(2)]
         assert fixed[0] == fixed[1]
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    def test_batching_never_changes_a_label(self, ws, tmp_path, batch_size):
+        # bags of 1, 3 and 32 pairs cut the 39 statements at different
+        # places, within methods and across them
+        _, records = self.repeated_log_lines(tmp_path)
+        model, head, config = load_checkpoint(ws["model"])
+        batched = list(predict_many(((r.method, r.statements)
+                                     for r in records),
+                                    model, head, config.max_tokens,
+                                    batch_size))
+        single = [predict(r.method, stmt, model, head, config.max_tokens)
+                  for r in records for stmt in r.statements]
+        assert [label for label, _ in batched] == [
+            label for label, _ in single]
+        for (_, got), (_, want) in zip(batched, single):
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_detect_rejects_bad_checkpoint(self, ws, tmp_path):
         bogus = tmp_path / "bogus.json"

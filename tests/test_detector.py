@@ -576,6 +576,21 @@ class TestCheckpoints:
             assert orig[0] is redo[0]
             assert orig[1].tobytes() == redo[1].tobytes()
 
+    def test_loaded_arrays_are_the_saved_ones_and_writable(self, small_corpus,
+                                                           tmp_path):
+        model, head, _ = train(small_corpus, SMALL_CONFIG)
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), model, head, SMALL_CONFIG)
+        loaded_model, loaded_head, _ = load_checkpoint(str(path))
+        saved = {**model.parameters(), **head.parameters()}
+        loaded = {**loaded_model.parameters(), **loaded_head.parameters()}
+        assert list(loaded) == list(saved)
+        for name, value in loaded.items():
+            assert (value.dtype, value.shape) == (saved[name].dtype,
+                                                  saved[name].shape)
+            assert value.tobytes() == saved[name].tobytes(), name
+            assert value.flags.writeable, name
+
     def test_same_seed_checkpoints_are_byte_identical(self, small_corpus,
                                                        tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

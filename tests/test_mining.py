@@ -505,6 +505,56 @@ def test_each_file_version_is_parsed_once(tmp_path, monkeypatch):
     assert len(set(parsed)) == 4
 
 
+def code_edits(touches):
+    """One commit per (path, k) of `touches`: the k-th edit of that file,
+    which changes a code line and no logging statement, so nothing is
+    mined."""
+    for n, (path, k) in enumerate(touches):
+        yield CommitSnapshotPair(f"c{n}", ((
+            path, service_source("tick", f"n += {k};"),
+            service_source("tick", f"n += {k + 1};")),))
+
+
+def test_the_parse_cache_keeps_the_recently_touched_paths(monkeypatch):
+    from logfix import mining
+
+    parsed = []
+
+    def counting_extract_file(source, path, *args):
+        parsed.append(path)
+        return extract_file(source, path, *args)
+
+    monkeypatch.setattr(mining, "extract_file", counting_extract_file)
+    cap = mining.PARSE_CACHE_PATHS
+    others = [f"F{i}.java" for i in range(1, cap + 1)]
+    # F0 is touched again while the cache is full, so F{cap} evicts F1
+    # and the last F0 still starts from its parse
+    paths = ["F0.java", *others[:-1], "F0.java", others[-1], "F0.java",
+             "F1.java"]
+    touches = [(path, paths[:i].count(path)) for i, path in enumerate(paths)]
+    assert extract_lccs(code_edits(touches), None, "proj") == []
+    assert parsed.count("F0.java") == 4  # both sides once, then "after"s
+    assert parsed.count("F1.java") == 4  # evicted: both sides twice
+    assert len(parsed) == 2 * (cap + 2) + 2
+
+
+def test_the_parse_cache_does_not_grow_with_the_files_touched():
+    # each commit edits a file no earlier commit touched
+    peaks = []
+    for files in (250, 1000):
+        touches = ((f"pkg{n}/Service.java", 0) for n in range(files))
+        tracemalloc.start()
+        try:
+            assert extract_lccs(code_edits(touches), None, "proj") == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # without the cap the peak grows about fourfold (0.45 -> 1.7 MB);
+    # with it, only the garbage awaiting collection moves it
+    small, large = peaks
+    assert large < 2 * small, peaks
+
+
 def test_a_git_history_and_its_snapshot_export_mine_the_same_way(tmp_path,
                                                                  caplog):
     # Each commit is exported with `git archive` into an unpadded

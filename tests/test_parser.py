@@ -331,7 +331,10 @@ def test_lexer_matches_reference_scanners():
 # ---------------------------------------------------------------------------
 _REF_IDENT_PAREN_RE = re.compile(r"([A-Za-z_$][\w$]*)\s*\(")
 _REF_THROWS_RE = re.compile(r"\s*throws\s+[\w$.\s,<>]*")
-_REF_CLASS_RE = re.compile(r"\b(?:class|interface|enum)\s+([A-Za-z_$][\w$]*)")
+# `record` is a keyword only before a record header
+_REF_CLASS_RE = re.compile(r"\b(?:class|interface|enum"
+                           r"|record(?=\s+[A-Za-z_$][\w$]*\s*[(<]))"
+                           r"\s+([A-Za-z_$][\w$]*)")
 _REF_NOT_A_METHOD = {
     "if", "for", "while", "switch", "catch", "return", "new", "do", "else",
     "try", "finally", "throw", "assert", "super", "this", "synchronized",
@@ -488,6 +491,8 @@ def _finder_texts() -> list[str]:
         "class F {\nrun() {\n}\n1run() {\n}\né2run () {\n}\n}",
         'void g() { log.info("{} {}", m[i, j], k); LOG.warn("a", f(1, 2)); }',
         'void h() { $log.info("x"); élog.info("y"); x.log.info("z"); }',
+        "record R(int a) { }", "record S<T> (T t) { }", "$record U() { }",
+        "if (record instanceof Foo) { }", "record V implements W { }",
     ])
     return texts
 
@@ -882,6 +887,25 @@ class Outer {
 """
     ctx, _ = single_method(src)
     assert ctx.qualified_name == "Outer.Inner.act"
+
+
+@pytest.mark.parametrize("src, qualified", [
+    # a method on the line of its class's "{"
+    ('class A { void f() { log.info("x"); } }', "A.f"),
+    ('record R(int a) { void h() { log.info("x"); } }', "R.h"),
+    ('record P<T>(T a) implements Q {\n  void h() { log.info("x"); }\n}',
+     "P.h"),
+    # `record` as a name opens no class
+    ("class B {\n"
+     "    void g(Object record) {\n"
+     "        boolean b = record instanceof Foo;\n"
+     '        class L { void k() { log.info("x"); } }\n'
+     "    }\n"
+     "}\n", "B.L.k"),
+])
+def test_qualified_name_takes_the_classes_that_hold_the_body(src, qualified):
+    ctx, _ = single_method(src)
+    assert ctx.qualified_name == qualified
 
 
 def test_unbalanced_braces_collected_not_raised():
