@@ -9,7 +9,6 @@ the files named by --out (or --model).
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import math
 import os
@@ -28,7 +27,8 @@ from .backends import (
 from .detector import (TrainConfig, load_checkpoint, predict_many,
                        save_checkpoint, train)
 from .metrics import aggregate_update_records, detection_metrics, evaluate_update
-from .mining import FixtureHistoryProvider, GitHistoryProvider, extract_lccs
+from .mining import (SOURCE_SUFFIXES, FixtureHistoryProvider,
+                     GitHistoryProvider, extract_lccs)
 from .model import (
     LABEL_INDEX,
     LABELS,
@@ -142,10 +142,8 @@ def load_config(path: str | None) -> ToolConfig:
                          for name, cls in sections.items()})
 
 
-def make_backend(settings: BackendSettings,
-                 kind: str | None = None) -> LlmBackend:
-    kind = kind or settings.kind
-    if kind == "mock":
+def make_backend(settings: BackendSettings) -> LlmBackend:
+    if settings.kind == "mock":
         transcript = (load_transcript(settings.transcript)
                       if settings.transcript else None)
         try:
@@ -153,7 +151,7 @@ def make_backend(settings: BackendSettings,
         except re.error as exc:  # not a ValueError
             raise DataError(f"{settings.transcript}: TranscriptEntry.pattern "
                             f"{exc.pattern!r}: {exc}") from exc
-    if kind == "http":
+    if settings.kind == "http":
         if not settings.endpoint or not settings.model:
             raise DataError(
                 "http backend needs backend.endpoint and backend.model "
@@ -164,7 +162,8 @@ def make_backend(settings: BackendSettings,
                 f"not {settings.timeout_seconds!r}")
         return HttpBackend(settings.endpoint, settings.model,
                            settings.timeout_seconds)
-    raise DataError(f"unknown backend kind {kind!r} (expected mock or http)")
+    raise DataError(f"unknown backend.kind {settings.kind!r} "
+                    "(expected mock or http)")
 
 
 def _note(message: str) -> None:
@@ -181,7 +180,7 @@ def cmd_extract(args, config: ToolConfig) -> int:
     for base, dirs, names in os.walk(args.root):
         dirs.sort()
         for name in sorted(names):
-            if fnmatch.fnmatch(name, args.glob):
+            if name.endswith(SOURCE_SUFFIXES):
                 paths.append(os.path.join(base, name))
     records = []
     files = methods = statements = 0
@@ -271,7 +270,7 @@ def cmd_synthesize(args, config: ToolConfig) -> int:
     clean = _read_clean_samples(args.in_path)
     if not clean:
         raise DataError(f"no samples in {args.in_path!r}")
-    backend = make_backend(config.backend, args.llm) if args.llm else None
+    backend = make_backend(config.backend) if args.llm else None
     seed = args.seed if args.seed is not None else config.train.seed
     try:
         mutated = synthesize_corpus(
@@ -341,9 +340,9 @@ def cmd_detect(args, config: ToolConfig) -> int:
 
 
 def cmd_fix(args, config: ToolConfig) -> int:
-    k = args.exemplars if args.exemplars is not None else config.retrieval.k
+    k = config.retrieval.k
     if k < 1:
-        raise DataError(f"exemplars per prompt must be >= 1, got {k}")
+        raise DataError(f"retrieval.k must be >= 1, got {k}")
     if args.jobs < 1:
         raise DataError(f"--jobs must be >= 1, got {args.jobs}")
     records = [from_dict(MethodRecord, d) if _is_method_record(d)
@@ -355,7 +354,7 @@ def cmd_fix(args, config: ToolConfig) -> int:
         records = _detections(records, args.model)
     lccs = read_changes(args.lcc) if args.lcc else []
     pool = build_pool(lccs, config.retrieval.k1, config.retrieval.b)
-    backend = make_backend(config.backend, args.backend)
+    backend = make_backend(config.backend)
     repair_config = RepairConfig(exemplar_count=k, workers=args.jobs,
                                  parser_config=config.parser)
     results = run_pipeline_batch(records, pool, backend, repair_config)
@@ -448,8 +447,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", parents=[common],
                        help="pull logging statements out of a source tree")
     p.add_argument("--root", required=True, help="source directory to scan")
-    p.add_argument("--glob", default="*.java",
-                   help="filename filter (default: *.java)")
     p.add_argument("--project", default="", help="project id to stamp")
     p.add_argument("--out", required=True, help="methods JSONL to write")
     p.set_defaults(func=cmd_extract)
@@ -472,8 +469,9 @@ def build_parser() -> _Parser:
                    help="training corpus JSONL (clean + mutants)")
     p.add_argument("--per-type", dest="per_type", type=int, required=True,
                    help="samples to synthesize per defect type")
-    p.add_argument("--llm", metavar="BACKEND", choices=["mock", "http"],
-                   help="backend for semantic mutations (default: rules only)")
+    p.add_argument("--llm", action="store_true",
+                   help="ask the configured backend.kind for semantic "
+                        "mutations (default: rules only)")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("train", parents=[common, seeded],
@@ -499,11 +497,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model",
                    help="checkpoint that labels records without a "
                         "predicted label (extract records)")
-    p.add_argument("--backend", choices=["mock", "http"],
-                   help="completion backend (default: from config)")
-    p.add_argument("--exemplars", type=int, metavar="K",
-                   help="exemplars per prompt, at least 1 "
-                        "(default: from config)")
     p.add_argument("--jobs", type=int, metavar="N",
                    default=RepairConfig.workers,
                    help="worker threads for backend calls, at least 1 "

@@ -340,14 +340,6 @@ def stratified_split(
     return train, val, test
 
 
-def _sample_texts(corpus: list[LabeledSample]) -> list[str]:
-    texts = []
-    for sample in corpus:
-        texts.append(sample.target.raw_text)
-        texts.append(sample.context.source_text)
-    return texts
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -394,9 +386,11 @@ def train(
     parameters of the best validation epoch plus the metric history."""
     config = config or TrainConfig()
     train_set, val_set, _ = stratified_split(corpus, config.seed)
-    vocab, seqs = fit_vocabulary(_sample_texts(train_set),
-                                 max_size=config.vocab_size,
-                                 max_tokens=config.max_tokens)
+    # each sample's statement, then its method's text
+    vocab, seqs = fit_vocabulary(
+        [text for s in train_set
+         for text in (s.target.raw_text, s.context.source_text)],
+        max_size=config.vocab_size, max_tokens=config.max_tokens)
     model = init_model(vocab, config.dim, config.seed)
     head = init_head(config.dim)
     rng = np.random.default_rng(config.seed + 1)
@@ -405,9 +399,8 @@ def train(
     train_stmts, train_ctxs = seqs[0::2], seqs[1::2]
     train_labels = np.eye(NUM_CLASSES)[[LABEL_INDEX[s.label]
                                         for s in train_set]]
-    val_seqs = [tokenize(text, vocab, config.max_tokens).ids
-                for text in _sample_texts(val_set)]
-    val_stmts, val_ctxs = val_seqs[0::2], val_seqs[1::2]
+    val_pairs = list(_token_pairs(((s.context, (s.target,)) for s in val_set),
+                                  vocab, config.max_tokens))
     val_golds = [s.label for s in val_set]
 
     params = {**model.parameters(), **head.parameters()}
@@ -444,7 +437,7 @@ def train(
             batches += 1
 
         val_f1 = f1_macro([LABELS[int(probs.argmax())] for probs in _classify(
-            model, head, zip(val_stmts, val_ctxs), config.batch_size)],
+            model, head, val_pairs, config.batch_size)],
             val_golds)
         history.append({
             "epoch": epoch,

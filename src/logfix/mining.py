@@ -228,7 +228,8 @@ class FixtureHistoryProvider:
     Each directory is a full tree; consecutive directories, ordered by
     their integer <seq> (ValueError if it is not one) and then by name,
     form the commit pairs. The part after the first underscore is the
-    commit id. A file counts as changed when its bytes changed.
+    commit id. A file counts as changed when its bytes changed. A history
+    without any such directory is a ValueError, not an empty history.
     """
 
     def __init__(self, history_dir: str):
@@ -255,6 +256,9 @@ class FixtureHistoryProvider:
         home = self.history_dir
         dirs = [d for d in os.listdir(home)
                 if os.path.isdir(os.path.join(home, d)) and "_" in d]
+        if not dirs:
+            raise ValueError(f"{home!r} holds no .git and no <seq>_<id> "
+                             "snapshot directory")
         for d in dirs:
             if not d.split("_")[0].isdecimal():
                 raise ValueError(f"snapshot directory {d!r}: its <seq> is "

@@ -1,7 +1,8 @@
 """Brace-matching extraction of methods and logging statements from Java-like source.
 
 This is not a grammar: a method is a name before a matched "(" whose
-parameter list is followed by a balanced brace block, and a logger call is a
+parameter list is followed by a balanced brace block (or, for a record's
+compact constructor, the record's name before one), and a logger call is a
 receiver/method-name pattern. Each text is lexed once (`lex`), through the
 matches of one token pattern (a comment, a string or char literal, or a
 bracket): comments are replaced by spaces, so offsets and line numbers stay
@@ -16,6 +17,7 @@ reported, never raised out of extraction.
 
 from __future__ import annotations
 
+import heapq
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -466,7 +468,8 @@ def _scan_method_spans(lexed: Lexed, path: str,
     return spans
 
 
-def _scan_class_spans(lexed: Lexed) -> list[tuple[str, int, int]]:
+def _scan_class_spans(lexed: Lexed) -> list[tuple[str, int, int, bool]]:
+    """(name, body's "{", body's "}", whether it is a record) per class."""
     stripped, mask = lexed.stripped, lexed.mask
     out = []
     for m in _CLASS_RE.finditer(stripped):
@@ -478,8 +481,39 @@ def _scan_class_spans(lexed: Lexed) -> list[tuple[str, int, int]]:
         close = lexed.close(open_idx)
         if close < 0:
             continue
-        out.append((m.group(1), open_idx, close))
+        out.append((m.group(1), open_idx, close,
+                    m.group().startswith("record")))
     return out
+
+
+def _scan_compact_constructors(
+        lexed: Lexed, class_spans: list[tuple[str, int, int, bool]],
+) -> list[_MethodSpan]:
+    """Compact canonical constructors: a `Name {` block directly inside the
+    body of record `Name`, which has no parameter list, as a method named
+    `Name`. Each record body's top-level blocks are visited once, in text
+    order."""
+    stripped, mask = lexed.stripped, lexed.mask
+    spans = []
+    for name, body_open, body_close, is_record in class_spans:
+        if not is_record:
+            continue
+        name_before_brace = re.compile(
+            rf"(?<![\w$.@]){re.escape(name)}\s*\Z")
+        pos = body_open + 1  # just after the last top-level block
+        while True:
+            brace = stripped.find("{", pos, body_close)
+            while brace >= 0 and mask[brace]:
+                brace = stripped.find("{", brace + 1, body_close)
+            close = lexed.close(brace)  # -1 when there is no brace
+            if close < 0:
+                break
+            m = name_before_brace.search(stripped, pos, brace)
+            if m is not None:
+                header_start = lexed.starts[lexed.line_of(m.start()) - 1]
+                spans.append(_MethodSpan(name, header_start, brace, close))
+            pos = close + 1
+    return sorted(spans, key=lambda s: s.open_brace)
 
 
 def _calls_by_method(method_spans: list[_MethodSpan],
@@ -534,6 +568,10 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
 
     method_spans = _scan_method_spans(lexed, path, errors)
     class_spans = _scan_class_spans(lexed)
+    compact = _scan_compact_constructors(lexed, class_spans)
+    if compact:  # both in text order; merging keeps each list's own order
+        method_spans = list(heapq.merge(method_spans, compact,
+                                        key=lambda s: s.open_brace))
     calls = _scan_calls(lexed, config)
 
     grouped = _calls_by_method(method_spans, calls)
@@ -549,7 +587,7 @@ def extract_file(source: str, path: str, config: ParserConfig | None = None,
                 f"over the line cap of {config.max_method_lines}; skipped"))
             continue
         source_text = source[ms.header_start:ms.close_brace + 1]
-        enclosing = [name for name, o, c in class_spans
+        enclosing = [name for name, o, c, _ in class_spans
                      if o < ms.open_brace and ms.close_brace < c]
         qualified = ".".join(enclosing + [ms.name])
         method_id = content_hash(path, f"{start_line}-{end_line}", source_text)

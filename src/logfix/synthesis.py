@@ -205,11 +205,16 @@ def _antonym_pairs(lines: list[str]) -> dict[str, str]:
     return pairs
 
 
-def load_lexicons(paths: LexiconPaths | None = None) -> Lexicons:
-    """The lexicons in the files at `paths`; without `paths`, the bundled
-    set, read once per process. A malformed line raises ValueError."""
-    if paths is None:
+def load_lexicons(paths: LexiconPaths = LexiconPaths()) -> Lexicons:
+    """The lexicons in the files at `paths`. The bundled set, where every
+    path is "", is read once per process and shared. A malformed line
+    raises ValueError."""
+    if paths == LexiconPaths():
         return _bundled_lexicons()
+    return _read_lexicons(paths)
+
+
+def _read_lexicons(paths: LexiconPaths) -> Lexicons:
     typos = _typo_entries(_lexicon_lines(paths.typos, "typos.tsv"))
     verbs, verb_index = _verb_tables(_lexicon_lines(paths.verbs, "verbs.tsv"))
     return Lexicons(typos, verbs, verb_index, _antonym_pairs(
@@ -218,7 +223,7 @@ def load_lexicons(paths: LexiconPaths | None = None) -> Lexicons:
 
 @lru_cache(maxsize=1)
 def _bundled_lexicons() -> Lexicons:
-    return load_lexicons(LexiconPaths())
+    return _read_lexicons(LexiconPaths())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The tree holds what real checkouts hold and a parser trips on: a byte
 order mark, CRLF and lone-CR line ends, a form feed in a comment, U+2028
 inside a string literal, non-ASCII, tab and quote file names, an empty
 file, a binary file, a dangling symlink, a file name that is not UTF-8,
-a method longer than a line cap, and one under the cap whose text is over
-the detector's default token limit. Nothing binary is committed.
+a method longer than a line cap, one under the cap whose text is over
+the detector's default token limit, a record with a compact canonical
+constructor, and a class on one line. Nothing binary is committed.
 """
 
 from __future__ import annotations
@@ -45,21 +46,24 @@ class _Writer:
         self.messages = (f"{verb} {noun}" for verb, noun in pairs)
         self.tree = HostileTree(root, line_cap)
 
+    def log(self, message: str = "", kept: bool = True) -> str:
+        """A log call that logs `n`, with a fresh message unless given."""
+        message = message or next(self.messages)
+        if kept:
+            self.tree.messages.add(message)
+        return f'log.{self.rng.choice(LEVELS)}("{message} {{}}", n);'
+
     def method(self, name: str, lines: int = 0, before_log: str = "",
                message: str = "", kept: bool = True) -> str:
         """A method of `lines` lines (at least 4) with one log call, which
         `before_log` precedes."""
-        message = message or next(self.messages)
-        if kept:
-            self.tree.messages.add(message)
         filler = [f"        n += {self.rng.randrange(1, 100)};"
                   for _ in range(max(0, lines - 4))]
-        level = self.rng.choice(LEVELS)
         return "\n".join([
             f"    void {name}(int n) {{",
             *filler,
             f"        {before_log}" if before_log else "        n -= 1;",
-            f'        log.{level}("{message} {{}}", n);',
+            f"        {self.log(message, kept)}",
             "    }"]) + "\n"
 
     def source(self, cls: str, *methods: str) -> str:
@@ -112,4 +116,11 @@ def write_hostile_tree(root: Path, seed: int = 0,
     w.tree.notes.append(
         f"extract: Long.java:{line_cap + 8}: method sprawl has "
         f"{line_cap + 1} lines, over the line cap of {line_cap}; skipped")
+    # Java 16+: a compact canonical constructor (`Span {`) has no parameter
+    # list; and a class whose method shares its line
+    w.write("Record.java", (
+        f"record Span(int n) {{\n    Span {{\n        {w.log()}\n    }}\n"
+        + w.method("widen") + "}\n"
+        + "class OneLine { " + " ".join(w.method("act").split()) + " }\n"
+    ).encode())
     return w.tree

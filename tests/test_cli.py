@@ -113,9 +113,10 @@ class TestUsageErrors:
         assert main(["extract"]) == 1
         assert main(["train", "--corpus", "x.jsonl"]) == 1
 
-    def test_bad_choice_value(self, ws):
+    def test_llm_is_a_switch_that_takes_no_value(self, ws, capsys):
         assert main(["synthesize", "--in", ws["clean"], "--out", "o.jsonl",
-                     "--per-type", "1", "--llm", "bogus"]) == 1
+                     "--per-type", "1", "--llm", "mock"]) == 1
+        assert "unrecognized arguments: mock" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -148,6 +149,20 @@ class TestUsageErrors:
         capsys.readouterr()
         assert main([*argv, flag, "1"]) == 1
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    # each restated a setting that has one source: the source-file rule
+    # (mining.SOURCE_SUFFIXES), backend.kind and retrieval.k
+    @pytest.mark.parametrize("command, flag, value", [
+        ("extract", "--glob", "*.java"),
+        ("fix", "--backend", "mock"),
+        ("fix", "--exemplars", "1"),
+    ])
+    def test_removed_flags_are_usage_errors(self, command, flag, value,
+                                            tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *self.REQUIRED[command], flag, value]) == 1
+        assert (f"unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
 
 
 class TestConfigFile:
@@ -233,9 +248,14 @@ class TestExtract:
                      "--out", str(tmp_path / "o.jsonl")]) == 2
 
     def test_no_matching_files(self, tmp_path):
+        # only a name ending in a mining.SOURCE_SUFFIXES entry is read
+        root = tmp_path / "tree"
+        root.mkdir()
+        for name in ("A.scala", "B.java.orig", "java"):
+            (root / name).write_text(
+                'class A { void f() { log.info("x"); } }\n', encoding="utf-8")
         out = tmp_path / "o.jsonl"
-        assert main(["extract", "--root", str(E2E_SRC_DIR),
-                     "--glob", "*.scala", "--out", str(out)]) == 0
+        assert main(["extract", "--root", str(root), "--out", str(out)]) == 0
         assert list(read_jsonl(str(out))) == []
 
 
@@ -362,6 +382,41 @@ class TestMine:
         assert main(["mine", "--repo", str(tmp_path),
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert "'v3_tagged'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["subdirectory", "bare"])
+    def test_a_directory_with_no_history_is_a_data_error(
+            self, tmp_path, capsys, where):
+        # neither a git work tree's root nor a snapshot directory: a
+        # subdirectory of a work tree, or a bare repository
+        repo = tmp_path / "repo"
+        git = ["git", "-C", str(repo), "-c", "user.name=t",
+               "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false"]
+        repo.mkdir()
+        if where == "bare":
+            subprocess.run([*git, "init", "-q", "--bare"], check=True)
+        else:
+            subprocess.run([*git, "init", "-q"], check=True)
+            (repo / "src").mkdir()
+            (repo / "src" / "S.java").write_text(
+                'class S {\n    void a() {\n        log.info("x");\n'
+                "    }\n}\n", encoding="utf-8")
+            subprocess.run([*git, "add", "-A"], check=True)
+            subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+            repo = repo / "src"
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(repo), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{str(repo)!r} holds no .git and no <seq>_<id>" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_one_snapshot_mines_no_commits(self, tmp_path, capsys):
+        (tmp_path / "1_base").mkdir()
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(tmp_path), "--out", str(out)]) == 0
+        assert "mine: 0 commits -> 0 log-centric changes" in (
+            capsys.readouterr().err)
+        assert list(read_jsonl(str(out))) == []
 
     def test_bad_repo(self, tmp_path):
         assert main(["mine", "--repo", str(tmp_path / "nope"),
@@ -524,7 +579,7 @@ class TestSynthesize:
     def test_mock_llm_backend_is_accepted(self, ws, tmp_path):
         out = tmp_path / "c.jsonl"
         assert main(["synthesize", "--in", ws["clean"], "--out", str(out),
-                     "--per-type", "1", "--llm", "mock"]) == 0
+                     "--per-type", "1", "--llm"]) == 0
         assert len(read_samples(str(out))) == 15 + 4
 
     def test_extract_records_are_read_as_clean_samples(self, tmp_path):
@@ -810,17 +865,21 @@ class TestFix:
                      "--out", str(out)]) == 0
         assert len(list(read_jsonl(str(out)))) == 20
 
-    def test_exemplar_budget_flag(self, ws, tmp_path):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_retrieval_k_sets_the_exemplars_per_prompt(self, ws, tmp_path,
+                                                       k):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval": {"k": k}}),
+                          encoding="utf-8")
         out = tmp_path / "results.jsonl"
         assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
-                     "--lcc", ws["lcc"], "--exemplars", "1",
+                     "--lcc", ws["lcc"], "--config", str(config),
                      "--out", str(out)]) == 0
         rows = list(read_jsonl(str(out)))
-        assert all(len(row["exemplars"]) == 1 for row in rows)
+        assert rows and all(len(row["exemplars"]) == k for row in rows)
 
-    @pytest.mark.parametrize("where", ["flag", "config"])
     def test_exemplar_budget_below_one_is_a_data_error(
-            self, ws, tmp_path, monkeypatch, where):
+            self, ws, tmp_path, monkeypatch, capsys):
         backends = []
         real = cli.make_backend
 
@@ -832,13 +891,13 @@ class TestFix:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"retrieval": {"k": 0}}),
                           encoding="utf-8")
-        extra = (["--exemplars", "0"] if where == "flag"
-                 else ["--config", str(config)])
         out = tmp_path / "o.jsonl"
         # The rigged checkpoint flags every statement, so each would reach
         # the backend.
         assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
-                     "--lcc", ws["lcc"], "--out", str(out), *extra]) == 2
+                     "--lcc", ws["lcc"], "--out", str(out),
+                     "--config", str(config)]) == 2
+        assert "retrieval.k must be >= 1, got 0" in capsys.readouterr().err
         assert sum(len(b.calls) for b in backends) == 0
         assert not out.exists()
 
@@ -864,10 +923,30 @@ class TestFix:
         assert sum(len(b.calls) for b in backends) == 0
         assert not out.exists()
 
-    def test_http_backend_needs_endpoint_config(self, ws, tmp_path):
+    def test_http_backend_needs_endpoint_config(self, ws, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "http"}}),
+                          encoding="utf-8")
+        out = tmp_path / "o.jsonl"
         assert main(["fix", "--in", ws["methods"], "--model", ws["rigged"],
-                     "--backend", "http",
-                     "--out", str(tmp_path / "o.jsonl")]) == 2
+                     "--config", str(config), "--out", str(out)]) == 2
+        assert "needs backend.endpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fix", "synthesize"])
+    def test_an_unknown_backend_kind_is_a_data_error_naming_it(
+            self, ws, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "bogus"}}),
+                          encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        argv = (["fix", "--in", ws["detections"]] if command == "fix" else
+                ["synthesize", "--in", ws["clean"], "--per-type", "1",
+                 "--llm"])
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+        assert ("unknown backend.kind 'bogus' (expected mock or http)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("timeout", [0, -1.5, "NaN", "Infinity"])
     def test_http_timeout_must_be_finite_and_above_zero(

@@ -135,7 +135,7 @@ def corpora(tmp_path_factory) -> Path:
                   "--per-type", "50"]
     assert main([*synthesize, "--out", str(out / "corpus-rules.jsonl")]) == 0
     assert main([*synthesize, "--out", str(out / "corpus-mock.jsonl"),
-                 "--llm", "mock", "--config", str(out / "config.json")]) == 0
+                 "--llm", "--config", str(out / "config.json")]) == 0
     return out
 
 

@@ -49,10 +49,12 @@ def test_extract_notes_each_skipped_file_and_counts_lines_at_newlines(
     assert notes == tree.notes
     records = [from_dict(MethodRecord, d) for d in read_jsonl(str(methods))]
     statements = [(r.method, s) for r in records for s in r.statements]
-    assert summary.startswith(f"extract: 10 files -> {len(records)} methods, "
+    assert summary.startswith(f"extract: 11 files -> {len(records)} methods, "
                               f"{len(statements)} statements -> ")
     assert {s.static_text.removesuffix(" {}")
             for _, s in statements} == tree.messages
+    assert {"Span.Span", "Span.widen", "OneLine.act"} <= {
+        r.method.qualified_name for r in records}
     for method, stmt in statements:
         path = tree.root / method.location.path
         text = decode_source(path.read_bytes())

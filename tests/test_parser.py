@@ -402,7 +402,8 @@ def _reference_class_spans(lexed):
         close = lexed.close(open_idx)
         if close < 0:
             continue
-        out.append((m.group(1), open_idx, close))
+        out.append((m.group(1), open_idx, close,
+                    m.group().startswith("record")))
     return out
 
 
@@ -906,6 +907,36 @@ class Outer {
 def test_qualified_name_takes_the_classes_that_hold_the_body(src, qualified):
     ctx, _ = single_method(src)
     assert ctx.qualified_name == qualified
+
+
+def test_a_compact_canonical_constructor_is_a_method_named_after_its_record():
+    src = """\
+record P(int a) {
+    P {
+        log.info("checking {}", a);
+    }
+    void h() { log.warn("h {}", a); }
+    record Q(int b) { public Q { if (b < 0) { log.debug("q {}", b); } } }
+    static { log.info("static block"); }
+    P(String s) { this(s.length()); log.info("from {}", s); }
+}
+class B { B { log.info("an initializer, not a constructor"); } }
+record R(int r) { Q { log.info("not its record's name"); } }
+"""
+    result = extract_file(src, "P.java")
+    assert result.errors == []
+    assert [(ctx.qualified_name, ctx.location.start_line,
+             [p.statement.static_text for p in parsed])
+            for ctx, parsed in result.records] == [
+        ("P.P", 2, ["checking {}"]),
+        ("P.h", 5, ["h {}"]),
+        ("P.Q.Q", 6, ["q {}"]),
+        ("P.P", 8, ["from {}"]),
+    ]
+    ctx, parsed = result.records[0]
+    assert ctx.source_text == ("    P {\n        log.info(\"checking {}\", a);"
+                               "\n    }")
+    assert parsed[0].statement.method_id == ctx.method_id
 
 
 def test_unbalanced_braces_collected_not_raised():

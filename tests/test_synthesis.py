@@ -184,8 +184,8 @@ class TestAntonymTable:
 
 def test_the_bundled_lexicons_are_read_once():
     assert load_lexicons() is load_lexicons()
-    assert load_lexicons(LexiconPaths()) is not load_lexicons()
-    assert load_lexicons(LexiconPaths()) == load_lexicons()
+    # a config whose paths are all "" names the bundled files: same value
+    assert load_lexicons(LexiconPaths()) is load_lexicons()
 
 
 # ---------------------------------------------------------------------------
