@@ -4,7 +4,8 @@ MockBackend replays canned (prompt-pattern -> reply) transcripts and falls
 back to deterministic heuristics, so the whole pipeline runs offline and
 byte-reproducibly. HttpBackend talks to a chat-completion style endpoint;
 the bearer token comes from the LOGFIX_LLM_TOKEN environment variable, never
-from config files or flags.
+from config files or flags. `requests` is imported by the first HttpBackend
+request, so a process that never sends one does not load the HTTP stack.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import threading
 import time
 from dataclasses import astuple, dataclass
 from typing import Protocol, runtime_checkable
-
-import requests
 
 from .model import from_dict, read_json
 
@@ -124,6 +123,9 @@ class HttpBackend:
         if not token:
             raise BackendError(
                 f"no API token: set the {TOKEN_ENV_VAR} environment variable")
+        # the import lock makes a first import from several threads safe
+        import requests
+
         self._pace()
         payload = {
             "model": self.model,

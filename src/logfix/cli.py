@@ -102,6 +102,20 @@ class BackendSettings:
     # mock only: JSON file of {"pattern": regex, "reply": text} entries
     transcript: str = ""
 
+    def __post_init__(self) -> None:
+        if self.kind == "mock":
+            return
+        if self.kind != "http":
+            raise ValueError(f"unknown backend.kind {self.kind!r} "
+                             "(expected mock or http)")
+        if not self.endpoint or not self.model:
+            raise ValueError("http backend needs backend.endpoint and "
+                             "backend.model in the config file")
+        if not 0 < self.timeout_seconds < math.inf:
+            raise ValueError(
+                "backend.timeout_seconds must be a finite number above 0, "
+                f"not {self.timeout_seconds!r}")
+
 
 @dataclass(frozen=True)
 class ToolConfig:
@@ -143,27 +157,17 @@ def load_config(path: str | None) -> ToolConfig:
 
 
 def make_backend(settings: BackendSettings) -> LlmBackend:
-    if settings.kind == "mock":
-        transcript = (load_transcript(settings.transcript)
-                      if settings.transcript else None)
-        try:
-            return MockBackend(transcript)
-        except re.error as exc:  # not a ValueError
-            raise DataError(f"{settings.transcript}: TranscriptEntry.pattern "
-                            f"{exc.pattern!r}: {exc}") from exc
+    # BackendSettings admits only the two kinds, with checked http fields
     if settings.kind == "http":
-        if not settings.endpoint or not settings.model:
-            raise DataError(
-                "http backend needs backend.endpoint and backend.model "
-                "in the config file")
-        if not 0 < settings.timeout_seconds < math.inf:
-            raise DataError(
-                "backend.timeout_seconds must be a finite number above 0, "
-                f"not {settings.timeout_seconds!r}")
         return HttpBackend(settings.endpoint, settings.model,
                            settings.timeout_seconds)
-    raise DataError(f"unknown backend.kind {settings.kind!r} "
-                    "(expected mock or http)")
+    transcript = (load_transcript(settings.transcript)
+                  if settings.transcript else None)
+    try:
+        return MockBackend(transcript)
+    except re.error as exc:  # not a ValueError
+        raise DataError(f"{settings.transcript}: TranscriptEntry.pattern "
+                        f"{exc.pattern!r}: {exc}") from exc
 
 
 def _note(message: str) -> None:
@@ -221,9 +225,12 @@ def cmd_mine(args, config: ToolConfig) -> int:
     if os.path.exists(os.path.join(args.repo, ".git")):
         provider = GitHistoryProvider(args.repo, args.since)
     else:
+        try:
+            provider = FixtureHistoryProvider(args.repo)
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
         if args.since:
             _note("mine: snapshot directories carry no dates; --since ignored")
-        provider = FixtureHistoryProvider(args.repo)
     commits = 0
 
     def counted_pairs():

@@ -125,8 +125,6 @@ def rouge_k(candidate: list[str], reference: list[str], k: int) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0] * (len(b) + 1)

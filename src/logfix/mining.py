@@ -229,11 +229,22 @@ class FixtureHistoryProvider:
     their integer <seq> (ValueError if it is not one) and then by name,
     form the commit pairs. The part after the first underscore is the
     commit id. A file counts as changed when its bytes changed. A history
-    without any such directory is a ValueError, not an empty history.
+    without any such directory is a ValueError, not an empty history; both
+    ValueErrors are raised when the provider is made.
     """
 
     def __init__(self, history_dir: str):
         self.history_dir = history_dir
+        dirs = [d for d in os.listdir(history_dir)
+                if os.path.isdir(os.path.join(history_dir, d)) and "_" in d]
+        if not dirs:
+            raise ValueError(f"{history_dir!r} holds no .git and no "
+                             "<seq>_<id> snapshot directory")
+        for d in dirs:
+            if not d.split("_")[0].isdecimal():
+                raise ValueError(f"snapshot directory {d!r}: its <seq> is "
+                                 "not an integer")
+        self._dirs = sorted(dirs, key=lambda d: (int(d.split("_")[0]), d))
 
     def _snapshot(self, dirname: str) -> dict[bytes, bytes | str]:
         """Raw path -> the file's bytes, or why it cannot be read."""
@@ -253,22 +264,11 @@ class FixtureHistoryProvider:
 
     def _commits(self) -> Iterator[tuple[str, list[tuple]]]:
         """Each snapshot after the first, with its records against the last."""
-        home = self.history_dir
-        dirs = [d for d in os.listdir(home)
-                if os.path.isdir(os.path.join(home, d)) and "_" in d]
-        if not dirs:
-            raise ValueError(f"{home!r} holds no .git and no <seq>_<id> "
-                             "snapshot directory")
-        for d in dirs:
-            if not d.split("_")[0].isdecimal():
-                raise ValueError(f"snapshot directory {d!r}: its <seq> is "
-                                 "not an integer")
-        dirs.sort(key=lambda d: (int(d.split("_")[0]), d))
         # each tree is read once: the newer side of one pair is the older
         # side of the next
-        trees = map(self._snapshot, dirs)
-        before = next(trees, {})
-        for cur, after in zip(dirs[1:], trees):
+        trees = map(self._snapshot, self._dirs)
+        before = next(trees)
+        for cur, after in zip(self._dirs[1:], trees):
             yield cur.split("_", 1)[1], [
                 (b"A" if old is None else b"D" if new is None else b"M",
                  old, new, raw)

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -197,6 +198,24 @@ class TestConfigFile:
             assert f"config section {section!r}" in capsys.readouterr().err
         # an integer is a valid number
         assert self.run_with_config(tmp_path, {"retrieval": {"k1": 1}}) == 0
+
+    @pytest.mark.parametrize("backend, message", [
+        ({"kind": "bogus"},
+         "unknown backend.kind 'bogus' (expected mock or http)"),
+        ({"kind": "http", "model": "m"},
+         "http backend needs backend.endpoint and backend.model in the "
+         "config file"),
+        ({"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+          "timeout_seconds": 0},
+         "backend.timeout_seconds must be a finite number above 0, not 0.0"),
+    ], ids=["kind", "endpoint", "timeout"])
+    def test_backend_section_is_checked_when_the_config_loads(
+            self, tmp_path, capsys, backend, message):
+        # extract makes no backend, yet rejects a backend it could not make
+        assert self.run_with_config(tmp_path, {"backend": backend}) == 2
+        assert capsys.readouterr().err == (
+            f"logfix: config section 'backend': {message}\n")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_malformed_json(self, tmp_path):
         assert self.run_with_config(tmp_path, "not json {") == 2
@@ -410,6 +429,17 @@ class TestMine:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_since_on_a_directory_with_no_history_is_only_a_data_error(
+            self, tmp_path, capsys):
+        # no note about snapshots that are not there
+        out = tmp_path / "o.jsonl"
+        assert main(["mine", "--repo", str(tmp_path), "--since", "2024-01-01",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"logfix: {str(tmp_path)!r} holds no .git and no <seq>_<id> "
+            "snapshot directory\n")
+        assert not out.exists()
+
     def test_one_snapshot_mines_no_commits(self, tmp_path, capsys):
         (tmp_path / "1_base").mkdir()
         out = tmp_path / "o.jsonl"
@@ -581,6 +611,22 @@ class TestSynthesize:
         assert main(["synthesize", "--in", ws["clean"], "--out", str(out),
                      "--per-type", "1", "--llm"]) == 0
         assert len(read_samples(str(out))) == 15 + 4
+
+    def test_http_llm_without_a_token_is_a_backend_error(
+            self, ws, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {
+            "kind": "http", "endpoint": "https://example.invalid/v1",
+            "model": "m"}}), encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        assert main(["synthesize", "--in", ws["clean"], "--per-type", "1",
+                     "--llm", "--config", str(config),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "logfix: backend error: no API token: set the "
+            f"{TOKEN_ENV_VAR} environment variable\n")
+        assert not out.exists()
 
     def test_extract_records_are_read_as_clean_samples(self, tmp_path):
         # README's step 3: extract a clean tree, then synthesize from it
@@ -951,13 +997,13 @@ class TestFix:
     @pytest.mark.parametrize("timeout", [0, -1.5, "NaN", "Infinity"])
     def test_http_timeout_must_be_finite_and_above_zero(
             self, ws, tmp_path, monkeypatch, capsys, timeout):
-        from logfix import backends
+        import requests
 
         def no_request(*args, **kwargs):
             raise AssertionError("request made")
 
         monkeypatch.setenv(TOKEN_ENV_VAR, "t")
-        monkeypatch.setattr(backends.requests, "post", no_request)
+        monkeypatch.setattr(requests, "post", no_request)
         config = tmp_path / "config.json"
         # NaN and Infinity are what Python's json reads and writes for them
         config.write_text(
@@ -1563,3 +1609,44 @@ def _write_json(directory: str, name: str, doc) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
+
+
+# Run in a fresh interpreter: this test session has imported `requests`.
+_OFFLINE_COMMANDS = """
+import json, sys
+from logfix.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] in ("requests", "urllib3"))))
+"""
+
+
+def test_offline_commands_never_load_the_http_stack(ws, tmp_path):
+    out = {name: str(tmp_path / name) for name in (
+        "methods.jsonl", "changes.jsonl", "corpus.jsonl", "model.json",
+        "detections.jsonl", "results.jsonl", "report.json")}
+    commands = [
+        ["extract", "--root", str(E2E_SRC_DIR), "--project", "e2e",
+         "--out", out["methods.jsonl"]],
+        ["mine", "--repo", str(HISTORY_DIR), "--project", "e2e",
+         "--out", out["changes.jsonl"]],
+        ["synthesize", "--in", out["methods.jsonl"], "--per-type", "2",
+         "--out", out["corpus.jsonl"]],
+        ["train", "--corpus", ws["corpus"], "--config", ws["config"],
+         "--model", out["model.json"]],
+        ["detect", "--in", out["methods.jsonl"], "--model", out["model.json"],
+         "--out", out["detections.jsonl"]],
+        ["fix", "--in", out["detections.jsonl"], "--lcc", out["changes.jsonl"],
+         "--jobs", "2", "--out", out["results.jsonl"]],
+        ["evaluate", "--results", out["results.jsonl"],
+         "--truth", str(E2E_TRUTH), "--out", out["report.json"]],
+    ]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_COMMANDS, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

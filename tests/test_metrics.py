@@ -141,6 +141,17 @@ class TestRouge:
     def test_one_side_shorter_than_k(self):
         assert rouge_k(["a"], ["a", "b"], 2) == 0.0
 
+    def test_rouge_k_needs_k_of_one_or_more_and_a_reference(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            rouge_k(["a"], ["a"], 0)
+        with pytest.raises(EmptyReference):
+            rouge_k(["a"], [], 1)
+
+    def test_lcs_length_of_an_empty_sequence_is_zero(self):
+        assert metrics._lcs_length([], ["a", "b"]) == 0
+        assert metrics._lcs_length(["a", "b"], []) == 0
+        assert metrics._lcs_length(list("abcbdab"), list("bdcaba")) == 4
+
     def test_rouge_l_subsequence(self):
         cand = "the worker started late".split()
         ref = "worker started".split()

@@ -36,6 +36,7 @@ from logfix.model import (
     read_jsonl,
     read_samples,
     statement_id,
+    statement_offset,
     statement_to_dict,
     to_dict,
     validate_sample,
@@ -551,6 +552,15 @@ class TestValidateSample:
         )
         problems = validate_sample(dataclasses.replace(sample, target=displaced))
         assert any("line" in p for p in problems)
+
+    def test_statement_offset_is_minus_one_outside_the_method(self):
+        sample = make_sample()
+        ctx, loc = sample.context, sample.target.location
+        assert statement_offset(ctx, sample.target) >= 0
+        for line in (ctx.location.start_line - 1, ctx.location.end_line + 1):
+            outside = dataclasses.replace(
+                sample.target, location=SourceLocation(loc.path, line, line))
+            assert statement_offset(ctx, outside) == -1
 
     def test_detects_a_context_without_the_target_at_its_line(self):
         sample = make_sample()
