@@ -41,6 +41,7 @@ from .model import (
     ProvenanceKind,
     TruthRecord,
     from_dict,
+    open_output,
     read_changes,
     read_json,
     read_jsonl,
@@ -52,7 +53,7 @@ from .model import (
 )
 from .parser import ParserConfig, decode_source, extract_file
 from .repair import RepairConfig, run_pipeline_batch
-from .retrieval import DEFAULT_B, DEFAULT_K1, build_pool
+from .retrieval import DEFAULT_B, DEFAULT_K1, build_pool, check_bm25
 from .synthesis import (
     InsufficientInputs,
     LexiconPaths,
@@ -91,6 +92,11 @@ class RetrievalSettings:
     k: int = 3
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"retrieval.k must be >= 1, got {self.k}")
+        check_bm25(self.k1, self.b)
 
 
 @dataclass(frozen=True)
@@ -347,9 +353,6 @@ def cmd_detect(args, config: ToolConfig) -> int:
 
 
 def cmd_fix(args, config: ToolConfig) -> int:
-    k = config.retrieval.k
-    if k < 1:
-        raise DataError(f"retrieval.k must be >= 1, got {k}")
     if args.jobs < 1:
         raise DataError(f"--jobs must be >= 1, got {args.jobs}")
     records = [from_dict(MethodRecord, d) if _is_method_record(d)
@@ -362,7 +365,8 @@ def cmd_fix(args, config: ToolConfig) -> int:
     lccs = read_changes(args.lcc) if args.lcc else []
     pool = build_pool(lccs, config.retrieval.k1, config.retrieval.b)
     backend = make_backend(config.backend)
-    repair_config = RepairConfig(exemplar_count=k, workers=args.jobs,
+    repair_config = RepairConfig(exemplar_count=config.retrieval.k,
+                                 workers=args.jobs,
                                  parser_config=config.parser)
     results = run_pipeline_batch(records, pool, backend, repair_config)
     write_jsonl(args.out, map(to_dict, results))
@@ -426,7 +430,7 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
         },
         "update": aggregate_update_records(per_sample),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     _note(f"evaluate: {len(preds)} results, {len(per_sample)} scored "

@@ -31,6 +31,7 @@ from .model import (
     LoggingStatement,
     MethodContext,
     from_dict,
+    open_output,
     read_json,
     to_dict,
 )
@@ -552,7 +553,7 @@ def save_checkpoint(path: str, model: EncoderModel, head: ClassifierHead,
                         vocab.oov_buckets),
         {name: Tensor.of(value) for name, value in
          {**model.parameters(), **head.parameters()}.items()})
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(to_dict(checkpoint), fh)
 
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cache, cached_property
 from operator import attrgetter
 from types import UnionType
-from typing import (Any, Callable, Iterable, Iterator, TypeVar, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (Any, Callable, Iterable, Iterator, TextIO, TypeVar,
+                    Union, get_args, get_origin, get_type_hints)
 
 T = TypeVar("T")
 
@@ -406,9 +409,45 @@ def dumps_line(d: dict[str, Any]) -> str:
     return json.dumps(d, ensure_ascii=False)
 
 
+@contextmanager
+def open_output(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text handle that replaces the file at `path`.
+
+    A regular file there is renamed `<path>.tmp`, overwritten from its start,
+    cut at the end of the new text and renamed back. So it keeps its inode
+    and reuses its blocks, where truncating would free them, which stalls
+    for tenths of a second on a filesystem that discards freed blocks. A run
+    killed mid-write leaves `<path>.tmp`, not a partial `<path>`, and the
+    next run takes it over; an exception inside the block removes both.
+    Anything else, such as a new path, a link, a device or a file that
+    cannot be set aside, is opened with `open(path, "w")`.
+    """
+    tmp, fd = path + ".tmp", None
+    old = path if os.path.lexists(path) else tmp  # tmp: left by a killed run
+    with suppress(OSError):
+        if stat.S_ISREG(os.lstat(old).st_mode):
+            os.replace(old, tmp)
+            try:
+                fd = os.open(tmp, os.O_WRONLY)
+            except OSError:
+                os.replace(tmp, old)
+    if fd is None:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+            fh.truncate()
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_jsonl(path: str, dicts: Iterable[dict[str, Any]]) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for d in dicts:
             fh.write(dumps_line(d))
             fh.write("\n")

@@ -44,18 +44,23 @@ class Bm25Index:
     tie_rank: np.ndarray
 
 
+def check_bm25(k1: float, b: float) -> None:
+    """Raise ValueError unless `k1` and `b` are BM25 parameters: outside
+    these bounds a term weight can turn negative or divide by zero. A NaN
+    fails every comparison, so it fails these checks too."""
+    if not 0 <= k1 < math.inf:
+        raise ValueError(f"BM25 k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"BM25 b must lie in [0, 1], got {b}")
+
+
 def build_index(lccs: Sequence[LogCentricChange], k1: float = DEFAULT_K1,
                 b: float = DEFAULT_B,
                 tokens: Sequence[list[str]] | None = None) -> Bm25Index:
     """Index every change by its before-statement text (the query side is a
     defective statement, so symmetry puts like with like). `tokens`, when
     given, holds each change's `split_tokens` of that text, in order."""
-    # Outside these bounds a term weight can turn negative or divide by zero.
-    # A NaN fails every comparison, so it fails these checks too.
-    if not 0 <= k1 < math.inf:
-        raise ValueError(f"BM25 k1 must be finite and >= 0, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError(f"BM25 b must lie in [0, 1], got {b}")
+    check_bm25(k1, b)
     changes = list(lccs)
     size = len(changes)
     if tokens is None:

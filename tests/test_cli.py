@@ -217,6 +217,19 @@ class TestConfigFile:
             f"logfix: config section 'backend': {message}\n")
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("retrieval, message", [
+        ({"k": 0}, "retrieval.k must be >= 1, got 0"),
+        ({"k1": -1}, "BM25 k1 must be finite and >= 0, got -1.0"),
+        ({"b": 2}, "BM25 b must lie in [0, 1], got 2.0"),
+    ], ids=["k", "k1", "b"])
+    def test_retrieval_section_is_checked_when_the_config_loads(
+            self, tmp_path, capsys, retrieval, message):
+        # extract ranks nothing, yet rejects a ranking it could not run
+        assert self.run_with_config(tmp_path, {"retrieval": retrieval}) == 2
+        assert capsys.readouterr().err == (
+            f"logfix: config section 'retrieval': {message}\n")
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_malformed_json(self, tmp_path):
         assert self.run_with_config(tmp_path, "not json {") == 2
 
@@ -1623,11 +1636,13 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def test_offline_commands_never_load_the_http_stack(ws, tmp_path):
+def _all_subcommands(ws, tmp_path) -> tuple[dict[str, str], list[list[str]]]:
+    """Each subcommand once, in pipeline order, writing into `tmp_path`:
+    the output paths by file name, and the argument lists."""
     out = {name: str(tmp_path / name) for name in (
         "methods.jsonl", "changes.jsonl", "corpus.jsonl", "model.json",
         "detections.jsonl", "results.jsonl", "report.json")}
-    commands = [
+    return out, [
         ["extract", "--root", str(E2E_SRC_DIR), "--project", "e2e",
          "--out", out["methods.jsonl"]],
         ["mine", "--repo", str(HISTORY_DIR), "--project", "e2e",
@@ -1643,6 +1658,10 @@ def test_offline_commands_never_load_the_http_stack(ws, tmp_path):
         ["evaluate", "--results", out["results.jsonl"],
          "--truth", str(E2E_TRUTH), "--out", out["report.json"]],
     ]
+
+
+def test_offline_commands_never_load_the_http_stack(ws, tmp_path):
+    _, commands = _all_subcommands(ws, tmp_path)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-c", _OFFLINE_COMMANDS, json.dumps(commands)],
@@ -1650,3 +1669,72 @@ def test_offline_commands_never_load_the_http_stack(ws, tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+class TestOutputFiles:
+    """An output that exists is overwritten in its own file; see
+    `model.open_output`."""
+
+    @staticmethod
+    def command(name, ws, out):
+        if name == "extract":
+            return ["extract", "--root", str(E2E_SRC_DIR),
+                    "--project", "e2e", "--out", out]
+        return ["fix", "--in", ws["detections"], "--lcc", ws["lcc"],
+                "--out", out]
+
+    @pytest.mark.parametrize("name", ["extract", "fix"])
+    def test_a_rerun_keeps_the_file_and_writes_the_same_bytes(
+            self, ws, tmp_path, name):
+        out, fresh = tmp_path / "out.jsonl", tmp_path / "new.jsonl"
+        assert main(self.command(name, ws, str(out))) == 0
+        inode = out.stat().st_ino
+        for path in (out, fresh):
+            assert main(self.command(name, ws, str(path))) == 0
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["new.jsonl", "out.jsonl"]
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_a_longer_or_stale_file_leaves_no_tail_and_no_tmp(
+            self, tmp_path, with_out):
+        # with_out: a longer earlier output; without: a killed run's tmp
+        out, fresh = tmp_path / "out.jsonl", tmp_path / "new.jsonl"
+        stale = out if with_out else tmp_path / "out.jsonl.tmp"
+        stale.write_text("x" * 1_000_000, encoding="utf-8")
+        for path in (out, fresh):
+            assert main(self.command("extract", None, str(path))) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["new.jsonl", "out.jsonl"]
+
+    def test_a_link_out_stays_a_link(self, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "out.jsonl"
+        fresh = tmp_path / "new.jsonl"
+        target.write_text("an older output\n", encoding="utf-8")
+        link.symlink_to(target)
+        for path in (link, fresh):
+            assert main(self.command("extract", None, str(path))) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == [
+            "new.jsonl", "out.jsonl", "target.jsonl"]
+
+    def test_out_in_a_missing_directory_is_a_data_error(self, tmp_path,
+                                                        capsys):
+        out = str(tmp_path / "absent" / "out.jsonl")
+        assert main(self.command("extract", None, out)) == 2
+        assert capsys.readouterr().err == (
+            "logfix: FileNotFoundError: [Errno 2] No such file or "
+            f"directory: {out!r}\n")
+
+    def test_no_subcommand_leaves_a_tmp(self, ws, tmp_path):
+        out, commands = _all_subcommands(ws, tmp_path)
+        files = []
+        for _ in range(2):
+            for argv in commands:
+                assert main(argv) == 0, argv[0]
+            files.append({name: (os.stat(path).st_ino,
+                                 (tmp_path / name).read_bytes())
+                          for name, path in out.items()})
+        assert files[1] == files[0]
+        assert sorted(os.listdir(tmp_path)) == sorted(out)

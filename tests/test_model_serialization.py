@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import stat
+import threading
 
 import pytest
 
@@ -32,6 +35,7 @@ from logfix.model import (
     content_hash,
     dumps_line,
     from_dict,
+    open_output,
     read_changes,
     read_jsonl,
     read_samples,
@@ -664,3 +668,93 @@ class TestMethodRecord:
         record = MethodRecord(ctx, tuple(stmts))
         assert from_dict(MethodRecord,
                          json.loads(json.dumps(to_dict(record)))) == record
+
+
+class TestOpenOutput:
+    def write(self, path, text):
+        with open_output(str(path)) as fh:
+            fh.write(text)
+
+    def test_a_shorter_rewrite_keeps_the_file_and_leaves_no_tail(
+            self, tmp_path):
+        path, link = tmp_path / "out.jsonl", tmp_path / "link.jsonl"
+        self.write(path, "x" * 100_000 + "\n")
+        os.chmod(path, 0o640)
+        os.link(path, link)
+        before = os.stat(path)
+        self.write(path, "é\n")
+        after = os.stat(path)
+        assert path.read_text(encoding="utf-8") == "é\n"
+        assert link.read_text(encoding="utf-8") == "é\n"
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, 2)
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "out.jsonl"]
+
+    @pytest.mark.parametrize("with_path", [False, True])
+    def test_a_tmp_left_by_a_killed_run_is_taken_over(self, tmp_path,
+                                                      with_path):
+        path, tmp = tmp_path / "out.jsonl", tmp_path / "out.jsonl.tmp"
+        tmp.write_text("half a row", encoding="utf-8")
+        if with_path:
+            path.write_text("an older output\n", encoding="utf-8")
+        self.write(path, "new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_an_exception_in_the_block_leaves_no_tmp(self, tmp_path,
+                                                     existing):
+        path = tmp_path / "out.jsonl"
+        if existing:
+            path.write_text("an older output\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with open_output(str(path)) as fh:
+                fh.write("part of a row")
+                raise RuntimeError
+        # a new path is opened as before, so it keeps what was written;
+        # an existing one is never left holding a mix of old and new
+        assert os.listdir(tmp_path) == ([] if existing else ["out.jsonl"])
+
+    def test_a_link_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "out.jsonl"
+        target.write_text("an older output\n", encoding="utf-8")
+        link.symlink_to(target.name)
+        self.write(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "target.jsonl"]
+
+    def test_a_fifo_is_written_through(self, tmp_path):
+        fifo = tmp_path / "out.jsonl"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(fifo.read_text(encoding="utf-8")))
+        reader.start()
+        self.write(fifo, "row\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert read == ["row\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    @pytest.mark.parametrize("failing", ["replace", "open"])
+    def test_a_file_that_cannot_be_set_aside_is_truncated_in_place(
+            self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "out.jsonl"
+        path.write_text("an older, longer output\n", encoding="utf-8")
+        inode = os.stat(path).st_ino
+        real = getattr(os, failing)
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise PermissionError(13, "Permission denied")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module.os, failing, fail_once)
+        self.write(path, "new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert os.stat(path).st_ino == inode
+        assert os.listdir(tmp_path) == ["out.jsonl"]
